@@ -12,6 +12,7 @@ output; measured wall time is only ever printed to stderr via --timing.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -34,6 +35,8 @@ import numpy as np
 
 DEMO_QUBITS = 3
 DEMO_VALID = (1, 3)
+# Sweep grids run one interference per cell; cap the points per axis.
+MAX_RANGE_POINTS = 10_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,6 +96,8 @@ def parse_range(text: str) -> list[float]:
         numbers = [float(part) for part in parts]
     except ValueError:
         raise ValueError(f"malformed range {text!r}") from None
+    if not all(math.isfinite(x) for x in numbers):
+        raise ValueError(f"range {text!r} must contain finite numbers")
     if len(numbers) == 1:
         return numbers
     start, end = numbers[0], numbers[1]
@@ -101,6 +106,10 @@ def parse_range(text: str) -> list[float]:
         raise ValueError(f"range step must be > 0, got {step}")
     if end < start - 1e-12:
         raise ValueError(f"empty range {text!r}")
+    if (end + 1e-12 - start) / step >= MAX_RANGE_POINTS:
+        raise ValueError(
+            f"range {text!r} exceeds {MAX_RANGE_POINTS} points"
+        )
     values = []
     k = 0
     while True:
@@ -325,6 +334,11 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         text = args.handler(args)
+        elapsed_ms = (time.perf_counter() - start) * 1e3
+        if args.output is not None:
+            Path(args.output).write_bytes(text.encode("utf-8"))
+        else:
+            sys.stdout.write(text)
     except (ParseError, UnboundVariable, SchemeInvalid, IndexOutOfRange) as exc:
         print(f"qic: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
@@ -334,12 +348,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"qic: {exc}", file=sys.stderr)
         return 1
-    elapsed_ms = (time.perf_counter() - start) * 1e3
-
-    if args.output is not None:
-        Path(args.output).write_bytes(text.encode("utf-8"))
-    else:
-        sys.stdout.write(text)
     if args.timing:
         print(f"timing_ms={elapsed_ms:.3f}", file=sys.stderr)
     return 0

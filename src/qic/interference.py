@@ -20,6 +20,7 @@ from .state import (
     PhaseMask,
     StateVector,
     apply_phase_mask,
+    check_tolerance,
 )
 
 import numpy as np
@@ -38,10 +39,7 @@ class InterferenceConfig:
             raise ValueError(f"leakage must be in [0, 1), got {self.leakage}")
         if self.passes < 1:
             raise ValueError(f"passes must be >= 1, got {self.passes}")
-        if self.collapse_tol <= 0:
-            raise ValueError(
-                f"collapse_tol must be > 0, got {self.collapse_tol}"
-            )
+        check_tolerance(self.collapse_tol, "collapse_tol")
 
 
 def mark_invalid(psi: StateVector, pred: Predicate) -> StateVector:

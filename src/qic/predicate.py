@@ -24,6 +24,7 @@ exclusions returns a new predicate.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,30 @@ from .state import PhaseMask, Register
 # Masks materialize as dense 2^m flag arrays; reject registers where that
 # array would be unreasonably large.
 MASK_COMPILE_CAP = 26
+
+# Expressions and CNF formulas compile bitsliced: basis index i is bit
+# i % 64 of word i // 64, in explicitly little-endian 64-bit words.
+_WORD = np.dtype("<u8")
+_WORD_QUBITS = 6
+_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+# Word pattern of qubit k < 6: bit j of the word is bit k of j.
+_LOW_QUBIT_WORDS = tuple(
+    np.uint64(sum(1 << j for j in range(64) if (j >> k) & 1))
+    for k in range(_WORD_QUBITS)
+)
+
+
+def _qubit_words(qubit: int, word_count: int) -> np.ndarray:
+    """Packed truth of variable ``b<qubit>``; one word when it is word-uniform.
+
+    Qubits below 6 vary inside a word, so every word holds the same
+    pattern; a higher qubit selects whole words.
+    """
+    if qubit < _WORD_QUBITS:
+        return np.array([_LOW_QUBIT_WORDS[qubit]], dtype=_WORD)
+    words = np.zeros(word_count, dtype=_WORD)
+    words.reshape(-1, 2, 1 << (qubit - _WORD_QUBITS))[:, 1, :] = _ONES
+    return words
 
 
 # ---------------------------------------------------------------------------
@@ -49,8 +74,12 @@ class BoolExpr:
         """Evaluate at a single basis index."""
         raise NotImplementedError
 
-    def table(self, indices: np.ndarray) -> np.ndarray:
-        """Evaluate over an array of basis indices at once."""
+    def words(self, qubit_words) -> np.ndarray:
+        """Evaluate over packed words; ``qubit_words(k)`` packs variable k.
+
+        The result has one word, broadcast over every word of the
+        register, or one word per 64 basis indices.
+        """
         raise NotImplementedError
 
     def max_variable(self) -> int:
@@ -71,8 +100,8 @@ class Var(BoolExpr):
     def truth(self, index):
         return (index >> self.index) & 1 == 1
 
-    def table(self, indices):
-        return ((indices >> self.index) & 1).astype(bool)
+    def words(self, qubit_words):
+        return qubit_words(self.index)
 
     def max_variable(self):
         return self.index
@@ -88,8 +117,8 @@ class Const(BoolExpr):
     def truth(self, index):
         return self.value
 
-    def table(self, indices):
-        return np.full(indices.shape, self.value, dtype=bool)
+    def words(self, qubit_words):
+        return np.array([_ONES if self.value else 0], dtype=_WORD)
 
     def to_text(self):
         return "1" if self.value else "0"
@@ -103,8 +132,8 @@ class Not(BoolExpr):
     def truth(self, index):
         return not self.operand.truth(index)
 
-    def table(self, indices):
-        return ~self.operand.table(indices)
+    def words(self, qubit_words):
+        return ~self.operand.words(qubit_words)
 
     def max_variable(self):
         return self.operand.max_variable()
@@ -129,8 +158,9 @@ class _Binary(BoolExpr):
     def truth(self, index):
         return bool(self._combine(self.lhs.truth(index), self.rhs.truth(index)))
 
-    def table(self, indices):
-        return self._combine(self.lhs.table(indices), self.rhs.table(indices))
+    def words(self, qubit_words):
+        return self._combine(self.lhs.words(qubit_words),
+                             self.rhs.words(qubit_words))
 
     def max_variable(self):
         return max(self.lhs.max_variable(), self.rhs.max_variable())
@@ -310,14 +340,15 @@ class CnfFormula:
                 return False
         return True
 
-    def table(self, indices: np.ndarray) -> np.ndarray:
-        result = np.ones(indices.shape, dtype=bool)
+    def words(self, qubit_words) -> np.ndarray:
+        """Packed evaluation, as ``BoolExpr.words``."""
+        result = np.array([_ONES], dtype=_WORD)
         for clause in self.clauses:
-            satisfied = np.zeros(indices.shape, dtype=bool)
+            satisfied = np.zeros(1, dtype=_WORD)
             for lit in clause:
-                bit = ((indices >> (abs(lit) - 1)) & 1).astype(bool)
-                satisfied |= bit if lit > 0 else ~bit
-            result &= satisfied
+                bit = qubit_words(abs(lit) - 1)
+                satisfied = satisfied | (bit if lit > 0 else ~bit)
+            result = result & satisfied
         return result
 
     def max_variable(self) -> int:
@@ -445,6 +476,30 @@ def evaluate(pred: Predicate, index: int, ignore_exclusions: bool = False) -> bo
     return index in src
 
 
+@functools.lru_cache(maxsize=1)
+def _source_flags(source, m: int) -> np.ndarray:
+    """Read-only dense valid flags of a source over an m-qubit register.
+
+    The single cache entry lets every run of an enumeration, which only
+    adds exclusions, and every equal source compiled in a row share one
+    compile.
+    """
+    dim = 1 << m
+    if isinstance(source, (BoolExpr, CnfFormula)):
+        word_count = max(1, dim >> _WORD_QUBITS)
+        words = source.words(functools.cache(
+            functools.partial(_qubit_words, word_count=word_count)))
+        words = np.ascontiguousarray(np.broadcast_to(words, (word_count,)),
+                                     dtype=_WORD)
+        flags = np.unpackbits(words.view(np.uint8), bitorder="little")
+        flags = flags[:dim].view(bool)
+    else:
+        flags = np.zeros(dim, dtype=bool)
+        flags[list(source)] = True
+    flags.flags.writeable = False
+    return flags
+
+
 def compile_mask(pred: Predicate, register: Register) -> PhaseMask:
     """Materialize the predicate as a dense valid-flag mask."""
     if register != pred.register:
@@ -457,12 +512,7 @@ def compile_mask(pred: Predicate, register: Register) -> PhaseMask:
             f"mask over {m} qubits exceeds the {MASK_COMPILE_CAP}-qubit "
             "materialization cap"
         )
-    src = pred.source
-    if isinstance(src, (BoolExpr, CnfFormula)):
-        flags = src.table(np.arange(register.dimension, dtype=np.int64))
-    else:
-        flags = np.zeros(register.dimension, dtype=bool)
-        flags[list(src)] = True
+    flags = _source_flags(pred.source, m)
     if pred.exclusions:
         flags = flags.copy()
         flags[list(pred.exclusions)] = False

@@ -11,6 +11,7 @@ fresh amplitude arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,10 +137,15 @@ def norm_squared(psi: StateVector) -> float:
     return float(np.sum(np.abs(psi.amplitudes) ** 2))
 
 
+def check_tolerance(tol: float, name: str = "tol") -> None:
+    """Reject a norm-collapse tolerance that is not a finite number > 0."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"{name} must be a finite number > 0, got {tol}")
+
+
 def normalize(psi: StateVector, tol: float = DEFAULT_COLLAPSE_TOL) -> StateVector:
     """Rescale to unit norm. Raises NormCollapse if norm_squared < tol."""
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    check_tolerance(tol)
     n2 = norm_squared(psi)
     if n2 < tol:
         raise NormCollapse(n2, tol)
@@ -161,8 +167,10 @@ def sample(psi: StateVector, rng: np.random.Generator,
 
     Consumes exactly one uniform draw from ``rng``; the outcome is a pure
     function of the draw and the amplitudes (cumulative scan in index
-    order), so identical seeds give identical indices.
+    order), so identical seeds give identical indices.  The returned
+    index always has nonzero probability.
     """
+    check_tolerance(tol)
     probs = np.abs(psi.amplitudes) ** 2
     if not psi.normalized:
         total = float(np.sum(probs))
@@ -170,9 +178,12 @@ def sample(psi: StateVector, rng: np.random.Generator,
             raise NormCollapse(total, tol)
         probs = probs / total
     cumulative = np.cumsum(probs)
-    u = rng.random()
-    index = int(np.searchsorted(cumulative, u, side="right"))
-    return min(index, psi.register.dimension - 1)
+    if not cumulative[-1] > 0:
+        raise NormCollapse(float(cumulative[-1]), tol)
+    # Scaling by the rounded total keeps u below cumulative[-1], so the
+    # first entry above u ends a step of nonzero probability.
+    u = rng.random() * cumulative[-1]
+    return int(np.searchsorted(cumulative, u, side="right"))
 
 
 def fidelity(psi: StateVector, phi: StateVector) -> float:

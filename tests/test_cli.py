@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from qic.cli import MAX_RANGE_POINTS, main, parse_range
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -147,6 +149,19 @@ class TestSweep:
                          "--epsilon", "nope")
         assert result.returncode == 1
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "0:inf:0.1",
+                                      "0:nan:0.1", "-inf:0", "0:1:inf",
+                                      "0:1:nan"])
+    def test_range_rejects_non_finite(self, text):
+        with pytest.raises(ValueError, match="finite"):
+            parse_range(text)
+
+    def test_range_caps_grid_points(self):
+        assert len(parse_range(f"0:{MAX_RANGE_POINTS - 1}:1")) == MAX_RANGE_POINTS
+        for text in (f"0:{MAX_RANGE_POINTS}:1", "0:1e300", "0:0:1e-300"):
+            with pytest.raises(ValueError, match="points"):
+                parse_range(text)
+
     def test_json_format(self):
         result = run_cli("sweep", "--qubits", "3", "--valid", "1,3",
                          "--epsilon", "0.2", "--passes", "1",
@@ -247,6 +262,33 @@ class TestDeterminism:
                              "--seed", "3", "--output", str(path))
             assert result.returncode == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--qubits", "3", "--expr", "b0", "--collapse-tol", "nan"],
+        ["solve", "--qubits", "3", "--expr", "b0", "--collapse-tol", "inf"],
+        ["solve", "--qubits", "3", "--expr", "b0", "--epsilon", "nan"],
+        ["sweep", "--qubits", "3", "--valid", "1,3", "--epsilon", "0.1",
+         "--collapse-tol", "nan"],
+        ["sweep", "--qubits", "3", "--valid", "1,3", "--epsilon", "0:inf:0.1"],
+        ["sweep", "--qubits", "3", "--valid", "1,3", "--epsilon", "0.1",
+         "--passes", "1:inf"],
+    ])
+    def test_non_finite_numbers_exit_1(self, argv, capsys):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("qic: ")
+
+    def test_unwritable_output_exits_1(self, tmp_path):
+        target = tmp_path / "missing" / "x"
+        result = run_cli("demo", "--output", str(target))
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("qic: ")
+        assert not target.exists()
 
 
 class TestUsage:

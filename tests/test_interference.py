@@ -37,6 +37,10 @@ class TestConfig:
         {"leakage": 1.0},
         {"passes": 0},
         {"collapse_tol": 0.0},
+        {"leakage": float("nan")},
+        {"leakage": float("inf")},
+        {"collapse_tol": float("nan")},
+        {"collapse_tol": float("inf")},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qic.ecc import ChecksumScheme, checksum_predicate
 from qic.errors import IndexOutOfRange, ParseError, RegisterMismatch, UnboundVariable
 from qic.predicate import (
     And,
@@ -278,6 +279,67 @@ def test_exclusion_monotonicity(seed, m):
     narrowed = set(compile_mask(with_exclusions(pred, removed), reg)
                    .valid_indices())
     assert narrowed == base - removed
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 12),
+       use_cnf=st.booleans())
+def test_packed_compile_matches_evaluate_and_oracle(seed, m, use_cnf):
+    # m < 6 fills part of one word, m = 6 exactly one, m > 6 several
+    # words selected by variables >= 6.
+    rng = np.random.default_rng(seed)
+    reg = Register(m)
+    if use_cnf:
+        clauses = random_cnf(rng, m)
+        pred = Predicate(CnfFormula(m, tuple(clauses)), reg)
+        oracle = brute_force_valid(lambda bits: cnf_truth_brute(clauses, bits), m)
+    else:
+        expr = random_expr(rng, m, depth=4)
+        pred = Predicate(expr, reg)
+        oracle = brute_force_valid(lambda bits: expr_truth_brute(expr, bits), m)
+    flags = compile_mask(pred, reg).valid
+    assert flags.shape == (reg.dimension,)
+    assert set(np.flatnonzero(flags).tolist()) == oracle
+    assert [bool(f) for f in flags] == [evaluate(pred, i)
+                                        for i in range(reg.dimension)]
+
+
+class TestCompileCache:
+    def test_exclusions_do_not_leak_into_cache(self):
+        reg = Register(7)
+        source = parse_expr("b0 | b6")
+        full = compile_mask(Predicate(source, reg), reg).valid_indices()
+        excluded = Predicate(source, reg, exclusions=frozenset(full[:5]))
+        assert compile_mask(excluded, reg).valid_indices() == full[5:]
+        assert compile_mask(Predicate(source, reg), reg).valid_indices() == full
+
+    def test_alternating_sources(self):
+        reg = Register(8)
+        first = Predicate(parse_expr("b1 & ~b7"), reg)
+        second = Predicate(CnfFormula(8, ((1, -8), (3,))), reg)
+        masks = [compile_mask(p, reg).valid for p in (first, second, first, second)]
+        assert np.array_equal(masks[0], masks[2])
+        assert np.array_equal(masks[1], masks[3])
+        assert not np.array_equal(masks[0], masks[1])
+
+    def test_equal_checksum_predicates_share_flags(self):
+        scheme = ChecksumScheme(7, ((0, 1, 2), (3, 4, 5, 6)))
+        first, second = checksum_predicate(scheme), checksum_predicate(scheme)
+        assert first is not second and first == second
+        reg = scheme.register()
+        flags = compile_mask(first, reg).valid
+        assert np.array_equal(flags, compile_mask(second, reg).valid)
+        assert [bool(f) for f in flags] == [evaluate(first, i)
+                                            for i in range(reg.dimension)]
+
+    @pytest.mark.parametrize("source", [parse_expr("b0 ^ b9"),
+                                        frozenset({3, 700})])
+    def test_mask_is_read_only(self, source):
+        reg = Register(10)
+        mask = compile_mask(Predicate(source, reg), reg)
+        assert not mask.valid.flags.writeable
+        with pytest.raises(ValueError):
+            mask.valid[0] = True
 
 
 @pytest.mark.parametrize("left,right", [

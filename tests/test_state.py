@@ -24,6 +24,16 @@ from qic.state import (
 from conftest import random_state
 
 
+class _FixedDraw:
+    """Stands in for a Generator whose uniform draw is always ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
 class TestRegister:
     def test_total_and_dimension(self):
         reg = Register(3, 2)
@@ -107,6 +117,11 @@ class TestNormalize:
         with pytest.raises(ValueError):
             normalize(uniform_superposition(Register(1)), tol=0.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_rejects_non_finite_tol(self, tol):
+        with pytest.raises(ValueError):
+            normalize(uniform_superposition(Register(1)), tol=tol)
+
 
 class TestProbability:
     def test_two_component_state(self):
@@ -162,6 +177,26 @@ class TestSample:
         psi = StateVector(Register(2), np.zeros(4))
         with pytest.raises(NormCollapse):
             sample(psi, np.random.default_rng(0))
+
+    def test_zero_state_flagged_normalized_rejected(self):
+        psi = StateVector(Register(2), np.zeros(4), normalized=True)
+        with pytest.raises(NormCollapse):
+            sample(psi, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("u,amps,expected", [
+        # The cumulative sum rounds to 1 - 1e-12, below the largest draw.
+        (1 - 2**-53, [math.sqrt(0.3), math.sqrt(0.7 - 1e-12), 0, 0], 1),
+        (0.0, [0, 1, 0, 0], 1),
+    ])
+    def test_never_returns_zero_probability_index(self, u, amps, expected):
+        psi = StateVector(Register(2), amps, normalized=True)
+        assert sample(psi, _FixedDraw(u)) == expected
+
+    @pytest.mark.parametrize("tol", [0.0, math.nan, math.inf])
+    def test_rejects_nonpositive_or_non_finite_tol(self, tol):
+        psi = uniform_superposition(Register(1))
+        with pytest.raises(ValueError):
+            sample(psi, np.random.default_rng(0), tol=tol)
 
 
 class TestFidelity:
