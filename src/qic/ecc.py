@@ -18,7 +18,15 @@ import numpy as np
 
 from .errors import NormCollapse, ParseError, RegisterMismatch, SchemeInvalid
 from .interference import InterferenceConfig, interfere_repeated
-from .predicate import And, Not, Predicate, Var, Xor, compile_mask
+from .predicate import (
+    And,
+    Not,
+    Predicate,
+    Var,
+    Xor,
+    check_compile_cap,
+    compile_mask,
+)
 from .state import (
     Register,
     StateVector,
@@ -165,7 +173,7 @@ def encode(psi_data: StateVector, scheme: ChecksumScheme) -> StateVector:
         for bit in group:
             mask |= 1 << bit
         checksums |= _parity(xs & mask) << g
-    amps = np.zeros(full.dimension, dtype=np.complex128)
+    amps = np.zeros(full.dimension, dtype=psi_data.amplitudes.dtype)
     amps[(checksums << n) | xs] = psi_data.amplitudes
     return StateVector(full, amps, normalized=psi_data.normalized, copy=False)
 
@@ -261,6 +269,7 @@ def ecc_experiment(scheme: ChecksumScheme, model: NoiseModel,
     data qubits by default).  Masses and fidelities are taken against the
     ideal encoded state before and after the correction pass.
     """
+    check_compile_cap(scheme.register())
     if data_state is None:
         data_state = uniform_superposition(Register(scheme.data_bits))
     psi_ideal = encode(data_state, scheme)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NormCollapse, RegisterMismatch
 from .interference import InterferenceConfig, interfere_repeated
-from .predicate import Predicate, evaluate, with_exclusions
+from .predicate import Predicate, check_compile_cap, evaluate, with_exclusions
 from .state import Register, sample, uniform_superposition
 
 MAX_SEED = 2**64
@@ -96,6 +96,7 @@ def enumerate_solutions(pred: Predicate, register: Register,
         raise RegisterMismatch(
             f"predicate bound to {pred.register}, enumeration over {register}"
         )
+    check_compile_cap(register)
     max_runs = cfg.max_runs if cfg.max_runs is not None else register.dimension + 8
     rng = np.random.default_rng(cfg.seed)
 

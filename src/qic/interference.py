@@ -17,7 +17,6 @@ from .errors import NormCollapse
 from .predicate import Predicate, compile_mask
 from .state import (
     DEFAULT_COLLAPSE_TOL,
-    PhaseMask,
     StateVector,
     apply_phase_mask,
     check_tolerance,
@@ -47,18 +46,24 @@ def mark_invalid(psi: StateVector, pred: Predicate) -> StateVector:
     return apply_phase_mask(psi, compile_mask(pred, psi.register))
 
 
-def _interfere_masked(psi: StateVector, mask: PhaseMask,
-                      cfg: InterferenceConfig) -> StateVector:
-    weights = np.where(mask.valid, 2.0 - cfg.leakage, cfg.leakage)
+def _interfere(psi: StateVector, pred: Predicate, cfg: InterferenceConfig,
+               passes: int) -> StateVector:
+    """Run ``passes`` passes in one owned output and one |out|^2 scratch."""
+    # The mask is freed as soon as the weights exist.
+    weights = np.where(compile_mask(pred, psi.register).valid,
+                       2.0 - cfg.leakage, cfg.leakage)
     out = psi.amplitudes * weights
-    # Renormalize in place (out is freshly owned) to keep the hot loop
-    # at three passes over the amplitudes.
-    probs = np.abs(out)
-    np.square(probs, out=probs)
-    surviving = float(np.sum(probs))
-    if surviving < cfg.collapse_tol:
-        raise NormCollapse(surviving, cfg.collapse_tol)
-    out /= np.sqrt(surviving)
+    probs = np.empty(out.shape)
+    for done in range(passes):
+        if done:
+            out *= weights
+        np.abs(out, out=probs)
+        np.square(probs, out=probs)
+        surviving = float(np.sum(probs))
+        if surviving < cfg.collapse_tol:
+            raise NormCollapse(surviving, cfg.collapse_tol)
+        # numpy's complex / real multiplies by the reciprocal; real does too.
+        out *= 1.0 / np.sqrt(surviving)
     return StateVector(psi.register, out, normalized=True, copy=False)
 
 
@@ -66,18 +71,16 @@ def interfere(psi: StateVector, pred: Predicate,
               cfg: InterferenceConfig = InterferenceConfig()) -> StateVector:
     """One interference pass: mark, overlap the arms, renormalize.
 
-    Raises NormCollapse when the surviving squared mass falls below
-    ``cfg.collapse_tol`` (with perfect cancellation this means the
-    predicate has no valid support in ``psi``).
+    Runs exactly one pass whatever ``cfg.passes`` says.  Raises NormCollapse
+    when the surviving squared mass falls below ``cfg.collapse_tol`` (with
+    perfect cancellation this means the predicate has no valid support in
+    ``psi``).
     """
-    return _interfere_masked(psi, compile_mask(pred, psi.register), cfg)
+    return _interfere(psi, pred, cfg, 1)
 
 
 def interfere_repeated(psi: StateVector, pred: Predicate,
                        cfg: InterferenceConfig = InterferenceConfig()
                        ) -> StateVector:
     """Apply ``cfg.passes`` interference passes, renormalizing after each."""
-    mask = compile_mask(pred, psi.register)
-    for _ in range(cfg.passes):
-        psi = _interfere_masked(psi, mask, cfg)
-    return psi
+    return _interfere(psi, pred, cfg, cfg.passes)

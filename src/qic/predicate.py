@@ -241,10 +241,18 @@ def _tokenize(text: str) -> list[tuple[str, int, int]]:
     return tokens
 
 
+# Expression trees are walked recursively (hash, compare, evaluate, print);
+# a deeper tree, or deeper '~'/'(' nesting, is rejected while parsing.
+MAX_EXPR_DEPTH = 200
+
+
 class _ExprParser:
+    """Recursive descent; each rule returns (node, depth of its tree)."""
+
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.nesting = 0  # open '~' and '(' around the current factor
 
     def peek(self):
         return self.tokens[self.pos]
@@ -254,8 +262,16 @@ class _ExprParser:
         self.pos += 1
         return tok
 
+    @staticmethod
+    def checked(depth: int, offset: int) -> int:
+        if depth > MAX_EXPR_DEPTH:
+            raise ParseError(
+                f"expression nests deeper than {MAX_EXPR_DEPTH} levels", offset
+            )
+        return depth
+
     def parse(self) -> BoolExpr:
-        node = self.expr()
+        node, _ = self.expr()
         kind, _, offset = self.peek()
         if kind != "end":
             raise ParseError(
@@ -264,40 +280,46 @@ class _ExprParser:
             )
         return node
 
-    def expr(self) -> BoolExpr:
-        node = self.term()
+    def expr(self) -> tuple[BoolExpr, int]:
+        node, depth = self.term()
         while self.peek()[0] in ("|", "^"):
-            kind, _, _ = self.advance()
-            rhs = self.term()
+            kind, _, offset = self.advance()
+            rhs, rhs_depth = self.term()
             node = Or(node, rhs) if kind == "|" else Xor(node, rhs)
-        return node
+            depth = self.checked(max(depth, rhs_depth) + 1, offset)
+        return node, depth
 
-    def term(self) -> BoolExpr:
-        node = self.factor()
+    def term(self) -> tuple[BoolExpr, int]:
+        node, depth = self.factor()
         while self.peek()[0] == "&":
-            self.advance()
-            node = And(node, self.factor())
-        return node
+            _, _, offset = self.advance()
+            rhs, rhs_depth = self.factor()
+            node = And(node, rhs)
+            depth = self.checked(max(depth, rhs_depth) + 1, offset)
+        return node, depth
 
-    def factor(self) -> BoolExpr:
+    def factor(self) -> tuple[BoolExpr, int]:
         kind, value, offset = self.peek()
-        if kind == "~":
+        if kind in ("~", "("):
+            self.nesting = self.checked(self.nesting + 1, offset)
             self.advance()
-            return Not(self.factor())
-        if kind == "(":
-            self.advance()
-            node = self.expr()
-            kind, _, offset = self.peek()
-            if kind != ")":
-                raise ParseError("expected ')'", offset)
-            self.advance()
-            return node
+            if kind == "~":
+                node, depth = self.factor()
+                node, depth = Not(node), self.checked(depth + 1, offset)
+            else:
+                node, depth = self.expr()
+                kind, _, offset = self.peek()
+                if kind != ")":
+                    raise ParseError("expected ')'", offset)
+                self.advance()
+            self.nesting -= 1
+            return node, depth
         if kind == "var":
             self.advance()
-            return Var(value)
+            return Var(value), 1
         if kind in ("0", "1"):
             self.advance()
-            return Const(kind == "1")
+            return Const(kind == "1"), 1
         raise ParseError(
             "expected '~', '(', a variable 'b<k>', '0' or '1'", offset
         )
@@ -500,23 +522,33 @@ def _source_flags(source, m: int) -> np.ndarray:
     return flags
 
 
-def compile_mask(pred: Predicate, register: Register) -> PhaseMask:
-    """Materialize the predicate as a dense valid-flag mask."""
-    if register != pred.register:
-        raise RegisterMismatch(
-            f"predicate bound to {pred.register}, asked to compile for {register}"
-        )
+def check_compile_cap(register: Register) -> None:
+    """Raise ValueError if a mask over ``register`` would exceed the cap.
+
+    Callers that build states before compiling call this first, so an
+    oversized register fails before any amplitudes are allocated.
+    """
     m = register.total_qubits
     if m > MASK_COMPILE_CAP:
         raise ValueError(
             f"mask over {m} qubits exceeds the {MASK_COMPILE_CAP}-qubit "
             "materialization cap"
         )
-    flags = _source_flags(pred.source, m)
+
+
+def compile_mask(pred: Predicate, register: Register) -> PhaseMask:
+    """Materialize the predicate as a dense valid-flag mask."""
+    if register != pred.register:
+        raise RegisterMismatch(
+            f"predicate bound to {pred.register}, asked to compile for {register}"
+        )
+    check_compile_cap(register)
+    flags = _source_flags(pred.source, register.total_qubits)
     if pred.exclusions:
         flags = flags.copy()
         flags[list(pred.exclusions)] = False
-    return PhaseMask(register, flags)
+    # Either the read-only cached flags or this call's private copy.
+    return PhaseMask(register, flags, copy=False)
 
 
 def with_exclusions(pred: Predicate, found) -> Predicate:

@@ -1,4 +1,4 @@
-"""Complex amplitude vectors over qubit registers and their core transforms.
+"""Amplitude vectors over qubit registers and their core transforms.
 
 Bit convention, used everywhere: basis index ``i`` spells the qubits in
 binary with qubit 0 as the least significant bit.  Bitstrings render most
@@ -12,7 +12,7 @@ fresh amplitude arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -60,13 +60,19 @@ class Register:
 
 
 class StateVector:
-    """2^m complex amplitudes over a register, with a normalized flag."""
+    """2^m amplitudes over a register, with a normalized flag.
+
+    Amplitudes are float64 for real input and complex128 for complex input;
+    both dtypes give the same bits for a real state.
+    """
 
     __slots__ = ("register", "amplitudes", "normalized")
 
     def __init__(self, register: Register, amplitudes, normalized: bool = False,
                  copy: bool = True):
-        arr = np.array(amplitudes, dtype=np.complex128, copy=copy)
+        arr = np.asarray(amplitudes)
+        dtype = np.complex128 if np.iscomplexobj(arr) else np.float64
+        arr = np.array(arr, dtype=dtype, copy=copy)
         if arr.shape != (register.dimension,):
             raise ValueError(
                 f"expected {register.dimension} amplitudes, got {arr.shape}"
@@ -85,19 +91,20 @@ class StateVector:
 class PhaseMask:
     """Sign pattern over basis indices: +1 on valid components, -1 elsewhere.
 
-    ``valid`` is a dense boolean array of 2^m flags.
+    ``valid`` is a dense boolean array of 2^m flags, copied unless
+    ``copy=False`` hands over a read-only array nobody else writes.
     """
 
     register: Register
     valid: np.ndarray
+    copy: InitVar[bool] = True
 
-    def __post_init__(self):
-        flags = np.asarray(self.valid, dtype=bool)
+    def __post_init__(self, copy):
+        flags = np.array(self.valid, dtype=bool, copy=copy)
         if flags.shape != (self.register.dimension,):
             raise ValueError(
                 f"expected {self.register.dimension} flags, got {flags.shape}"
             )
-        flags = flags.copy()
         flags.flags.writeable = False
         object.__setattr__(self, "valid", flags)
 
@@ -110,7 +117,7 @@ class PhaseMask:
                     f"index {i} outside [0, {register.dimension})"
                 )
             flags[i] = True
-        return cls(register, flags)
+        return cls(register, flags, copy=False)
 
     def valid_indices(self) -> list[int]:
         return [int(i) for i in np.flatnonzero(self.valid)]
@@ -119,7 +126,7 @@ class PhaseMask:
 def uniform_superposition(register: Register) -> StateVector:
     """Equal-amplitude state: every component is 2^(-m/2)."""
     dim = register.dimension
-    amps = np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128)
+    amps = np.full(dim, 1.0 / np.sqrt(dim))
     return StateVector(register, amps, normalized=True, copy=False)
 
 
@@ -127,7 +134,7 @@ def basis_state(register: Register, index: int) -> StateVector:
     """The single basis component |index>."""
     if not 0 <= index < register.dimension:
         raise IndexOutOfRange(f"index {index} outside [0, {register.dimension})")
-    amps = np.zeros(register.dimension, dtype=np.complex128)
+    amps = np.zeros(register.dimension)
     amps[index] = 1.0
     return StateVector(register, amps, normalized=True, copy=False)
 
@@ -149,7 +156,8 @@ def normalize(psi: StateVector, tol: float = DEFAULT_COLLAPSE_TOL) -> StateVecto
     n2 = norm_squared(psi)
     if n2 < tol:
         raise NormCollapse(n2, tol)
-    amps = psi.amplitudes / np.sqrt(n2)
+    # numpy's complex / real multiplies by the reciprocal; so do real states.
+    amps = psi.amplitudes * (1.0 / np.sqrt(n2))
     return StateVector(psi.register, amps, normalized=True, copy=False)
 
 
@@ -171,13 +179,15 @@ def sample(psi: StateVector, rng: np.random.Generator,
     index always has nonzero probability.
     """
     check_tolerance(tol)
-    probs = np.abs(psi.amplitudes) ** 2
+    # One owned buffer holds |amp|^2, then its running sum.
+    probs = np.abs(psi.amplitudes)
+    np.square(probs, out=probs)
     if not psi.normalized:
         total = float(np.sum(probs))
         if total < tol:
             raise NormCollapse(total, tol)
-        probs = probs / total
-    cumulative = np.cumsum(probs)
+        probs /= total
+    cumulative = np.cumsum(probs, out=probs)
     if not cumulative[-1] > 0:
         raise NormCollapse(float(cumulative[-1]), tol)
     # Scaling by the rounded total keeps u below cumulative[-1], so the
@@ -192,7 +202,9 @@ def fidelity(psi: StateVector, phi: StateVector) -> float:
         raise RegisterMismatch(
             f"registers differ: {psi.register} vs {phi.register}"
         )
-    overlap = np.vdot(psi.amplitudes, phi.amplitudes)
+    # A real vdot sums in another order; complex keeps bits dtype-independent.
+    overlap = np.vdot(psi.amplitudes.astype(np.complex128, copy=False),
+                      phi.amplitudes)
     return float(abs(overlap) ** 2)
 
 

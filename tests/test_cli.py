@@ -281,6 +281,29 @@ class TestInputErrors:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("qic: ")
 
+    @pytest.mark.parametrize("expr", ["~" * 5000 + "b0",
+                                      "(" * 3000 + "b0" + ")" * 3000])
+    def test_deep_nesting_exits_2(self, expr, capsys):
+        assert main(["solve", "--qubits", "2", "--expr", expr]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("qic: ParseError: expression nests deeper than 200 "
+                       "levels (at offset 200)\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["ecc", "--data-qubits", "3"],
+        ["solve", "--qubits", "4", "--valid", "1"],
+    ])
+    def test_oversized_register_exits_1(self, argv, capsys, monkeypatch):
+        import qic.predicate
+
+        monkeypatch.setattr(qic.predicate, "MASK_COMPILE_CAP", 3)
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("qic: mask over 4 qubits exceeds the 3-qubit "
+                       "materialization cap\n")
+
     def test_unwritable_output_exits_1(self, tmp_path):
         target = tmp_path / "missing" / "x"
         result = run_cli("demo", "--output", str(target))

@@ -126,6 +126,15 @@ class TestEncode:
             encode(uniform_superposition(Register(3)),
                    ChecksumScheme(2, ((0, 1),)))
 
+    def test_keeps_input_dtype(self):
+        scheme = ChecksumScheme(2, ((0, 1),))
+        real = uniform_superposition(Register(2))
+        cplx = StateVector(real.register, real.amplitudes.astype(complex))
+        assert encode(real, scheme).amplitudes.dtype == np.float64
+        assert encode(cplx, scheme).amplitudes.dtype == np.complex128
+        assert np.array_equal(encode(real, scheme).amplitudes,
+                              encode(cplx, scheme).amplitudes)
+
 
 class TestInjectNoise:
     def test_no_events_is_identity(self):
@@ -285,6 +294,21 @@ class TestEccExperiment:
         assert report.status == "norm_collapse"
         assert report.valid_mass_after is None
         assert report.fidelity_after is None
+
+    def test_oversized_register_fails_before_any_state_exists(self,
+                                                               monkeypatch):
+        import qic.ecc
+        import qic.predicate
+
+        def no_state(*args):
+            raise AssertionError("amplitudes allocated before the cap check")
+
+        monkeypatch.setattr(qic.predicate, "MASK_COMPILE_CAP", 3)
+        monkeypatch.setattr(qic.ecc, "uniform_superposition", no_state)
+        monkeypatch.setattr(qic.ecc, "encode", no_state)
+        with pytest.raises(ValueError, match="4 qubits exceeds the 3-qubit"):
+            ecc_experiment(ChecksumScheme.global_parity(3),
+                           NoiseModel(events=1), InterferenceConfig(), seed=1)
 
     def test_event_log_echoed(self):
         report = ecc_experiment(ChecksumScheme.global_parity(2),

@@ -45,6 +45,21 @@ class TestRunConfig:
 
 
 class TestEnumerateSolutions:
+    def test_oversized_register_fails_before_any_state_exists(self,
+                                                               monkeypatch):
+        import qic.enumeration
+        import qic.predicate
+
+        def no_state(*args):
+            raise AssertionError("amplitudes allocated before the cap check")
+
+        monkeypatch.setattr(qic.predicate, "MASK_COMPILE_CAP", 3)
+        monkeypatch.setattr(qic.enumeration, "uniform_superposition", no_state)
+        reg = Register(4)
+        with pytest.raises(ValueError, match="4 qubits exceeds the 3-qubit"):
+            enumerate_solutions(Predicate(frozenset({1}), reg), reg,
+                                RunConfig(seed=1))
+
     def test_perfect_cancellation_finds_all_then_exhausts(self):
         reg = Register(3)
         pred = Predicate(frozenset({1, 3}), reg)

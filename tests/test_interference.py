@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from qic.state import (
     StateVector,
     norm_squared,
     probability,
+    sample,
     uniform_superposition,
 )
 
@@ -174,3 +177,76 @@ def test_perfect_cancellation_is_exact_projection(seed, m):
             assert abs(out.amplitudes[i] - psi.amplitudes[i] * scale) < 1e-12
         else:
             assert out.amplitudes[i] == 0.0
+
+
+def _real_and_complex(m):
+    psi = uniform_superposition(Register(m))
+    return psi, StateVector(psi.register, psi.amplitudes.astype(np.complex128))
+
+
+def _interfere_or_collapse(psi, pred, cfg):
+    try:
+        return interfere_repeated(psi, pred, cfg)
+    except NormCollapse:
+        return None
+
+
+def _random_case(seed, m):
+    rng = np.random.default_rng(seed)
+    valid = np.flatnonzero(rng.random(1 << m) < rng.random())
+    return Predicate(frozenset(valid.tolist()), Register(m))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 12),
+       eps=st.floats(0.0, 1.0, exclude_max=True), passes=st.integers(1, 4))
+def test_real_state_interferes_bitwise_like_its_complex_copy(seed, m, eps,
+                                                             passes):
+    real, cplx = _real_and_complex(m)
+    pred = _random_case(seed, m)
+    cfg = InterferenceConfig(leakage=eps, passes=passes)
+    before = real.amplitudes.copy(), cplx.amplitudes.copy()
+    out_real = _interfere_or_collapse(real, pred, cfg)
+    out_cplx = _interfere_or_collapse(cplx, pred, cfg)
+    assert np.array_equal(real.amplitudes, before[0])
+    assert np.array_equal(cplx.amplitudes, before[1])
+    assert (out_real is None) == (out_cplx is None)
+    if out_real is None:
+        return
+    assert out_real.amplitudes.dtype == np.float64
+    assert out_cplx.amplitudes.dtype == np.complex128
+    assert np.all(out_cplx.amplitudes.imag == 0)
+    assert np.array_equal(out_real.amplitudes.view(np.uint64),
+                          out_cplx.amplitudes.real.copy().view(np.uint64))
+    draw = seed % 1000
+    assert (sample(out_real, np.random.default_rng(draw))
+            == sample(out_cplx, np.random.default_rng(draw)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 12),
+       eps=st.floats(0.0, 1.0, exclude_max=True), complex_state=st.booleans())
+def test_three_passes_equal_three_chained_single_passes(seed, m, eps,
+                                                        complex_state):
+    real, cplx = _real_and_complex(m)
+    psi = cplx if complex_state else real
+    pred = _random_case(seed, m)
+    once = InterferenceConfig(leakage=eps)
+    thrice = _interfere_or_collapse(psi, pred, replace(once, passes=3))
+    chained = psi
+    for _ in range(3):
+        if chained is not None:
+            chained = _interfere_or_collapse(chained, pred, once)
+    assert (thrice is None) == (chained is None)
+    if thrice is not None:
+        assert np.array_equal(thrice.amplitudes.view(np.uint64),
+                              chained.amplitudes.view(np.uint64))
+
+
+def test_interfere_runs_one_pass_whatever_the_config_says():
+    reg, pred = uniform_pred(3, {1, 3})
+    psi = uniform_superposition(reg)
+    cfg = InterferenceConfig(leakage=0.2, passes=3)
+    assert np.array_equal(interfere(psi, pred, cfg).amplitudes,
+                          interfere_repeated(psi, pred,
+                                             replace(cfg, passes=1)).amplitudes)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from qic.ecc import ChecksumScheme, checksum_predicate
 from qic.errors import IndexOutOfRange, ParseError, RegisterMismatch, UnboundVariable
 from qic.predicate import (
+    MAX_EXPR_DEPTH,
     And,
     CnfFormula,
     Const,
@@ -57,6 +58,31 @@ class TestParseExpr:
 
     def test_whitespace_insensitive(self):
         assert parse_expr(" b0&~ b2 ") == parse_expr("b0 & ~b2")
+
+    @pytest.mark.parametrize("text,offset", [
+        ("~" * 5000 + "b0", MAX_EXPR_DEPTH),
+        ("(" * 3000 + "b0" + ")" * 3000, MAX_EXPR_DEPTH),
+        (" & ".join(["b0"] * 5000), 5 * MAX_EXPR_DEPTH - 2),
+        ("~" * MAX_EXPR_DEPTH + "b0", 0),
+    ])
+    def test_too_deep_raises_parse_error(self, text, offset):
+        with pytest.raises(ParseError, match="deeper than") as err:
+            parse_expr(text)
+        assert err.value.offset == offset
+
+    @pytest.mark.parametrize("text", [
+        "~" * (MAX_EXPR_DEPTH - 1) + "b1",
+        "(" * MAX_EXPR_DEPTH + "b1" + ")" * MAX_EXPR_DEPTH,
+        " ^ ".join(["b1"] * MAX_EXPR_DEPTH),
+    ])
+    def test_deepest_accepted_tree_is_usable(self, text):
+        node = parse_expr(text)
+        reg = Register(2)
+        pred = Predicate(node, reg)
+        flags = compile_mask(pred, reg).valid
+        assert [bool(f) for f in flags] == [evaluate(pred, i) for i in range(4)]
+        assert parse_expr(str(node)) == node
+        assert hash(node) == hash(parse_expr(text))
 
     def test_bad_character_offset(self):
         with pytest.raises(ParseError) as err:
@@ -187,6 +213,16 @@ class TestCompileMask:
         pred = Predicate(frozenset({0}), reg)
         with pytest.raises(ValueError):
             compile_mask(pred, reg)
+
+    def test_private_flags_are_not_copied_again(self):
+        reg = Register(8)
+        source = frozenset({3, 200})
+        base = compile_mask(Predicate(source, reg), reg).valid
+        assert compile_mask(Predicate(source, reg), reg).valid is base
+        excluded = compile_mask(
+            Predicate(source, reg, exclusions=frozenset({3})), reg).valid
+        assert excluded is not base and not excluded.flags.writeable
+        assert excluded.base is None
 
     def test_exclusions_cleared_from_mask(self):
         reg = Register(3)

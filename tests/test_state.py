@@ -250,6 +250,18 @@ class TestPhaseMask:
         with pytest.raises(IndexOutOfRange):
             PhaseMask.from_indices(Register(2), {4})
 
+    def test_caller_array_is_copied(self):
+        flags = np.array([True, False, False, True])
+        mask = PhaseMask(Register(2), flags)
+        flags[1] = True
+        assert mask.valid_indices() == [0, 3]
+        assert flags.flags.writeable and not mask.valid.flags.writeable
+
+    def test_handed_over_array_is_kept(self):
+        flags = np.array([True, False, False, True])
+        mask = PhaseMask(Register(2), flags, copy=False)
+        assert mask.valid is flags and not flags.flags.writeable
+
 
 class TestPartialBitFlip:
     def test_quarter_turn_on_bit0(self):
@@ -322,3 +334,50 @@ def test_sampling_matches_distribution_within_tv_bound():
     counts = np.bincount(draws, minlength=16) / 100_000
     tv = 0.5 * np.sum(np.abs(counts - probs))
     assert tv <= 0.02
+
+
+class TestDtypeRule:
+    @pytest.mark.parametrize("amps", [[1, 0], [0.5, 0.5], np.ones(2, bool)])
+    def test_real_input_stores_float64(self, amps):
+        assert StateVector(Register(1), amps).amplitudes.dtype == np.float64
+
+    @pytest.mark.parametrize("amps", [[1 + 0j, 0], np.zeros(2, np.complex64)])
+    def test_complex_input_stores_complex128(self, amps):
+        psi = StateVector(Register(1), amps)
+        assert psi.amplitudes.dtype == np.complex128
+
+    def test_prepared_states_are_real(self):
+        assert uniform_superposition(Register(3)).amplitudes.dtype == np.float64
+        assert basis_state(Register(3), 5).amplitudes.dtype == np.float64
+
+    def test_partial_flip_promotes_to_complex(self):
+        out = apply_partial_bit_flip(uniform_superposition(Register(3)), 1, 0.4)
+        assert out.amplitudes.dtype == np.complex128
+
+    def test_real_transforms_stay_real(self, rng):
+        psi = uniform_superposition(Register(4))
+        mask = PhaseMask.from_indices(psi.register, [1, 9])
+        assert apply_phase_mask(psi, mask).amplitudes.dtype == np.float64
+        assert normalize(psi).amplitudes.dtype == np.float64
+
+    def test_transforms_match_complex_copy_bitwise(self, rng):
+        amps = rng.normal(size=64)
+        real = StateVector(Register(6), amps)
+        cplx = StateVector(Register(6), amps.astype(np.complex128))
+        other = random_state(rng, 6)
+        for out_real, out_cplx in [
+            (normalize(real), normalize(cplx)),
+            (apply_partial_bit_flip(real, 2, 0.3),
+             apply_partial_bit_flip(cplx, 2, 0.3)),
+        ]:
+            a = out_real.amplitudes.astype(np.complex128)
+            b = out_cplx.amplitudes
+            assert np.array_equal(a.real.view(np.uint64), b.real.view(np.uint64))
+            assert np.array_equal(a.imag.view(np.uint64), b.imag.view(np.uint64))
+        unit_real, unit_cplx = normalize(real), normalize(cplx)
+        assert fidelity(unit_real, unit_real) == fidelity(unit_cplx, unit_cplx)
+        assert fidelity(unit_real, other) == fidelity(unit_cplx, other)
+        assert fidelity(other, unit_real) == fidelity(other, unit_cplx)
+        assert norm_squared(real) == norm_squared(cplx)
+        assert (sample(real, np.random.default_rng(3))
+                == sample(cplx, np.random.default_rng(3)))
