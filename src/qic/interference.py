@@ -62,7 +62,7 @@ def _interfere(psi: StateVector, pred: Predicate, cfg: InterferenceConfig,
         surviving = float(np.sum(probs))
         if surviving < cfg.collapse_tol:
             raise NormCollapse(surviving, cfg.collapse_tol)
-        # numpy's complex / real multiplies by the reciprocal; real does too.
+        # As numpy's complex / real does, up to the sign of a zero amplitude.
         out *= 1.0 / np.sqrt(surviving)
     return StateVector(psi.register, out, normalized=True, copy=False)
 

@@ -63,12 +63,49 @@ def _qubit_words(qubit: int, word_count: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Expression AST
+#
+# Compound nodes walk their trees with an explicit stack, never by
+# recursion, so a chain of any length (a DNF listing thousands of minterms,
+# say) evaluates, prints, hashes and compares.
+
+
+def _nodes(root: "BoolExpr"):
+    """Every node of the tree in pre-order."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children))
+
+
+def _fold(root: "BoolExpr", leaf, combine):
+    """Value of the tree, children first and left to right.
+
+    ``leaf(node)`` values a node without children and ``combine(node,
+    *values)`` values any other node from its children's values.
+    """
+    values = []
+    stack = [(root, False)]
+    while stack:
+        node, ready = stack.pop()
+        if not node.children:
+            values.append(leaf(node))
+        elif ready:
+            count = len(node.children)
+            args = values[-count:]
+            del values[-count:]
+            values.append(combine(node, *args))
+        else:
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(node.children))
+    return values[0]
 
 
 class BoolExpr:
     """Base class for boolean expression nodes."""
 
     precedence = 4
+    children: tuple = ()
 
     def truth(self, index: int) -> bool:
         """Evaluate at a single basis index."""
@@ -124,52 +161,77 @@ class Const(BoolExpr):
         return "1" if self.value else "0"
 
 
-@dataclass(frozen=True)
-class Not(BoolExpr):
+def _apply(node, *values):
+    return node._combine(*values)
+
+
+class _Compound(BoolExpr):
+    """A node with operands; ``_combine`` maps their values, and ``_text``
+    their texts, to its own."""
+
+    def truth(self, index):
+        # numpy bools, so that Not's '~' is a logical not.
+        return bool(_fold(self, lambda leaf: np.bool_(leaf.truth(index)),
+                          _apply))
+
+    def words(self, qubit_words):
+        return _fold(self, lambda leaf: leaf.words(qubit_words), _apply)
+
+    def max_variable(self):
+        return _fold(self, lambda leaf: leaf.max_variable(),
+                     lambda node, *values: max(values))
+
+    def to_text(self):
+        return _fold(self, lambda leaf: leaf.to_text(),
+                     lambda node, *texts: node._text(*texts))
+
+    def _key(self) -> tuple:
+        # Arity follows from the node type, so the pre-order sequence of
+        # types and leaves determines the tree.
+        return tuple(type(node) if node.children else node
+                     for node in _nodes(self))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+@dataclass(frozen=True, eq=False)
+class Not(_Compound):
     operand: BoolExpr
     precedence = 3
 
-    def truth(self, index):
-        return not self.operand.truth(index)
+    @property
+    def children(self):
+        return (self.operand,)
 
-    def words(self, qubit_words):
-        return ~self.operand.words(qubit_words)
+    @staticmethod
+    def _combine(value):
+        return ~value
 
-    def max_variable(self):
-        return self.operand.max_variable()
-
-    def to_text(self):
-        inner = self.operand.to_text()
+    def _text(self, inner):
         if self.operand.precedence < self.precedence:
             inner = f"({inner})"
         return f"~{inner}"
 
 
-@dataclass(frozen=True)
-class _Binary(BoolExpr):
+@dataclass(frozen=True, eq=False)
+class _Binary(_Compound):
     lhs: BoolExpr
     rhs: BoolExpr
     symbol = "?"
 
-    @staticmethod
-    def _combine(a, b):
-        raise NotImplementedError
+    @property
+    def children(self):
+        return (self.lhs, self.rhs)
 
-    def truth(self, index):
-        return bool(self._combine(self.lhs.truth(index), self.rhs.truth(index)))
-
-    def words(self, qubit_words):
-        return self._combine(self.lhs.words(qubit_words),
-                             self.rhs.words(qubit_words))
-
-    def max_variable(self):
-        return max(self.lhs.max_variable(), self.rhs.max_variable())
-
-    def to_text(self):
-        left = self.lhs.to_text()
+    def _text(self, left, right):
         if self.lhs.precedence < self.precedence:
             left = f"({left})"
-        right = self.rhs.to_text()
         # Parenthesize equal precedence on the right to keep left association.
         if self.rhs.precedence <= self.precedence:
             right = f"({right})"
@@ -241,14 +303,12 @@ def _tokenize(text: str) -> list[tuple[str, int, int]]:
     return tokens
 
 
-# Expression trees are walked recursively (hash, compare, evaluate, print);
-# a deeper tree, or deeper '~'/'(' nesting, is rejected while parsing.
-MAX_EXPR_DEPTH = 200
+# The parser recurses once per open '~' or '(' (three frames per '('), so
+# their nesting is limited; chains of binary operators are loops.
+MAX_EXPR_NESTING = 200
 
 
 class _ExprParser:
-    """Recursive descent; each rule returns (node, depth of its tree)."""
-
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
@@ -262,16 +322,8 @@ class _ExprParser:
         self.pos += 1
         return tok
 
-    @staticmethod
-    def checked(depth: int, offset: int) -> int:
-        if depth > MAX_EXPR_DEPTH:
-            raise ParseError(
-                f"expression nests deeper than {MAX_EXPR_DEPTH} levels", offset
-            )
-        return depth
-
     def parse(self) -> BoolExpr:
-        node, _ = self.expr()
+        node = self.expr()
         kind, _, offset = self.peek()
         if kind != "end":
             raise ParseError(
@@ -280,46 +332,47 @@ class _ExprParser:
             )
         return node
 
-    def expr(self) -> tuple[BoolExpr, int]:
-        node, depth = self.term()
+    def expr(self) -> BoolExpr:
+        node = self.term()
         while self.peek()[0] in ("|", "^"):
-            kind, _, offset = self.advance()
-            rhs, rhs_depth = self.term()
+            kind, _, _ = self.advance()
+            rhs = self.term()
             node = Or(node, rhs) if kind == "|" else Xor(node, rhs)
-            depth = self.checked(max(depth, rhs_depth) + 1, offset)
-        return node, depth
+        return node
 
-    def term(self) -> tuple[BoolExpr, int]:
-        node, depth = self.factor()
+    def term(self) -> BoolExpr:
+        node = self.factor()
         while self.peek()[0] == "&":
-            _, _, offset = self.advance()
-            rhs, rhs_depth = self.factor()
-            node = And(node, rhs)
-            depth = self.checked(max(depth, rhs_depth) + 1, offset)
-        return node, depth
+            self.advance()
+            node = And(node, self.factor())
+        return node
 
-    def factor(self) -> tuple[BoolExpr, int]:
+    def factor(self) -> BoolExpr:
         kind, value, offset = self.peek()
         if kind in ("~", "("):
-            self.nesting = self.checked(self.nesting + 1, offset)
+            if self.nesting == MAX_EXPR_NESTING:
+                raise ParseError(
+                    f"'~' and '(' nest deeper than {MAX_EXPR_NESTING} levels",
+                    offset,
+                )
+            self.nesting += 1
             self.advance()
             if kind == "~":
-                node, depth = self.factor()
-                node, depth = Not(node), self.checked(depth + 1, offset)
+                node = Not(self.factor())
             else:
-                node, depth = self.expr()
+                node = self.expr()
                 kind, _, offset = self.peek()
                 if kind != ")":
                     raise ParseError("expected ')'", offset)
                 self.advance()
             self.nesting -= 1
-            return node, depth
+            return node
         if kind == "var":
             self.advance()
-            return Var(value), 1
+            return Var(value)
         if kind in ("0", "1"):
             self.advance()
-            return Const(kind == "1"), 1
+            return Const(kind == "1")
         raise ParseError(
             "expected '~', '(', a variable 'b<k>', '0' or '1'", offset
         )
@@ -548,7 +601,7 @@ def compile_mask(pred: Predicate, register: Register) -> PhaseMask:
         flags = flags.copy()
         flags[list(pred.exclusions)] = False
     # Either the read-only cached flags or this call's private copy.
-    return PhaseMask(register, flags, copy=False)
+    return PhaseMask._adopt(register, flags)
 
 
 def with_exclusions(pred: Predicate, found) -> Predicate:

@@ -12,7 +12,7 @@ fresh amplitude arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,7 +63,7 @@ class StateVector:
     """2^m amplitudes over a register, with a normalized flag.
 
     Amplitudes are float64 for real input and complex128 for complex input;
-    both dtypes give the same bits for a real state.
+    the transforms give a real state the same bits in either dtype.
     """
 
     __slots__ = ("register", "amplitudes", "normalized")
@@ -91,22 +91,30 @@ class StateVector:
 class PhaseMask:
     """Sign pattern over basis indices: +1 on valid components, -1 elsewhere.
 
-    ``valid`` is a dense boolean array of 2^m flags, copied unless
-    ``copy=False`` hands over a read-only array nobody else writes.
+    ``valid`` is a dense boolean array of 2^m flags.
     """
 
     register: Register
     valid: np.ndarray
-    copy: InitVar[bool] = True
 
-    def __post_init__(self, copy):
-        flags = np.array(self.valid, dtype=bool, copy=copy)
+    def __post_init__(self):
+        flags = np.asarray(self.valid, dtype=bool)
         if flags.shape != (self.register.dimension,):
             raise ValueError(
                 f"expected {self.register.dimension} flags, got {flags.shape}"
             )
+        flags = flags.copy()
         flags.flags.writeable = False
         object.__setattr__(self, "valid", flags)
+
+    @classmethod
+    def _adopt(cls, register: Register, flags: np.ndarray) -> "PhaseMask":
+        """Wrap 2^m bool flags that no caller holds: no copy, no checks."""
+        flags.flags.writeable = False
+        mask = cls.__new__(cls)
+        object.__setattr__(mask, "register", register)
+        object.__setattr__(mask, "valid", flags)
+        return mask
 
     @classmethod
     def from_indices(cls, register: Register, indices) -> "PhaseMask":
@@ -117,7 +125,7 @@ class PhaseMask:
                     f"index {i} outside [0, {register.dimension})"
                 )
             flags[i] = True
-        return cls(register, flags, copy=False)
+        return cls._adopt(register, flags)
 
     def valid_indices(self) -> list[int]:
         return [int(i) for i in np.flatnonzero(self.valid)]
@@ -156,7 +164,7 @@ def normalize(psi: StateVector, tol: float = DEFAULT_COLLAPSE_TOL) -> StateVecto
     n2 = norm_squared(psi)
     if n2 < tol:
         raise NormCollapse(n2, tol)
-    # numpy's complex / real multiplies by the reciprocal; so do real states.
+    # As numpy's complex / real does, up to the sign of a zero amplitude.
     amps = psi.amplitudes * (1.0 / np.sqrt(n2))
     return StateVector(psi.register, amps, normalized=True, copy=False)
 

@@ -287,8 +287,13 @@ class TestInputErrors:
         assert main(["solve", "--qubits", "2", "--expr", expr]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == ("qic: ParseError: expression nests deeper than 200 "
+        assert err == ("qic: ParseError: '~' and '(' nest deeper than 200 "
                        "levels (at offset 200)\n")
+
+    def test_long_chain_is_accepted(self, capsys):
+        expr = " | ".join(["b0 & b1"] * 1000)
+        assert main(["solve", "--qubits", "2", "--expr", expr]) == 0
+        assert '"found": [\n      "11"\n    ]' in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv", [
         ["ecc", "--data-qubits", "3"],

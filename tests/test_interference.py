@@ -179,8 +179,12 @@ def test_perfect_cancellation_is_exact_projection(seed, m):
             assert out.amplitudes[i] == 0.0
 
 
-def _real_and_complex(m):
+def _real_and_complex(m, signs=None):
+    """The uniform state, its sign flipped outside ``signs`` if given, as
+    float64 and as a complex128 copy."""
     psi = uniform_superposition(Register(m))
+    if signs is not None:
+        psi = mark_invalid(psi, signs)
     return psi, StateVector(psi.register, psi.amplitudes.astype(np.complex128))
 
 
@@ -199,10 +203,12 @@ def _random_case(seed, m):
 
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 12),
-       eps=st.floats(0.0, 1.0, exclude_max=True), passes=st.integers(1, 4))
+       eps=st.floats(0.0, 1.0, exclude_max=True), passes=st.integers(1, 4),
+       signed=st.booleans())
 def test_real_state_interferes_bitwise_like_its_complex_copy(seed, m, eps,
-                                                             passes):
-    real, cplx = _real_and_complex(m)
+                                                             passes, signed):
+    signs = _random_case(seed + 1, m) if signed else None
+    real, cplx = _real_and_complex(m, signs)
     pred = _random_case(seed, m)
     cfg = InterferenceConfig(leakage=eps, passes=passes)
     before = real.amplitudes.copy(), cplx.amplitudes.copy()
@@ -250,3 +256,20 @@ def test_interfere_runs_one_pass_whatever_the_config_says():
     assert np.array_equal(interfere(psi, pred, cfg).amplitudes,
                           interfere_repeated(psi, pred,
                                              replace(cfg, passes=1)).amplitudes)
+
+
+def test_normalisation_matches_complex_division_up_to_zero_signs():
+    reg = Register(3)
+    psi = mark_invalid(uniform_superposition(reg), Predicate({0, 2, 3}, reg))
+    valid = [1, 5]
+    out = interfere(psi, Predicate(valid, reg)).amplitudes
+    raw = psi.amplitudes.astype(np.complex128) * np.isin(np.arange(8), valid)
+    divided = (raw * 2.0) / np.sqrt(np.sum(np.abs(raw * 2.0) ** 2))
+    assert np.array_equal(out, divided.real) and np.all(divided.imag == 0)
+    nonzero = out != 0
+    assert np.array_equal(out[nonzero].view(np.uint64),
+                          divided.real[nonzero].view(np.uint64))
+    # Cancelled negative amplitudes keep their sign; division drops it.
+    negative = psi.amplitudes[~nonzero] < 0
+    assert np.array_equal(np.signbit(out[~nonzero]), negative)
+    assert negative.any() and not np.signbit(divided.real[~nonzero]).any()

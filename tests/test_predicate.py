@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from qic.ecc import ChecksumScheme, checksum_predicate
 from qic.errors import IndexOutOfRange, ParseError, RegisterMismatch, UnboundVariable
 from qic.predicate import (
-    MAX_EXPR_DEPTH,
+    MAX_EXPR_NESTING,
     And,
     CnfFormula,
     Const,
@@ -60,10 +60,10 @@ class TestParseExpr:
         assert parse_expr(" b0&~ b2 ") == parse_expr("b0 & ~b2")
 
     @pytest.mark.parametrize("text,offset", [
-        ("~" * 5000 + "b0", MAX_EXPR_DEPTH),
-        ("(" * 3000 + "b0" + ")" * 3000, MAX_EXPR_DEPTH),
-        (" & ".join(["b0"] * 5000), 5 * MAX_EXPR_DEPTH - 2),
-        ("~" * MAX_EXPR_DEPTH + "b0", 0),
+        ("~" * 5000 + "b0", MAX_EXPR_NESTING),
+        ("(" * 3000 + "b0" + ")" * 3000, MAX_EXPR_NESTING),
+        ("~(" * 150 + "b0" + ")" * 150, MAX_EXPR_NESTING),
+        ("b0 & " + "(" * 201 + "b0" + ")" * 201, 5 + MAX_EXPR_NESTING),
     ])
     def test_too_deep_raises_parse_error(self, text, offset):
         with pytest.raises(ParseError, match="deeper than") as err:
@@ -71,11 +71,15 @@ class TestParseExpr:
         assert err.value.offset == offset
 
     @pytest.mark.parametrize("text", [
-        "~" * (MAX_EXPR_DEPTH - 1) + "b1",
-        "(" * MAX_EXPR_DEPTH + "b1" + ")" * MAX_EXPR_DEPTH,
-        " ^ ".join(["b1"] * MAX_EXPR_DEPTH),
+        "~" * MAX_EXPR_NESTING + "b1",
+        "(" * MAX_EXPR_NESTING + "b1" + ")" * MAX_EXPR_NESTING,
+        # Every '(' adds two levels to the tree: an Or over an And.
+        "b0 | b1 & (" * MAX_EXPR_NESTING + "b1" + ")" * MAX_EXPR_NESTING,
+        " ^ ".join(["b1"] * 300),
+        " | ".join(["b1 & ~b0"] * 5000),
+        " & ".join(["~b1"] * 5000),
     ])
-    def test_deepest_accepted_tree_is_usable(self, text):
+    def test_deep_and_long_trees_are_usable(self, text):
         node = parse_expr(text)
         reg = Register(2)
         pred = Predicate(node, reg)
@@ -83,6 +87,20 @@ class TestParseExpr:
         assert [bool(f) for f in flags] == [evaluate(pred, i) for i in range(4)]
         assert parse_expr(str(node)) == node
         assert hash(node) == hash(parse_expr(text))
+
+    @pytest.mark.parametrize("a,b", [
+        ("b0 & b1 & b2", "b0 & (b1 & b2)"),
+        ("b0 | b1", "b0 ^ b1"),
+        ("~b0", "b0"),
+        ("~~b0", "b0"),
+        ("b0 & b1", "b1 & b0"),
+        ("b0 & 1", "b0 & b1"),
+        ("(b0 | b1) & b2", "(b0 ^ b1) & b2"),
+        ("~(b0 & b1)", "~(b0 | b1)"),
+    ])
+    def test_equality_is_structural(self, a, b):
+        assert parse_expr(a) != parse_expr(b)
+        assert parse_expr(a) == parse_expr(a)
 
     def test_bad_character_offset(self):
         with pytest.raises(ParseError) as err:

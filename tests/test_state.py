@@ -257,10 +257,14 @@ class TestPhaseMask:
         assert mask.valid_indices() == [0, 3]
         assert flags.flags.writeable and not mask.valid.flags.writeable
 
-    def test_handed_over_array_is_kept(self):
+    def test_read_only_caller_array_is_copied(self):
         flags = np.array([True, False, False, True])
-        mask = PhaseMask(Register(2), flags, copy=False)
-        assert mask.valid is flags and not flags.flags.writeable
+        flags.flags.writeable = False
+        mask = PhaseMask(Register(2), flags)
+        assert mask.valid is not flags
+        flags.flags.writeable = True
+        flags[1] = True
+        assert mask.valid_indices() == [0, 3]
 
 
 class TestPartialBitFlip:
