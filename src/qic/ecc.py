@@ -275,11 +275,18 @@ def ecc_experiment(scheme: ChecksumScheme, model: NoiseModel,
     psi_ideal = encode(data_state, scheme)
     rng = np.random.default_rng(seed)
     psi_noisy, events = inject_noise(psi_ideal, model, rng)
+    # fidelity takes complex128 overlaps: convert the ideal state once here
+    # rather than on each call, and only after the noise has run.
+    psi_ideal = StateVector(psi_ideal.register,
+                            psi_ideal.amplitudes.astype(np.complex128),
+                            normalized=psi_ideal.normalized, copy=False)
 
     mass_before = checksum_valid_mass(psi_noisy, scheme)
     fid_before = fidelity(psi_noisy, psi_ideal)
     try:
         psi_corrected = correct(psi_noisy, scheme, cfg)
+        # Freed so that the ideal state's complex copy adds no peak memory.
+        del psi_noisy
         status = "ok"
         mass_after = checksum_valid_mass(psi_corrected, scheme)
         fid_after = fidelity(psi_corrected, psi_ideal)

@@ -1,6 +1,6 @@
 """Iterative solution enumeration with exclusion of found solutions.
 
-Each run prepares a fresh uniform superposition, interferes against the
+Each run interferes the uniform superposition, prepared once, against the
 predicate extended with all solutions found so far, and measures once.
 A verified new solution is recorded and excluded from later runs; the
 loop ends when the state cancels completely (Exhausted), when a remnant
@@ -103,16 +103,19 @@ def enumerate_solutions(pred: Predicate, register: Register,
     found: list[int] = []
     records: list[RunRecord] = []
     termination = Termination.MAX_RUNS_REACHED
+    # Read-only, and interference never writes its input: one for all runs.
+    uniform = uniform_superposition(register)
     for run in range(1, max_runs + 1):
         working = with_exclusions(pred, found)
-        psi = uniform_superposition(register)
         try:
-            psi = interfere_repeated(psi, working, cfg.interference)
+            psi = interfere_repeated(uniform, working, cfg.interference)
         except NormCollapse:
             records.append(RunRecord(run, None, False, False))
             termination = Termination.EXHAUSTED
             break
         index = sample(psi, rng)
+        # Freed before the next run allocates its own output.
+        del psi
         is_solution = verify(pred, index)
         is_new = is_solution and index not in found
         records.append(

@@ -18,6 +18,9 @@ from .predicate import Predicate, compile_mask
 from .state import (
     DEFAULT_COLLAPSE_TOL,
     StateVector,
+    _blocks,
+    _mass,
+    _pairwise,
     apply_phase_mask,
     check_tolerance,
 )
@@ -48,22 +51,45 @@ def mark_invalid(psi: StateVector, pred: Predicate) -> StateVector:
 
 def _interfere(psi: StateVector, pred: Predicate, cfg: InterferenceConfig,
                passes: int) -> StateVector:
-    """Run ``passes`` passes in one owned output and one |out|^2 scratch."""
-    # The mask is freed as soon as the weights exist.
-    weights = np.where(compile_mask(pred, psi.register).valid,
-                       2.0 - cfg.leakage, cfg.leakage)
-    out = psi.amplitudes * weights
-    probs = np.empty(out.shape)
-    for done in range(passes):
-        if done:
-            out *= weights
-        np.abs(out, out=probs)
-        np.square(probs, out=probs)
-        surviving = float(np.sum(probs))
+    """Run ``passes`` passes into one owned output, a block at a time.
+
+    Per amplitude the rounding steps are those of whole-array passes:
+    times the weight, then, in each later pass, times the previous pass's
+    1/sqrt(surviving) and times the weight again; the last pass's factor
+    is applied once the last surviving mass is known.
+    """
+    valid = compile_mask(pred, psi.register).valid
+    amps = psi.amplitudes
+    out = np.empty_like(amps)
+    blocks = _blocks(len(amps))
+    weights = np.empty(blocks[0].stop)
+    mass = np.empty(blocks[0].stop)
+    # Indexed by a flag: epsilon for invalid, 2 - epsilon for valid.
+    levels = np.array([cfg.leakage, 2.0 - cfg.leakage])
+    scale = None
+    for _ in range(passes):
+        sums = []
+        for block in blocks:
+            seg = out[block]
+            if scale is None:
+                source = amps[block]
+            else:
+                seg *= scale
+                source = seg
+            flags = valid[block]
+            if flags.any():
+                levels.take(flags.view(np.uint8), out=weights, mode="clip")
+                np.multiply(source, weights, out=seg)
+            else:
+                # Solutions are rare: most blocks need no weights array.
+                np.multiply(source, levels[0], out=seg)
+            sums.append(np.sum(_mass(seg, mass)))
+        surviving = _pairwise(sums)
         if surviving < cfg.collapse_tol:
             raise NormCollapse(surviving, cfg.collapse_tol)
         # As numpy's complex / real does, up to the sign of a zero amplitude.
-        out *= 1.0 / np.sqrt(surviving)
+        scale = 1.0 / np.sqrt(surviving)
+    out *= scale
     return StateVector(psi.register, out, normalized=True, copy=False)
 
 

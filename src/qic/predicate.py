@@ -24,6 +24,7 @@ exclusions returns a new predicate.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from dataclasses import dataclass
 
@@ -199,8 +200,31 @@ class _Compound(BoolExpr):
     def __hash__(self):
         return hash(self._key())
 
+    def __repr__(self):
+        # The dataclass form, e.g. "And(lhs=Var(index=0), rhs=Var(index=1))".
+        return _fold(self, repr, lambda node, *reprs: "{}({})".format(
+            type(node).__qualname__,
+            ", ".join(f"{field.name}={text}" for field, text
+                      in zip(dataclasses.fields(node), reprs))))
 
-@dataclass(frozen=True, eq=False)
+    def __reduce__(self):
+        # A flat sequence, so pickle and copy.deepcopy do not recurse.
+        return _from_key, (self._key(),)
+
+
+def _from_key(key: tuple) -> BoolExpr:
+    """The tree whose ``_Compound._key`` is ``key``."""
+    values = []
+    for item in reversed(key):
+        if isinstance(item, type):
+            args = values[-len(dataclasses.fields(item)):]
+            del values[-len(args):]
+            item = item(*reversed(args))
+        values.append(item)
+    return values[0]
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Not(_Compound):
     operand: BoolExpr
     precedence = 3
@@ -219,7 +243,7 @@ class Not(_Compound):
         return f"~{inner}"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class _Binary(_Compound):
     lhs: BoolExpr
     rhs: BoolExpr
@@ -269,6 +293,8 @@ class Xor(_Binary):
 # Expression parser
 
 _SINGLE_CHAR_TOKENS = {"~", "&", "|", "^", "(", ")", "0", "1"}
+# ASCII only: str.isdigit() also accepts digits that int() rejects ('²').
+_DIGITS = frozenset("0123456789")
 
 
 def _tokenize(text: str) -> list[tuple[str, int, int]]:
@@ -287,11 +313,16 @@ def _tokenize(text: str) -> list[tuple[str, int, int]]:
         if ch == "b":
             start = pos + 1
             end = start
-            while end < len(text) and text[end].isdigit():
+            while end < len(text) and text[end] in _DIGITS:
                 end += 1
             if end == start:
                 raise ParseError("expected digits after 'b'", start)
-            tokens.append(("var", int(text[start:end]), pos))
+            try:
+                index = int(text[start:end])
+            except ValueError:  # more digits than sys.get_int_max_str_digits()
+                raise ParseError("variable index has too many digits",
+                                 start) from None
+            tokens.append(("var", index, pos))
             pos = end
             continue
         raise ParseError(

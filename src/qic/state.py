@@ -11,6 +11,7 @@ fresh amplitude arrays.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -147,9 +148,42 @@ def basis_state(register: Register, index: int) -> StateVector:
     return StateVector(register, amps, normalized=True, copy=False)
 
 
+# Full-state reductions walk aligned blocks of _BLOCK amplitudes with
+# block-sized scratch, never a 2^m temporary.  np.sum over a contiguous
+# float64 array is pairwise with 128-element leaves and halves 2^k elements
+# exactly, so _pairwise over the np.sums of aligned power-of-two blocks of
+# at least 128 elements gives np.sum's bits for the whole array.
+_BLOCK = 1 << 16
+
+
+def _blocks(dim: int) -> list[slice]:
+    """The aligned blocks that cover ``dim`` (a power of two) amplitudes."""
+    step = min(_BLOCK, dim)
+    return [slice(start, start + step) for start in range(0, dim, step)]
+
+
+def _mass(amps: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """|amps|^2 into the float64 array ``out``, which is returned."""
+    if amps.dtype == np.float64:
+        # Equal to squaring np.abs(amps), bit for bit.
+        return np.square(amps, out=out)
+    np.abs(amps, out=out)
+    return np.square(out, out=out)
+
+
+def _pairwise(sums: list) -> float:
+    """Combine a power-of-two count of block sums as np.sum's tree does."""
+    while len(sums) > 1:
+        sums = [left + right for left, right in zip(sums[::2], sums[1::2])]
+    return float(sums[0])
+
+
 def norm_squared(psi: StateVector) -> float:
-    # np.sum over the fixed index order keeps reductions deterministic.
-    return float(np.sum(np.abs(psi.amplitudes) ** 2))
+    # np.sum of |amp|^2, bit for bit, in block-sized scratch.
+    blocks = _blocks(psi.register.dimension)
+    scratch = np.empty(blocks[0].stop)
+    return _pairwise([np.sum(_mass(psi.amplitudes[block], scratch))
+                      for block in blocks])
 
 
 def check_tolerance(tol: float, name: str = "tol") -> None:
@@ -187,21 +221,38 @@ def sample(psi: StateVector, rng: np.random.Generator,
     index always has nonzero probability.
     """
     check_tolerance(tol)
-    # One owned buffer holds |amp|^2, then its running sum.
-    probs = np.abs(psi.amplitudes)
-    np.square(probs, out=probs)
+    amps = psi.amplitudes
+    total = None
     if not psi.normalized:
-        total = float(np.sum(probs))
+        total = norm_squared(psi)
         if total < tol:
             raise NormCollapse(total, tol)
-        probs /= total
-    cumulative = np.cumsum(probs, out=probs)
-    if not cumulative[-1] > 0:
-        raise NormCollapse(float(cumulative[-1]), tol)
-    # Scaling by the rounded total keeps u below cumulative[-1], so the
-    # first entry above u ends a step of nonzero probability.
-    u = rng.random() * cumulative[-1]
-    return int(np.searchsorted(cumulative, u, side="right"))
+    blocks = _blocks(len(amps))
+    # Slot 0 carries the running sum into the block, so np.cumsum, which
+    # adds strictly in order, continues the whole state's running sum.
+    scan = np.empty(blocks[0].stop + 1)
+
+    def running_sum(block: slice, carry: float) -> float:
+        scan[0] = carry
+        _mass(amps[block], scan[1:])
+        if total is not None:
+            scan[1:] /= total
+        np.cumsum(scan, out=scan)
+        return float(scan[-1])
+
+    # Only the running sum into each block and at the end is kept.
+    ends = [0.0]
+    for block in blocks:
+        ends.append(running_sum(block, ends[-1]))
+    if not ends[-1] > 0:
+        raise NormCollapse(ends[-1], tol)
+    # Scaling by the rounded total keeps u below ends[-1], so the first
+    # entry above u ends a step of nonzero probability.
+    u = rng.random() * ends[-1]
+    b = bisect.bisect_right(ends, u) - 1
+    if b < len(blocks) - 1:  # the scan still holds the last block
+        running_sum(blocks[b], ends[b])
+    return blocks[b].start + int(np.searchsorted(scan[1:], u, side="right"))
 
 
 def fidelity(psi: StateVector, phi: StateVector) -> float:
@@ -236,10 +287,9 @@ def apply_partial_bit_flip(psi: StateVector, qubit: int,
     m = psi.register.total_qubits
     if not 0 <= qubit < m:
         raise IndexOutOfRange(f"qubit {qubit} outside [0, {m})")
-    block = 1 << qubit
     # View as (high bits, flipped bit, low bits); reversing the middle
-    # axis pairs every index with its partner.
-    paired = psi.amplitudes.reshape(-1, 2, block)
-    flipped = paired[:, ::-1, :].reshape(-1)
-    amps = np.cos(theta) * psi.amplitudes + 1j * np.sin(theta) * flipped
-    return StateVector(psi.register, amps, normalized=psi.normalized, copy=False)
+    # axis pairs every index with its partner without copying it.
+    paired = psi.amplitudes.reshape(-1, 2, 1 << qubit)
+    amps = np.cos(theta) * paired + 1j * np.sin(theta) * paired[:, ::-1, :]
+    return StateVector(psi.register, amps.reshape(-1), normalized=psi.normalized,
+                       copy=False)

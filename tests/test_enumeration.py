@@ -1,8 +1,10 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qic.state
 from qic.enumeration import (
     RunConfig,
     Termination,
@@ -177,3 +179,25 @@ def test_first_solution_is_uniform_over_solution_set():
         counts[first] += 1
     tv = 0.5 * sum(abs(counts[s] / trials - 0.25) for s in solutions)
     assert tv <= 0.03
+
+
+def test_enumeration_holds_at_most_two_state_arrays(monkeypatch):
+    # The uniform state and one run's output, beside 2^m-byte flags and
+    # block scratch far below a state's size.
+    monkeypatch.setattr(qic.state, "_BLOCK", 1024)
+    m = 14
+    reg = Register(m)
+    pred = Predicate(frozenset(range(0, 1 << m, 999)), reg)
+    cfg = RunConfig(seed=5, interference=InterferenceConfig(passes=2))
+    enumerate_solutions(Predicate(frozenset({1}), Register(3)), Register(3),
+                        cfg)  # first calls import and cache what they need
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        report = enumerate_solutions(pred, reg, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert report.termination == Termination.EXHAUSTED
+    assert len(report.found) == 17
+    assert peak < 3 * np.dtype(np.float64).itemsize << m

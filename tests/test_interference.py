@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qic.state
 from qic.errors import NormCollapse
 from qic.interference import (
     InterferenceConfig,
@@ -273,3 +274,52 @@ def test_normalisation_matches_complex_division_up_to_zero_signs():
     negative = psi.amplitudes[~nonzero] < 0
     assert np.array_equal(np.signbit(out[~nonzero]), negative)
     assert negative.any() and not np.signbit(divided.real[~nonzero]).any()
+
+
+def _dense_interfere(psi, valid, cfg, passes):
+    """The whole-array kernel the blocked one replaced, kept as reference:
+    a 2^m weights array, and a 2^m |out|^2 array summed by np.sum."""
+    weights = np.where(valid, 2.0 - cfg.leakage, cfg.leakage)
+    out = psi.amplitudes * weights
+    probs = np.empty(out.shape)
+    for done in range(passes):
+        if done:
+            out *= weights
+        np.abs(out, out=probs)
+        np.square(probs, out=probs)
+        surviving = float(np.sum(probs))
+        if surviving < cfg.collapse_tol:
+            return None
+        out *= 1.0 / np.sqrt(surviving)
+    return out
+
+
+def _state_of_kind(kind, seed, m):
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        return uniform_superposition(Register(m))
+    if kind == "complex":
+        return random_state(rng, m)
+    return StateVector(Register(m), rng.normal(size=1 << m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 12),
+       eps=st.floats(0.0, 1.0, exclude_max=True), passes=st.integers(1, 4),
+       kind=st.sampled_from(["uniform", "real", "complex"]))
+def test_blocked_kernel_matches_dense_reference_bitwise(seed, m, eps, passes,
+                                                        kind):
+    psi = _state_of_kind(kind, seed + 1, m)
+    pred = _random_case(seed, m)
+    cfg = InterferenceConfig(leakage=eps, passes=passes)
+    valid = np.isin(np.arange(1 << m), list(pred.source))
+    expected = _dense_interfere(psi, valid, cfg, passes)
+    # 128-amplitude blocks, so that registers from m = 8 up span several.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qic.state, "_BLOCK", 128)
+        got = _interfere_or_collapse(psi, pred, cfg)
+    assert (got is None) == (expected is None)
+    if got is not None:
+        assert got.amplitudes.dtype == expected.dtype
+        assert np.array_equal(got.amplitudes.view(np.uint64),
+                              expected.view(np.uint64))

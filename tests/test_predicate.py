@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,6 +90,34 @@ class TestParseExpr:
         assert [bool(f) for f in flags] == [evaluate(pred, i) for i in range(4)]
         assert parse_expr(str(node)) == node
         assert hash(node) == hash(parse_expr(text))
+
+    def test_repr_is_the_dataclass_form(self):
+        node = parse_expr("~(b0 & b1) | b2 ^ ~1")
+        assert repr(node) == (
+            "Xor(lhs=Or(lhs=Not(operand=And(lhs=Var(index=0), "
+            "rhs=Var(index=1))), rhs=Var(index=2)), "
+            "rhs=Not(operand=Const(value=True)))")
+
+    @pytest.mark.parametrize("terms", [2000, 5000])
+    @pytest.mark.parametrize("op", ["&", "|", "^"])
+    def test_long_chains_repr_copy_and_pickle(self, terms, op):
+        node = parse_expr(f" {op} ".join(f"~b{i % 3}" for i in range(terms)))
+        text = repr(node)
+        name = type(node).__name__
+        assert text.startswith(f"{name}(lhs={name}(lhs=")
+        assert text.count(f"{name}(") == terms - 1
+        assert text.count("Not(operand=Var(index=") == terms
+        for twin in (copy.deepcopy(node),
+                     pickle.loads(pickle.dumps(node))):
+            assert twin is not node
+            assert twin == node and hash(twin) == hash(node)
+            assert repr(twin) == text
+
+    def test_pickle_keeps_the_tree_shape(self):
+        for text in ("b0 & (b1 & b2)", "(b0 & b1) & b2", "~~b0 ^ (1 | ~b1)"):
+            node = parse_expr(text)
+            twin = pickle.loads(pickle.dumps(node))
+            assert twin == node and str(twin) == str(node)
 
     @pytest.mark.parametrize("a,b", [
         ("b0 & b1 & b2", "b0 & (b1 & b2)"),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qic.state
 from qic.errors import IndexOutOfRange, NormCollapse, RegisterMismatch
 from qic.state import (
     PhaseMask,
@@ -289,6 +290,21 @@ class TestPartialBitFlip:
         expected[2] = 1j
         assert np.allclose(out.amplitudes, expected, atol=1e-12)
 
+    @pytest.mark.parametrize("complex_state", [False, True])
+    def test_matches_reversed_copy_reference_bitwise(self, rng, complex_state):
+        m = 9
+        psi = (random_state(rng, m) if complex_state
+               else StateVector(Register(m), rng.normal(size=1 << m)))
+        for qubit in range(m):
+            # The reference materialises the partners in index order.
+            paired = psi.amplitudes.reshape(-1, 2, 1 << qubit)
+            flipped = paired[:, ::-1, :].reshape(-1)
+            expected = (np.cos(0.5) * psi.amplitudes
+                        + 1j * np.sin(0.5) * flipped)
+            got = apply_partial_bit_flip(psi, qubit, 0.5).amplitudes
+            assert np.array_equal(got.view(np.uint64),
+                                  expected.view(np.uint64))
+
     def test_qubit_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
             apply_partial_bit_flip(basis_state(Register(2), 0), 2, 0.3)
@@ -385,3 +401,86 @@ class TestDtypeRule:
         assert norm_squared(real) == norm_squared(cplx)
         assert (sample(real, np.random.default_rng(3))
                 == sample(cplx, np.random.default_rng(3)))
+
+
+def _dense_sample(psi, u):
+    """The whole-array sampler the blocked one replaced, kept as reference:
+    a 2^m running sum searched for u times its last entry."""
+    probs = np.abs(psi.amplitudes) ** 2
+    if not psi.normalized:
+        probs /= float(np.sum(probs))
+    cumulative = np.cumsum(probs)
+    index = int(np.searchsorted(cumulative, u * cumulative[-1], side="right"))
+    return index, cumulative
+
+
+def _draws_on_running_sums(cumulative, indices):
+    """Draws u with u * cumulative[-1] equal to cumulative[i], i in indices."""
+    total = cumulative[-1]
+    for end in cumulative[indices]:
+        guess = end / total
+        for u in (np.nextafter(guess, 0), guess, np.nextafter(guess, 2)):
+            if u < 1 and u * total == end:
+                yield float(u)
+
+
+class TestBlockedReductions:
+    """The block loops against whole-array numpy, with 128-amplitude blocks
+    so that registers from m = 8 up span several blocks."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(qic.state, "_BLOCK", 128)
+
+    def test_sample_matches_dense_reference(self):
+        landed = 0
+        for seed in range(500):
+            rng = np.random.default_rng(seed)
+            m = int(rng.integers(1, 13))
+            amps = rng.normal(size=1 << m) * rng.random(1 << m) ** 4
+            if seed % 3 == 0:
+                amps = amps + 1j * rng.normal(size=1 << m)
+            amps[rng.random(1 << m) < 0.2] = 0.0
+            if not amps.any():
+                continue
+            psi = StateVector(Register(m), amps, normalized=bool(seed % 2))
+            u = float(rng.random())
+            expected, cumulative = _dense_sample(psi, u)
+            assert sample(psi, _FixedDraw(u)) == expected, seed
+            # Every block end, and entries inside blocks.
+            ends = np.arange(127, 1 << m, 128)
+            inside = rng.integers(0, 1 << m, 8)
+            for u in _draws_on_running_sums(cumulative,
+                                            np.concatenate([ends, inside])):
+                landed += 1
+                assert sample(psi, _FixedDraw(u)) == _dense_sample(psi, u)[0]
+        assert landed > 1000
+
+    @pytest.mark.parametrize("m", [8, 10, 12])
+    def test_draws_on_exact_block_ends_start_the_next_block(self, m):
+        # Every |amp|^2 is 2^-m, so every running sum and the total are exact.
+        psi = uniform_superposition(Register(m))
+        for end in range(128, 1 << m, 128):
+            u = end / (1 << m)
+            assert sample(psi, _FixedDraw(u)) == end
+            assert _dense_sample(psi, u)[0] == end
+
+    @pytest.mark.parametrize("m", [1, 7, 8, 12])
+    def test_norm_squared_matches_np_sum(self, m, rng):
+        for psi in (random_state(rng, m),
+                    StateVector(Register(m), rng.normal(size=1 << m))):
+            assert norm_squared(psi) == float(np.sum(np.abs(psi.amplitudes) ** 2))
+
+
+def test_numpy_sum_is_the_pairwise_tree_of_its_128_blocks():
+    rng = np.random.default_rng(7)
+    for k in range(7, 21):
+        x = rng.random(1 << k) * 2.0 ** rng.integers(-40, 40, 1 << k)
+        sums = [np.sum(x[i:i + 128]) for i in range(0, 1 << k, 128)]
+        while len(sums) > 1:
+            sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
+        assert sums[0] == np.sum(x), (
+            f"numpy contract broken at 2^{k} elements: np.sum of a contiguous "
+            "float64 array is no longer the pairwise tree of its aligned "
+            "128-element block sums, which the blocked reductions of "
+            "qic.state (_BLOCK, _pairwise) rely on for unchanged bits")
