@@ -13,12 +13,10 @@ Usage:
 import argparse
 from pathlib import Path
 
-import numpy as np
-
-from qic.interference import InterferenceConfig, interfere_repeated
-from qic.predicate import Predicate, compile_mask
+from qic.interference import SWEEP_COLUMNS, remnant_sweep
+from qic.predicate import Predicate
 from qic.reports import render_csv
-from qic.state import Register, uniform_superposition
+from qic.state import Register
 
 
 def main():
@@ -33,23 +31,10 @@ def main():
 
     register = Register(args.qubits)
     valid = frozenset(int(i) for i in args.valid.split(","))
-    pred = Predicate(valid, register)
-    flags = compile_mask(pred, register).valid
-
-    rows = []
-    for eps in (float(e) for e in args.epsilons.split(",")):
-        for passes in range(1, args.max_passes + 1):
-            cfg = InterferenceConfig(leakage=eps, passes=passes)
-            psi = interfere_repeated(uniform_superposition(register), pred, cfg)
-            mags = np.abs(psi.amplitudes)
-            measured = float(np.mean(mags[~flags]) / np.mean(mags[flags]))
-            predicted = (eps / (2 - eps)) ** passes
-            rows.append([eps, passes, predicted, measured,
-                         abs(measured - predicted)])
-
-    text = render_csv(
-        ["epsilon", "passes", "predicted_ratio", "measured_ratio", "abs_error"],
-        rows)
+    epsilons = [float(e) for e in args.epsilons.split(",")]
+    rows = remnant_sweep(Predicate(valid, register), epsilons,
+                         range(1, args.max_passes + 1))
+    text = render_csv(list(SWEEP_COLUMNS), rows)
     Path(args.out).write_text(text)
     worst = max(row[4] for row in rows)
     print(f"wrote {len(rows)} rows to {args.out}; worst |error| = {worst:.3g}")

@@ -27,11 +27,10 @@ from .errors import (
     UnboundVariable,
 )
 from .interference import InterferenceConfig, interfere_repeated
-from .predicate import Predicate, compile_mask, parse_dimacs, parse_expr
+from .interference import SWEEP_COLUMNS, remnant_sweep
+from .predicate import Predicate, parse_dimacs, parse_expr
 from .reports import envelope, format_float, render_csv, render_json
 from .state import Register, probability, uniform_superposition
-
-import numpy as np
 
 DEMO_QUBITS = 3
 DEMO_VALID = (1, 3)
@@ -221,40 +220,16 @@ def _run_solve(args) -> str:
 def _run_sweep(args) -> str:
     register = Register(args.qubits)
     pred, source_config = _build_predicate(args, register)
-    epsilons = parse_range(args.epsilon)
-    passes = _int_range(args.passes)
-    mask = compile_mask(pred, register)
-    if not mask.valid.any():
-        raise QicError("predicate has no valid components; ratio undefined")
-    all_valid = bool(mask.valid.all())
-
-    rows = []
-    for eps in epsilons:
-        for r in passes:
-            cfg = InterferenceConfig(eps, r, args.collapse_tol)
-            psi = interfere_repeated(uniform_superposition(register), pred, cfg)
-            magnitudes = np.abs(psi.amplitudes)
-            if all_valid:
-                measured = 0.0
-            else:
-                measured = float(np.mean(magnitudes[~mask.valid])
-                                 / np.mean(magnitudes[mask.valid]))
-            predicted = (eps / (2.0 - eps)) ** r
-            rows.append([eps, r, predicted, measured,
-                         abs(measured - predicted)])
+    rows = remnant_sweep(pred, parse_range(args.epsilon),
+                         _int_range(args.passes), args.collapse_tol)
     if args.format == "json":
-        keys = ["epsilon", "passes", "predicted_ratio", "measured_ratio",
-                "abs_error"]
         config = {"qubits": args.qubits, "source": source_config,
                   "epsilon": args.epsilon, "passes": args.passes,
                   "collapse_tol": args.collapse_tol}
         return render_json(envelope("sweep", config, {
-            "rows": [dict(zip(keys, row)) for row in rows],
+            "rows": [dict(zip(SWEEP_COLUMNS, row)) for row in rows],
         }))
-    return render_csv(
-        ["epsilon", "passes", "predicted_ratio", "measured_ratio", "abs_error"],
-        rows,
-    )
+    return render_csv(list(SWEEP_COLUMNS), rows)
 
 
 def _run_ecc(args) -> str:
@@ -263,14 +238,10 @@ def _run_ecc(args) -> str:
     icfg = InterferenceConfig(args.epsilon, args.passes, args.collapse_tol)
     report = ecc_experiment(scheme, model, icfg, args.seed)
     if args.format == "csv":
-        rows = [
-            ["status", report.status],
-            ["valid_mass_before", report.valid_mass_before],
-            ["fidelity_before", report.fidelity_before],
-            ["valid_mass_after", report.valid_mass_after],
-            ["fidelity_after", report.fidelity_after],
-        ]
-        return render_csv(["metric", "value"], rows)
+        metrics = ("status", "valid_mass_before", "fidelity_before",
+                   "valid_mass_after", "fidelity_after")
+        return render_csv(["metric", "value"],
+                          [[name, getattr(report, name)] for name in metrics])
     config = {"parity": args.parity, **report.config}
     return render_json(envelope("ecc", config, report.to_dict()))
 

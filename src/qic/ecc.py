@@ -12,7 +12,7 @@ never decoded back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -30,7 +30,9 @@ from .predicate import (
 from .state import (
     Register,
     StateVector,
-    apply_partial_bit_flip,
+    _blocks,
+    _flip,
+    apply_partial_bit_flip,  # noqa: F401  (tracers wrap qic.ecc's binding)
     fidelity,
     uniform_superposition,
 )
@@ -42,6 +44,9 @@ class ChecksumScheme:
 
     data_bits: int
     groups: tuple[tuple[int, ...], ...]
+    # columns[b]: the checksum bits that data bit b flips, one per group
+    # that holds b.  A checksum is the XOR of its set bits' columns.
+    columns: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.data_bits < 1:
@@ -49,7 +54,6 @@ class ChecksumScheme:
         groups = tuple(tuple(sorted(set(int(b) for b in g))) for g in self.groups)
         if not groups:
             raise SchemeInvalid("at least one parity group is required")
-        covered = set()
         for group in groups:
             if not group:
                 raise SchemeInvalid("empty parity group")
@@ -58,13 +62,14 @@ class ChecksumScheme:
                     raise SchemeInvalid(
                         f"group member {bit} outside data bits 0..{self.data_bits - 1}"
                     )
-            covered.update(group)
-        missing = set(range(self.data_bits)) - covered
+        columns = tuple(
+            sum(1 << g for g, group in enumerate(groups) if bit in group)
+            for bit in range(self.data_bits))
+        missing = [bit for bit, column in enumerate(columns) if not column]
         if missing:
-            raise SchemeInvalid(
-                f"data bits not covered by any group: {sorted(missing)}"
-            )
+            raise SchemeInvalid(f"data bits not covered by any group: {missing}")
         object.__setattr__(self, "groups", groups)
+        object.__setattr__(self, "columns", columns)
 
     @property
     def checksum_bits(self) -> int:
@@ -76,11 +81,9 @@ class ChecksumScheme:
     def checksum_of(self, data_index: int) -> int:
         """Checksum bit pattern for one data-bit assignment."""
         value = 0
-        for g, group in enumerate(self.groups):
-            mask = 0
-            for bit in group:
-                mask |= 1 << bit
-            value |= ((data_index & mask).bit_count() & 1) << g
+        for bit, column in enumerate(self.columns):
+            if data_index >> bit & 1:
+                value ^= column
         return value
 
     @classmethod
@@ -144,17 +147,8 @@ def search_predicate(data_pred: Predicate,
     full = scheme.register()
     check_flags = compile_mask(checksum_predicate(scheme), full).valid
     data_flags = compile_mask(data_pred, data_pred.register).valid
-    data_part = np.arange(full.dimension) & (data_pred.register.dimension - 1)
-    combined = check_flags & data_flags[data_part]
+    combined = check_flags & np.tile(data_flags, 1 << scheme.checksum_bits)
     return Predicate(frozenset(int(i) for i in np.flatnonzero(combined)), full)
-
-
-def _parity(values: np.ndarray) -> np.ndarray:
-    # XOR-fold; sufficient for indices below 2^32.
-    values = values.copy()
-    for shift in (16, 8, 4, 2, 1):
-        values ^= values >> shift
-    return values & 1
 
 
 def encode(psi_data: StateVector, scheme: ChecksumScheme) -> StateVector:
@@ -166,15 +160,19 @@ def encode(psi_data: StateVector, scheme: ChecksumScheme) -> StateVector:
             f"scheme expects {n}"
         )
     full = scheme.register()
-    xs = np.arange(1 << n, dtype=np.int64)
-    checksums = np.zeros(1 << n, dtype=np.int64)
-    for g, group in enumerate(scheme.groups):
-        mask = 0
-        for bit in group:
-            mask |= 1 << bit
-        checksums |= _parity(xs & mask) << g
+    # By doubling: indices with top bit b are those below 2^b plus bit b.
+    checksums = np.zeros(
+        1 << n, dtype=np.min_scalar_type((1 << scheme.checksum_bits) - 1))
+    for bit, column in enumerate(scheme.columns):
+        np.bitwise_xor(checksums[:1 << bit], column,
+                       out=checksums[1 << bit:2 << bit])
     amps = np.zeros(full.dimension, dtype=psi_data.amplitudes.dtype)
-    amps[(checksums << n) | xs] = psi_data.amplitudes
+    # Row checksum, column data index; scattered a block of columns at a time.
+    rows = amps.reshape(-1, 1 << n)
+    blocks = _blocks(1 << n)
+    columns = np.arange(blocks[0].stop)
+    for block in blocks:
+        rows[:, block][checksums[block], columns] = psi_data.amplitudes[block]
     return StateVector(full, amps, normalized=psi_data.normalized, copy=False)
 
 
@@ -200,7 +198,7 @@ class NoiseEvent:
     theta: float
 
     def to_dict(self) -> dict:
-        return {"qubit": self.qubit, "theta": self.theta}
+        return asdict(self)
 
 
 def inject_noise(psi: StateVector, model: NoiseModel,
@@ -208,22 +206,25 @@ def inject_noise(psi: StateVector, model: NoiseModel,
                  ) -> tuple[StateVector, tuple[NoiseEvent, ...]]:
     """Apply the model's partial flips on qubits drawn from ``rng``.
 
-    Returns the evolved state and the event log.
+    Returns the evolved state and the event log.  The flips run in one owned
+    buffer, with the bits of chained ``apply_partial_bit_flip`` calls.
     """
     m = psi.register.total_qubits
-    log = []
-    for _ in range(model.events):
-        qubit = int(rng.integers(0, m))
-        psi = apply_partial_bit_flip(psi, qubit, model.theta)
-        log.append(NoiseEvent(qubit, model.theta))
-    return psi, tuple(log)
+    qubits = [int(rng.integers(0, m)) for _ in range(model.events)]
+    if qubits:
+        amps = np.empty(psi.register.dimension, dtype=np.complex128)
+        for i, qubit in enumerate(qubits):
+            _flip(amps if i else psi.amplitudes, amps, qubit, model.theta)
+        psi = StateVector(psi.register, amps, normalized=psi.normalized,
+                          copy=False)
+    return psi, tuple(NoiseEvent(qubit, model.theta) for qubit in qubits)
 
 
 def checksum_valid_mass(psi: StateVector, scheme: ChecksumScheme) -> float:
     """Squared mass carried by checksum-valid components."""
     mask = compile_mask(checksum_predicate(scheme), psi.register)
-    probs = np.abs(psi.amplitudes) ** 2
-    return float(np.sum(probs[mask.valid]))
+    # Gather, then square: np.sum sees the values and order of squaring all.
+    return float(np.sum(np.abs(psi.amplitudes[mask.valid]) ** 2))
 
 
 def correct(psi: StateVector, scheme: ChecksumScheme,
@@ -249,15 +250,7 @@ class EccReport:
     config: dict
 
     def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "valid_mass_before": self.valid_mass_before,
-            "fidelity_before": self.fidelity_before,
-            "valid_mass_after": self.valid_mass_after,
-            "fidelity_after": self.fidelity_after,
-            "events": [e.to_dict() for e in self.events],
-            "config": dict(self.config),
-        }
+        return {**asdict(self), "events": [e.to_dict() for e in self.events]}
 
 
 def ecc_experiment(scheme: ChecksumScheme, model: NoiseModel,
@@ -285,7 +278,6 @@ def ecc_experiment(scheme: ChecksumScheme, model: NoiseModel,
     fid_before = fidelity(psi_noisy, psi_ideal)
     try:
         psi_corrected = correct(psi_noisy, scheme, cfg)
-        # Freed so that the ideal state's complex copy adds no peak memory.
         del psi_noisy
         status = "ok"
         mass_after = checksum_valid_mass(psi_corrected, scheme)

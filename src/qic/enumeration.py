@@ -9,7 +9,7 @@ or an already-found solution is measured, or at the run cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -60,12 +60,7 @@ class RunRecord:
     new: bool
 
     def to_dict(self) -> dict:
-        return {
-            "run": self.run,
-            "measured": self.measured,
-            "verified": self.verified,
-            "new": self.new,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -76,12 +71,9 @@ class EnumerationReport:
     config: dict
 
     def to_dict(self) -> dict:
-        return {
-            "found": list(self.found),
-            "runs": [r.to_dict() for r in self.runs],
-            "termination": self.termination.value,
-            "config": dict(self.config),
-        }
+        return {**asdict(self), "found": list(self.found),
+                "runs": [r.to_dict() for r in self.runs],
+                "termination": self.termination.value}
 
 
 def verify(pred: Predicate, index: int) -> bool:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NormCollapse
+from .errors import NormCollapse, QicError
 from .predicate import Predicate, compile_mask
 from .state import (
     DEFAULT_COLLAPSE_TOL,
@@ -23,6 +23,7 @@ from .state import (
     _pairwise,
     apply_phase_mask,
     check_tolerance,
+    uniform_superposition,
 )
 
 import numpy as np
@@ -110,3 +111,31 @@ def interfere_repeated(psi: StateVector, pred: Predicate,
                        ) -> StateVector:
     """Apply ``cfg.passes`` interference passes, renormalizing after each."""
     return _interfere(psi, pred, cfg, cfg.passes)
+
+
+SWEEP_COLUMNS = ("epsilon", "passes", "predicted_ratio", "measured_ratio",
+                 "abs_error")
+
+
+def remnant_sweep(pred: Predicate, epsilons, passes,
+                  collapse_tol: float = DEFAULT_COLLAPSE_TOL) -> list[list]:
+    """One row of SWEEP_COLUMNS per (epsilon, passes), epsilon-major: the
+    closed form (epsilon / (2 - epsilon))^passes and the measured mean
+    invalid / mean valid magnitude from the uniform state (0.0 if all valid).
+    """
+    valid = compile_mask(pred, pred.register).valid
+    if not valid.any():
+        raise QicError("predicate has no valid components; ratio undefined")
+    all_valid = bool(valid.all())
+    uniform = uniform_superposition(pred.register)
+    rows = []
+    for eps in epsilons:
+        for r in passes:
+            cfg = InterferenceConfig(eps, r, collapse_tol)
+            mags = np.abs(interfere_repeated(uniform, pred, cfg).amplitudes)
+            measured = 0.0 if all_valid else float(
+                np.mean(mags[~valid]) / np.mean(mags[valid]))
+            predicted = (eps / (2.0 - eps)) ** r
+            rows.append([eps, r, predicted, measured,
+                         abs(measured - predicted)])
+    return rows

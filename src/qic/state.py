@@ -5,8 +5,10 @@ binary with qubit 0 as the least significant bit.  Bitstrings render most
 significant qubit first, so index 1 on a 3-qubit register is ``"001"``.
 Checksum qubits, when present, occupy the high indices ``n .. m-1``.
 
-All transforms are pure: the input state is never mutated and outputs own
-fresh amplitude arrays.
+All public transforms are pure: the input state is never mutated and
+outputs own fresh amplitude arrays.  The one exception is the private flip
+kernel ``_flip``, which may write over its source so that a chain of noise
+events runs in one owned buffer.
 """
 
 from __future__ import annotations
@@ -277,6 +279,29 @@ def apply_phase_mask(psi: StateVector, mask: PhaseMask) -> StateVector:
     return StateVector(psi.register, amps, normalized=psi.normalized, copy=False)
 
 
+def _flip(src: np.ndarray, out: np.ndarray, qubit: int, theta: float) -> None:
+    """Partial flip of ``src`` into complex128 ``out``, which may be ``src``.
+
+    out_i = cos(theta) src_i + i sin(theta) src_{i xor 2^qubit}, by the
+    whole-array expression's ufunc steps.  As (high bits, flipped bit, low
+    bits), reversing the middle axis pairs partners; each unit is a block of
+    rows, or of low bits when a row is longer than a block.
+    """
+    c, s = np.cos(theta), 1j * np.sin(theta)
+    half = 1 << qubit
+    pairs, outs = src.reshape(-1, 2, half), out.reshape(-1, 2, half)
+    step = min(_BLOCK, len(src))
+    rows, width = max(1, step // (2 * half)), min(half, step)
+    a = np.empty((rows, 2, width), dtype=np.complex128)
+    b = np.empty_like(a)
+    for i in range(0, len(pairs), rows):
+        for j in range(0, half, width):
+            unit = pairs[i:i + rows, :, j:j + width]
+            np.multiply(c, unit, out=a)
+            np.multiply(s, unit[:, ::-1, :], out=b)
+            np.add(a, b, out=outs[i:i + rows, :, j:j + width])
+
+
 def apply_partial_bit_flip(psi: StateVector, qubit: int,
                            theta: float) -> StateVector:
     """Apply the unitary cos(theta) I + i sin(theta) X_qubit.
@@ -287,9 +312,7 @@ def apply_partial_bit_flip(psi: StateVector, qubit: int,
     m = psi.register.total_qubits
     if not 0 <= qubit < m:
         raise IndexOutOfRange(f"qubit {qubit} outside [0, {m})")
-    # View as (high bits, flipped bit, low bits); reversing the middle
-    # axis pairs every index with its partner without copying it.
-    paired = psi.amplitudes.reshape(-1, 2, 1 << qubit)
-    amps = np.cos(theta) * paired + 1j * np.sin(theta) * paired[:, ::-1, :]
-    return StateVector(psi.register, amps.reshape(-1), normalized=psi.normalized,
+    amps = np.empty(psi.register.dimension, dtype=np.complex128)
+    _flip(psi.amplitudes, amps, qubit, theta)
+    return StateVector(psi.register, amps, normalized=psi.normalized,
                        copy=False)

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+
+import qic.state
 
 from qic.ecc import (
     ChecksumScheme,
@@ -16,7 +19,7 @@ from qic.ecc import (
     search_predicate,
 )
 from qic.errors import NormCollapse, ParseError, RegisterMismatch, SchemeInvalid
-from qic.interference import InterferenceConfig
+from qic.interference import InterferenceConfig, interfere_repeated
 from qic.predicate import Predicate, compile_mask
 from qic.state import (
     Register,
@@ -27,6 +30,8 @@ from qic.state import (
     norm_squared,
     uniform_superposition,
 )
+
+from conftest import dense_partial_flip
 
 
 def valid_set(scheme):
@@ -403,3 +408,166 @@ def test_correction_never_decreases_fidelity_or_mass():
         assert report.valid_mass_after <= 1 + 1e-9
         assert report.fidelity_after <= 1 + 1e-9
     assert collapsed < 50
+
+
+# Dense references for the streamed ecc path: the whole-array expressions
+# that the blocked kernels replaced.
+
+
+def _dense_noise(psi, model, seed):
+    rng = np.random.default_rng(seed)
+    amps, qubits = psi.amplitudes, []
+    for _ in range(model.events):
+        qubits.append(int(rng.integers(0, psi.register.total_qubits)))
+        amps = dense_partial_flip(amps, qubits[-1], model.theta)
+    return amps, qubits
+
+
+def _dense_mass(amps, scheme):
+    valid = compile_mask(checksum_predicate(scheme), scheme.register()).valid
+    return float(np.sum((np.abs(amps) ** 2)[valid]))
+
+
+def _per_index_encode(amps, scheme):
+    n = scheme.data_bits
+    out = np.zeros(scheme.register().dimension, dtype=amps.dtype)
+    for x in range(1 << n):
+        out[(scheme.checksum_of(x) << n) | x] = amps[x]
+    return out
+
+
+def _bits(amps):
+    return np.asarray(amps).view(np.uint64)
+
+
+def _random_data(rng, n, complex_state):
+    amps = rng.normal(size=1 << n)
+    if complex_state:
+        amps = amps + 1j * rng.normal(size=1 << n)
+    amps[rng.random(1 << n) < 0.2] = -0.0
+    return StateVector(Register(n), amps)
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    # 128-amplitude blocks, so registers from m = 8 up span several blocks.
+    monkeypatch.setattr(qic.state, "_BLOCK", 128)
+
+
+class TestStreamedEcc:
+    def test_checksum_of_is_the_parity_of_each_group(self):
+        rng = np.random.default_rng(2)
+        for _ in range(40):
+            scheme = _random_full_coverage_scheme(rng, int(rng.integers(1, 9)))
+            for x in range(1 << scheme.data_bits):
+                expected = sum(
+                    (sum(x >> bit & 1 for bit in group) & 1) << g
+                    for g, group in enumerate(scheme.groups))
+                assert scheme.checksum_of(x) == expected
+
+    def test_columns_do_not_enter_equality(self):
+        assert ChecksumScheme(2, ((1, 0),)) == ChecksumScheme(2, ((0, 1),))
+        assert ChecksumScheme(3, ((0, 1), (1, 2))).columns == (1, 3, 2)
+
+    def test_encode_matches_per_index_checksums(self, small_blocks):
+        rng = np.random.default_rng(3)
+        overlapping = 0
+        for trial in range(60):
+            n = int(rng.integers(1, 11))
+            scheme = _random_full_coverage_scheme(rng, n)
+            if scheme.register().total_qubits > 16:
+                continue
+            members = [b for group in scheme.groups for b in group]
+            overlapping += len(members) > len(set(members))
+            psi = _random_data(rng, n, bool(trial % 2))
+            out = encode(psi, scheme).amplitudes
+            expected = _per_index_encode(psi.amplitudes, scheme)
+            assert out.dtype == expected.dtype
+            assert np.array_equal(_bits(out), _bits(expected))
+        assert overlapping > 10
+
+    def test_encode_with_many_checksum_bits(self):
+        # Nine groups need a uint16 checksum.
+        scheme = ChecksumScheme(3, ((0,), (1,), (2,), (0, 1), (1, 2),
+                                    (0, 2), (0, 1, 2), (0,), (1,)))
+        psi = _random_data(np.random.default_rng(4), 3, True)
+        assert np.array_equal(
+            _bits(encode(psi, scheme).amplitudes),
+            _bits(_per_index_encode(psi.amplitudes, scheme)))
+
+    def test_inject_noise_matches_chained_dense_flips(self, small_blocks):
+        rng = np.random.default_rng(5)
+        for trial in range(40):
+            n = int(rng.integers(1, 10))
+            scheme = _random_full_coverage_scheme(rng, n)
+            if scheme.register().total_qubits > 12:
+                continue
+            psi = encode(_random_data(rng, n, bool(trial % 3 == 0)), scheme)
+            before = psi.amplitudes.copy()
+            model = NoiseModel(events=int(rng.integers(1, 7)),
+                               theta=float(rng.uniform(0.01, math.pi / 2)))
+            seed = int(rng.integers(2**32))
+            noisy, log = inject_noise(psi, model, np.random.default_rng(seed))
+            expected, qubits = _dense_noise(psi, model, seed)
+            assert [e.qubit for e in log] == qubits
+            assert np.array_equal(_bits(noisy.amplitudes), _bits(expected))
+            assert not noisy.amplitudes.flags.writeable
+            assert np.array_equal(_bits(psi.amplitudes), _bits(before))
+
+    def test_checksum_valid_mass_matches_dense_sum(self, small_blocks):
+        rng = np.random.default_rng(6)
+        for trial in range(40):
+            n = int(rng.integers(1, 10))
+            scheme = _random_full_coverage_scheme(rng, n)
+            m = scheme.register().total_qubits
+            if m > 14:
+                continue
+            psi = _random_data(rng, m, bool(trial % 2))
+            psi = StateVector(scheme.register(), psi.amplitudes)
+            assert (checksum_valid_mass(psi, scheme)
+                    == _dense_mass(psi.amplitudes, scheme))
+
+
+def test_ecc_report_matches_dense_reference_at_full_block_size():
+    # m = 18 with the real 2^16-amplitude blocks: flips on qubits 16 and 17
+    # pair whole blocks.
+    scheme = ChecksumScheme(16, (tuple(range(8)), tuple(range(8, 16))))
+    model = NoiseModel(events=6, theta=0.5)
+    cfg = InterferenceConfig(0.05, 2)
+    seed = 4
+    report = ecc_experiment(scheme, model, cfg, seed)
+
+    data = uniform_superposition(Register(16))
+    ideal = StateVector(scheme.register(),
+                        _per_index_encode(data.amplitudes, scheme),
+                        normalized=True)
+    noisy_amps, qubits = _dense_noise(ideal, model, seed)
+    assert max(qubits) >= 16
+    noisy = StateVector(scheme.register(), noisy_amps, normalized=True)
+    corrected = interfere_repeated(noisy, checksum_predicate(scheme), cfg)
+    assert [e.qubit for e in report.events] == qubits
+    assert report.valid_mass_before == _dense_mass(noisy_amps, scheme)
+    assert report.fidelity_before == fidelity(noisy, ideal)
+    assert report.valid_mass_after == _dense_mass(corrected.amplitudes, scheme)
+    assert report.fidelity_after == fidelity(corrected, ideal)
+
+
+def test_ecc_experiment_peak_memory(monkeypatch):
+    # The noisy, the ideal (complex for fidelity) and the corrected state
+    # coexist during correction; nothing else is state-sized.
+    monkeypatch.setattr(qic.state, "_BLOCK", 1024)
+    scheme = ChecksumScheme(12, (tuple(range(6)), tuple(range(6, 12))))
+    state_bytes = 16 << scheme.register().total_qubits
+
+    def run():
+        ecc_experiment(scheme, NoiseModel(events=6, theta=0.5),
+                       InterferenceConfig(0.05, 2), seed=7)
+
+    run()  # leaves the scheme's compiled flags in the cache
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * state_bytes, peak / state_bytes

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qic.state
-from qic.errors import NormCollapse
+from qic.errors import NormCollapse, QicError
 from qic.interference import (
     InterferenceConfig,
     interfere,
     interfere_repeated,
     mark_invalid,
+    remnant_sweep,
 )
 from qic.predicate import Predicate
 from qic.state import (
@@ -323,3 +324,25 @@ def test_blocked_kernel_matches_dense_reference_bitwise(seed, m, eps, passes,
         assert got.amplitudes.dtype == expected.dtype
         assert np.array_equal(got.amplitudes.view(np.uint64),
                               expected.view(np.uint64))
+
+
+class TestRemnantSweep:
+    def test_rows_match_closed_form(self):
+        reg = Register(3)
+        rows = remnant_sweep(Predicate(frozenset({1, 3}), reg), [0.0, 0.2],
+                             [1, 2])
+        assert [row[:2] for row in rows] == [[0.0, 1], [0.0, 2],
+                                             [0.2, 1], [0.2, 2]]
+        for eps, r, predicted, measured, error in rows:
+            assert predicted == (eps / (2.0 - eps)) ** r
+            assert error == abs(measured - predicted) < 1e-12
+
+    def test_all_valid_reads_zero(self):
+        reg = Register(2)
+        rows = remnant_sweep(Predicate(frozenset(range(4)), reg), [0.3], [1])
+        assert rows == [[0.3, 1, 0.3 / 1.7, 0.0, 0.3 / 1.7]]
+
+    def test_no_valid_component_is_an_error(self):
+        reg = Register(2)
+        with pytest.raises(QicError, match="no valid components"):
+            remnant_sweep(Predicate(frozenset(), reg), [0.1], [1])

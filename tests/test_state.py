@@ -22,7 +22,7 @@ from qic.state import (
     uniform_superposition,
 )
 
-from conftest import random_state
+from conftest import dense_partial_flip, random_state
 
 
 class _FixedDraw:
@@ -344,6 +344,42 @@ def test_partial_flip_inverts_with_negated_angle(seed, m, theta, qubit_pick):
     there = apply_partial_bit_flip(psi, qubit, theta)
     back = apply_partial_bit_flip(there, qubit, -theta)
     assert np.max(np.abs(back.amplitudes - psi.amplitudes)) < 1e-10
+
+
+def _bits(amps):
+    return amps.view(np.uint64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 12),
+    complex_state=st.booleans(),
+    data=st.data(),
+)
+def test_blocked_flip_matches_dense_reference_bitwise(seed, m, complex_state,
+                                                      data):
+    # 128-amplitude blocks: qubits 0-6 pair inside a block, qubits 7 and up
+    # pair a block with the one 2^qubit above it.
+    qubit = data.draw(st.integers(0, m - 1))
+    theta = data.draw(st.floats(0.0, math.pi / 2, exclude_min=True))
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=1 << m)
+    if complex_state:
+        amps = amps + 1j * rng.normal(size=1 << m)
+    amps[rng.random(1 << m) < 0.2] = -0.0
+    psi = StateVector(Register(m), amps)
+    before = psi.amplitudes.copy()
+    expected = dense_partial_flip(psi.amplitudes, qubit, theta)
+    in_place = psi.amplitudes.astype(np.complex128)
+    expected_in_place = dense_partial_flip(in_place, qubit, theta)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qic.state, "_BLOCK", 128)
+        got = apply_partial_bit_flip(psi, qubit, theta).amplitudes
+        qic.state._flip(in_place, in_place, qubit, theta)
+    assert np.array_equal(_bits(got), _bits(expected))
+    assert np.array_equal(_bits(in_place), _bits(expected_in_place))
+    assert np.array_equal(_bits(psi.amplitudes), _bits(before))
 
 
 def test_sampling_matches_distribution_within_tv_bound():
