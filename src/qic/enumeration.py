@@ -1,7 +1,10 @@
 """Iterative solution enumeration with exclusion of found solutions.
 
-Each run interferes the uniform superposition, prepared once, against the
-predicate extended with all solutions found so far, and measures once.
+Each run interferes the uniform superposition against the predicate
+extended with all solutions found so far, and measures once.  The uniform
+state is all fill blocks (see ``qic.state``), and interference keeps every
+block without a valid flag a scalar, so a run over a sparse solution set
+allocates, squares and scans only the blocks that hold a solution.
 A verified new solution is recorded and excluded from later runs; the
 loop ends when the state cancels completely (Exhausted), when a remnant
 or an already-found solution is measured, or at the run cap.
@@ -95,19 +98,16 @@ def enumerate_solutions(pred: Predicate, register: Register,
     found: list[int] = []
     records: list[RunRecord] = []
     termination = Termination.MAX_RUNS_REACHED
-    # Read-only, and interference never writes its input: one for all runs.
-    uniform = uniform_superposition(register)
     for run in range(1, max_runs + 1):
         working = with_exclusions(pred, found)
         try:
-            psi = interfere_repeated(uniform, working, cfg.interference)
+            psi = interfere_repeated(uniform_superposition(register), working,
+                                     cfg.interference)
         except NormCollapse:
             records.append(RunRecord(run, None, False, False))
             termination = Termination.EXHAUSTED
             break
         index = sample(psi, rng)
-        # Freed before the next run allocates its own output.
-        del psi
         is_solution = verify(pred, index)
         is_new = is_solution and index not in found
         records.append(

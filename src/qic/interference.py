@@ -18,9 +18,10 @@ from .predicate import Predicate, compile_mask
 from .state import (
     DEFAULT_COLLAPSE_TOL,
     StateVector,
-    _blocks,
-    _mass,
+    _block_mass,
+    _is_fill,
     _pairwise,
+    _parts,
     apply_phase_mask,
     check_tolerance,
     uniform_superposition,
@@ -52,46 +53,75 @@ def mark_invalid(psi: StateVector, pred: Predicate) -> StateVector:
 
 def _interfere(psi: StateVector, pred: Predicate, cfg: InterferenceConfig,
                passes: int) -> StateVector:
-    """Run ``passes`` passes into one owned output, a block at a time.
+    """Run ``passes`` passes, a block at a time.
 
     Per amplitude the rounding steps are those of whole-array passes:
     times the weight, then, in each later pass, times the previous pass's
     1/sqrt(surviving) and times the weight again; the last pass's factor
-    is applied once the last surviving mass is known.
+    is applied once the last surviving mass is known.  A fill block with
+    no valid flag stays a scalar through the same steps; every other block
+    is a row of one owned buffer, which for a dense input is the dense
+    output.
     """
     valid = compile_mask(pred, psi.register).valid
-    amps = psi.amplitudes
-    out = np.empty_like(amps)
-    blocks = _blocks(len(amps))
-    weights = np.empty(blocks[0].stop)
-    mass = np.empty(blocks[0].stop)
+    parts = _parts(psi)
+    step = parts[0][0].stop
+    flagged = [bool(valid[block].any()) for block, _ in parts]
+    scalar = [_is_fill(part) and not has_flags
+              for (_, part), has_flags in zip(parts, flagged)]
+    if psi._parts is None:
+        out = np.empty_like(psi._dense)
+        rows = out.reshape(-1, step)
+    else:
+        out = None
+        dtypes = {part.dtype for _, part in parts if not _is_fill(part)}
+        rows = np.empty((scalar.count(False), step),
+                        dtype=np.result_type(np.float64, *dtypes))
+    rows = iter(rows)
+    segs = [part if keep else next(rows)
+            for (_, part), keep in zip(parts, scalar)]
+    weights = np.empty(step)
+    mass = np.empty(step)
     # Indexed by a flag: epsilon for invalid, 2 - epsilon for valid.
     levels = np.array([cfg.leakage, 2.0 - cfg.leakage])
     scale = None
     for _ in range(passes):
-        sums = []
-        for block in blocks:
-            seg = out[block]
+        sums, fill_sums = [], {}
+        for i, ((block, part), has_flags) in enumerate(zip(parts, flagged)):
+            seg = segs[i]
             if scale is None:
-                source = amps[block]
+                source = part
+            elif _is_fill(seg):
+                source = seg * scale
             else:
                 seg *= scale
                 source = seg
-            flags = valid[block]
-            if flags.any():
-                levels.take(flags.view(np.uint8), out=weights, mode="clip")
+            if has_flags:
+                levels.take(valid[block].view(np.uint8), out=weights,
+                            mode="clip")
                 np.multiply(source, weights, out=seg)
+            elif _is_fill(seg):
+                seg = segs[i] = source * levels[0]
             else:
                 # Solutions are rare: most blocks need no weights array.
                 np.multiply(source, levels[0], out=seg)
-            sums.append(np.sum(_mass(seg, mass)))
+            sums.append(_block_mass(seg, mass, fill_sums))
         surviving = _pairwise(sums)
         if surviving < cfg.collapse_tol:
             raise NormCollapse(surviving, cfg.collapse_tol)
         # As numpy's complex / real does, up to the sign of a zero amplitude.
         scale = 1.0 / np.sqrt(surviving)
-    out *= scale
-    return StateVector(psi.register, out, normalized=True, copy=False)
+    for i, seg in enumerate(segs):
+        if _is_fill(seg):
+            segs[i] = seg * scale
+        else:
+            seg *= scale
+            seg.flags.writeable = False
+    if out is not None:
+        return StateVector(psi.register, out, normalized=True, copy=False)
+    return StateVector._of_parts(
+        psi.register, [(block, seg) for (block, _), seg in zip(parts, segs)],
+        normalized=True)
 
 
 def interfere(psi: StateVector, pred: Predicate,
@@ -122,20 +152,28 @@ def remnant_sweep(pred: Predicate, epsilons, passes,
     """One row of SWEEP_COLUMNS per (epsilon, passes), epsilon-major: the
     closed form (epsilon / (2 - epsilon))^passes and the measured mean
     invalid / mean valid magnitude from the uniform state (0.0 if all valid).
+
+    Per epsilon, the distinct pass counts run as one chain of passes, which
+    gives the bits of a separate multi-pass call for each.
     """
     valid = compile_mask(pred, pred.register).valid
     if not valid.any():
         raise QicError("predicate has no valid components; ratio undefined")
     all_valid = bool(valid.all())
-    uniform = uniform_superposition(pred.register)
+    passes = list(passes)
     rows = []
     for eps in epsilons:
+        # Every cell's config, checked in the caller's order.
+        cfgs = {r: InterferenceConfig(eps, r, collapse_tol) for r in passes}
+        psi, done, measured = uniform_superposition(pred.register), 0, {}
+        for r in sorted(cfgs):
+            psi = _interfere(psi, pred, cfgs[r], r - done)
+            done = r
+            amps = psi.amplitudes
+            measured[r] = 0.0 if all_valid else float(
+                np.mean(np.abs(amps[~valid])) / np.mean(np.abs(amps[valid])))
         for r in passes:
-            cfg = InterferenceConfig(eps, r, collapse_tol)
-            mags = np.abs(interfere_repeated(uniform, pred, cfg).amplitudes)
-            measured = 0.0 if all_valid else float(
-                np.mean(mags[~valid]) / np.mean(mags[valid]))
             predicted = (eps / (2.0 - eps)) ** r
-            rows.append([eps, r, predicted, measured,
-                         abs(measured - predicted)])
+            rows.append([eps, r, predicted, measured[r],
+                         abs(measured[r] - predicted)])
     return rows

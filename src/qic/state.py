@@ -9,6 +9,13 @@ All public transforms are pure: the input state is never mutated and
 outputs own fresh amplitude arrays.  The one exception is the private flip
 kernel ``_flip``, which may write over its source so that a chain of noise
 events runs in one owned buffer.
+
+A state may hold its aligned blocks privately, each an array or a *fill*
+scalar that every amplitude of the block equals.  The uniform state is all
+fill, and interference keeps a flag-free fill block a scalar, so an
+enumeration run over a sparse solution set stores, squares and scans only
+the blocks that hold a solution.  ``amplitudes`` materialises the dense
+array on first access.
 """
 
 from __future__ import annotations
@@ -69,7 +76,7 @@ class StateVector:
     the transforms give a real state the same bits in either dtype.
     """
 
-    __slots__ = ("register", "amplitudes", "normalized")
+    __slots__ = ("register", "normalized", "_dense", "_parts")
 
     def __init__(self, register: Register, amplitudes, normalized: bool = False,
                  copy: bool = True):
@@ -82,8 +89,28 @@ class StateVector:
             )
         arr.flags.writeable = False
         self.register = register
-        self.amplitudes = arr
         self.normalized = normalized
+        self._dense = arr
+        # For a state built in blocks: (block, array or float64 fill) pairs.
+        self._parts = None
+
+    @classmethod
+    def _of_parts(cls, register: Register, parts: list,
+                  normalized: bool) -> "StateVector":
+        """Wrap read-only block parts that no caller holds: no checks."""
+        psi = cls.__new__(cls)
+        psi.register = register
+        psi.normalized = normalized
+        psi._dense = None
+        psi._parts = parts
+        return psi
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """The 2^m amplitudes, read-only; built on first access."""
+        if self._dense is None:
+            self._dense = _materialise(self._parts, self.register.dimension)
+        return self._dense
 
     def __repr__(self):
         m = self.register.total_qubits
@@ -135,10 +162,15 @@ class PhaseMask:
 
 
 def uniform_superposition(register: Register) -> StateVector:
-    """Equal-amplitude state: every component is 2^(-m/2)."""
+    """Equal-amplitude state: every component is 2^(-m/2).
+
+    Every block is a fill, so the state allocates no amplitude array.
+    """
     dim = register.dimension
-    amps = np.full(dim, 1.0 / np.sqrt(dim))
-    return StateVector(register, amps, normalized=True, copy=False)
+    fill = 1.0 / np.sqrt(dim)
+    return StateVector._of_parts(register, [(block, fill)
+                                            for block in _blocks(dim)],
+                                 normalized=True)
 
 
 def basis_state(register: Register, index: int) -> StateVector:
@@ -164,6 +196,35 @@ def _blocks(dim: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, dim, step)]
 
 
+def _parts(psi: StateVector) -> list:
+    """psi's aligned blocks, each paired with an array or a fill scalar."""
+    if psi._parts is not None:
+        return psi._parts
+    amps = psi._dense
+    return [(block, amps[block]) for block in _blocks(len(amps))]
+
+
+def _is_fill(part) -> bool:
+    return not isinstance(part, np.ndarray)
+
+
+def _materialise(parts: list, dim: int) -> np.ndarray:
+    """The read-only dense array of block parts.
+
+    One fill throughout becomes a zero-stride view, which allocates nothing.
+    """
+    fill = parts[0][1]
+    if all(_is_fill(part) and part.tobytes() == fill.tobytes()
+           for _, part in parts):
+        return np.broadcast_to(fill, dim)
+    dtypes = {part.dtype for _, part in parts if not _is_fill(part)}
+    amps = np.empty(dim, dtype=np.result_type(np.float64, *dtypes))
+    for block, part in parts:
+        amps[block] = part
+    amps.flags.writeable = False
+    return amps
+
+
 def _mass(amps: np.ndarray, out: np.ndarray) -> np.ndarray:
     """|amps|^2 into the float64 array ``out``, which is returned."""
     if amps.dtype == np.float64:
@@ -180,12 +241,26 @@ def _pairwise(sums: list) -> float:
     return float(sums[0])
 
 
+def _block_mass(part, scratch: np.ndarray, fill_sums: dict):
+    """np.sum of |part|^2 in the block-sized float64 ``scratch``.
+
+    A fill's sum is taken once per value and kept in ``fill_sums``.
+    """
+    if not _is_fill(part):
+        return np.sum(_mass(part, scratch))
+    if part not in fill_sums:
+        scratch.fill(part * part)
+        fill_sums[part] = np.sum(scratch)
+    return fill_sums[part]
+
+
 def norm_squared(psi: StateVector) -> float:
     # np.sum of |amp|^2, bit for bit, in block-sized scratch.
-    blocks = _blocks(psi.register.dimension)
-    scratch = np.empty(blocks[0].stop)
-    return _pairwise([np.sum(_mass(psi.amplitudes[block], scratch))
-                      for block in blocks])
+    parts = _parts(psi)
+    scratch = np.empty(parts[0][0].stop)
+    fill_sums = {}
+    return _pairwise([_block_mass(part, scratch, fill_sums)
+                      for _, part in parts])
 
 
 def check_tolerance(tol: float, name: str = "tol") -> None:
@@ -210,7 +285,46 @@ def probability(psi: StateVector, index: int) -> float:
         raise IndexOutOfRange(
             f"index {index} outside [0, {psi.register.dimension})"
         )
-    return float(abs(psi.amplitudes[index]) ** 2)
+    parts = _parts(psi)
+    block, part = parts[index // parts[0][0].stop]
+    value = part if _is_fill(part) else part[index - block.start]
+    return float(abs(value) ** 2)
+
+
+def _constant_run_end(carry: float, v: float, count: int) -> float:
+    """``np.cumsum([carry, v, ..., v])[-1]`` for ``count`` copies of v >= 0.
+
+    While the running sum s stays below 2^53 u, where u is its ulp, every
+    sum is a multiple of u, so fl(s + v) is s plus v rounded to a multiple
+    of u.  That step does not depend on s unless v is a tie (an odd
+    multiple of u/2, rounded to even), so such a stretch is jumped in
+    exact integer multiples of u.  The add that leaves it is done in
+    floats; a tie falls back to np.cumsum of the rest.
+    """
+    s, v = float(carry), float(v)
+    while count:
+        q = math.frexp(math.ulp(s))[1] - 1  # u = 2^q
+        num, den = v.as_integer_ratio()
+        shift = den.bit_length() - 1 + q  # v / u = num / 2^shift
+        if shift <= 0:
+            step = num << -shift
+        else:
+            rest, half = num & ((1 << shift) - 1), 1 << (shift - 1)
+            if rest == half:
+                run = np.full(count + 1, v)
+                run[0] = s
+                return float(np.cumsum(run, out=run)[-1])
+            step = (num >> shift) + (rest > half)
+        if step == 0:
+            return s  # every add rounds back to s
+        units = int(math.ldexp(s, -q))
+        jumps = min(count, ((1 << 53) - 1 - units) // step)
+        s = math.ldexp(units + jumps * step, q)
+        count -= jumps
+        if count:
+            s += v
+            count -= 1
+    return s
 
 
 def sample(psi: StateVector, rng: np.random.Generator,
@@ -223,38 +337,48 @@ def sample(psi: StateVector, rng: np.random.Generator,
     index always has nonzero probability.
     """
     check_tolerance(tol)
-    amps = psi.amplitudes
+    parts = _parts(psi)
     total = None
     if not psi.normalized:
         total = norm_squared(psi)
         if total < tol:
             raise NormCollapse(total, tol)
-    blocks = _blocks(len(amps))
     # Slot 0 carries the running sum into the block, so np.cumsum, which
     # adds strictly in order, continues the whole state's running sum.
-    scan = np.empty(blocks[0].stop + 1)
+    step = parts[0][0].stop
+    scan = np.empty(step + 1)
 
-    def running_sum(block: slice, carry: float) -> float:
+    def fill_mass(fill) -> float:
+        w = fill * fill
+        return w if total is None else w / total
+
+    def running_sum(part, carry: float) -> float:
         scan[0] = carry
-        _mass(amps[block], scan[1:])
-        if total is not None:
-            scan[1:] /= total
+        if _is_fill(part):
+            scan[1:] = fill_mass(part)
+        else:
+            _mass(part, scan[1:])
+            if total is not None:
+                scan[1:] /= total
         np.cumsum(scan, out=scan)
         return float(scan[-1])
 
-    # Only the running sum into each block and at the end is kept.
+    # Only the running sum into each block and at the end is kept; a fill
+    # block's end comes in closed form.
     ends = [0.0]
-    for block in blocks:
-        ends.append(running_sum(block, ends[-1]))
+    for _, part in parts:
+        ends.append(_constant_run_end(ends[-1], fill_mass(part), step)
+                    if _is_fill(part) else running_sum(part, ends[-1]))
     if not ends[-1] > 0:
         raise NormCollapse(ends[-1], tol)
     # Scaling by the rounded total keeps u below ends[-1], so the first
     # entry above u ends a step of nonzero probability.
     u = rng.random() * ends[-1]
     b = bisect.bisect_right(ends, u) - 1
-    if b < len(blocks) - 1:  # the scan still holds the last block
-        running_sum(blocks[b], ends[b])
-    return blocks[b].start + int(np.searchsorted(scan[1:], u, side="right"))
+    block, part = parts[b]
+    if b < len(parts) - 1 or _is_fill(part):  # else the scan holds it
+        running_sum(part, ends[b])
+    return block.start + int(np.searchsorted(scan[1:], u, side="right"))
 
 
 def fidelity(psi: StateVector, phi: StateVector) -> float:

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qic.state
 from qic.enumeration import (
@@ -201,3 +203,96 @@ def test_enumeration_holds_at_most_two_state_arrays(monkeypatch):
     assert report.termination == Termination.EXHAUSTED
     assert len(report.found) == 17
     assert peak < 3 * np.dtype(np.float64).itemsize << m
+
+
+def test_sparse_enumeration_peaks_below_one_state_array(monkeypatch):
+    # Flag-free blocks stay scalars: no run allocates a 2^m array.
+    monkeypatch.setattr(qic.state, "_BLOCK", 1024)
+    m = 14
+    reg = Register(m)
+    pred = Predicate(frozenset({3, 5000, 16000}), reg)
+    cfg = RunConfig(seed=5, interference=InterferenceConfig(passes=3))
+    enumerate_solutions(Predicate(frozenset({1}), Register(3)), Register(3),
+                        cfg)  # first calls import and cache what they need
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        report = enumerate_solutions(pred, reg, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert report.termination == Termination.EXHAUSTED
+    assert len(report.found) == 3
+    assert peak < np.dtype(np.float64).itemsize << m
+
+
+def _dense_enumeration(valid_set, reg, cfg):
+    """The enumeration loop on whole arrays, kept as reference: each run
+    interferes a dense uniform state and draws from a 2^m running sum."""
+    dim = reg.dimension
+    eps = cfg.interference.leakage
+    rng = np.random.default_rng(cfg.seed)
+    found, runs = [], []
+    termination = Termination.MAX_RUNS_REACHED
+    for run in range(1, cfg.max_runs + 1):
+        flags = np.isin(np.arange(dim), sorted(valid_set - set(found)))
+        weights = np.where(flags, 2.0 - eps, eps)
+        out = np.full(dim, 1.0 / np.sqrt(dim)) * weights
+        for done in range(cfg.interference.passes):
+            if done:
+                out *= weights
+            surviving = float(np.sum(np.square(out)))
+            if surviving < cfg.interference.collapse_tol:
+                out = None
+                break
+            out *= 1.0 / np.sqrt(surviving)
+        if out is None:
+            runs.append((run, None, False, False))
+            termination = Termination.EXHAUSTED
+            break
+        cumulative = np.cumsum(np.square(out))
+        index = int(np.searchsorted(cumulative, rng.random() * cumulative[-1],
+                                    side="right"))
+        is_solution = index in valid_set
+        is_new = is_solution and index not in found
+        runs.append((run, reg.bitstring(index), is_solution, is_new))
+        if is_new:
+            found.append(index)
+            continue
+        termination = (Termination.REPEAT_MEASURED if is_solution
+                       else Termination.REMNANT_MEASURED)
+        break
+    return [reg.bitstring(i) for i in found], runs, termination
+
+
+def _valid_set(kind, rng, m):
+    dim = 1 << m
+    if kind == "all":
+        return set(range(dim))
+    if kind == "one-per-block":
+        return {start + int(rng.integers(min(128, dim)))
+                for start in range(0, dim, 128)}
+    if kind == "few":
+        return {int(i) for i in rng.integers(0, dim, int(rng.integers(0, 4)))}
+    return {int(i) for i in np.flatnonzero(rng.random(dim) < rng.random())}
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 14),
+       kind=st.sampled_from(["all", "one-per-block", "few", "random"]),
+       eps=st.one_of(st.just(0.0), st.floats(0.0, 0.9)),
+       passes=st.integers(1, 4))
+def test_enumeration_reports_match_dense_reference(seed, m, kind, eps, passes):
+    reg = Register(m)
+    valid = _valid_set(kind, np.random.default_rng(seed), m)
+    cfg = RunConfig(seed=seed, max_runs=6,
+                    interference=InterferenceConfig(eps, passes))
+    # 128-amplitude blocks, so that registers from m = 8 up span several.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qic.state, "_BLOCK", 128)
+        report = enumerate_solutions(Predicate(frozenset(valid), reg), reg,
+                                     cfg)
+    found, runs, termination = _dense_enumeration(valid, reg, cfg)
+    assert list(report.found) == found
+    assert [(r.run, r.measured, r.verified, r.new) for r in report.runs] == runs
+    assert report.termination is termination

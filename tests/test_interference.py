@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -341,6 +342,32 @@ class TestRemnantSweep:
         reg = Register(2)
         rows = remnant_sweep(Predicate(frozenset(range(4)), reg), [0.3], [1])
         assert rows == [[0.3, 1, 0.3 / 1.7, 0.0, 0.3 / 1.7]]
+
+    def test_rows_match_per_cell_interference_bitwise(self, monkeypatch):
+        # 128-amplitude blocks, so the 2^9 state spans several; the sparse
+        # predicate leaves two of them flag-free.
+        monkeypatch.setattr(qic.state, "_BLOCK", 128)
+        epsilons = [0.3, 0.0, 0.05]
+        for pred, passes in itertools.product(
+                [_random_case(3, 9), Predicate(frozenset({5, 300}),
+                                               Register(9))],
+                [[3, 1, 3, 2], [2, 2], [4, 1], [1]]):
+            valid = np.isin(np.arange(1 << 9), list(pred.source))
+            rows = remnant_sweep(pred, epsilons, passes)
+            expected = []
+            for eps in epsilons:
+                for r in passes:
+                    cfg = InterferenceConfig(eps, r)
+                    mags = np.abs(interfere_repeated(
+                        uniform_superposition(pred.register), pred,
+                        cfg).amplitudes)
+                    measured = float(np.mean(mags[~valid])
+                                     / np.mean(mags[valid]))
+                    predicted = (eps / (2.0 - eps)) ** r
+                    expected.append([eps, r, predicted, measured,
+                                     abs(measured - predicted)])
+            assert ([[float(x).hex() for x in row] for row in rows]
+                    == [[float(x).hex() for x in row] for row in expected])
 
     def test_no_valid_component_is_an_error(self):
         reg = Register(2)

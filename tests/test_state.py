@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from qic.state import (
     sample,
     uniform_superposition,
 )
+from qic.state import _constant_run_end
 
 from conftest import dense_partial_flip, random_state
 
@@ -507,6 +509,49 @@ class TestBlockedReductions:
                     StateVector(Register(m), rng.normal(size=1 << m))):
             assert norm_squared(psi) == float(np.sum(np.abs(psi.amplitudes) ** 2))
 
+    def test_fill_blocks_read_like_their_dense_copy(self):
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            m = int(rng.integers(1, 13))
+            blocks = qic.state._blocks(1 << m)
+            # A few fill values, some shared, beside random array blocks.
+            values = rng.random(3) * 2.0 ** rng.integers(-8, 3, 3)
+            if seed % 5 == 0:
+                values[0] = 0.0
+            parts = []
+            for block in blocks:
+                if rng.random() < 0.3:
+                    part = rng.normal(size=block.stop - block.start)
+                    part.flags.writeable = False
+                else:
+                    part = values[rng.integers(3)]
+                parts.append((block, part))
+            psi = StateVector._of_parts(Register(m), parts,
+                                        normalized=bool(seed % 2))
+            dense = StateVector(psi.register, psi.amplitudes,
+                                normalized=psi.normalized)
+            assert psi.amplitudes.dtype == np.float64
+            assert not psi.amplitudes.flags.writeable
+            assert norm_squared(psi) == norm_squared(dense)
+            for index in rng.integers(0, 1 << m, 5):
+                assert probability(psi, index) == probability(dense, index)
+            if not norm_squared(dense) > 0:
+                with pytest.raises(NormCollapse):
+                    sample(psi, _FixedDraw(0.5))
+                continue
+            for draw in range(5):
+                u = float(rng.random())
+                assert (sample(psi, _FixedDraw(u))
+                        == sample(dense, _FixedDraw(u))
+                        == _dense_sample(dense, u)[0]), (seed, u)
+
+    def test_one_fill_throughout_materialises_as_a_view(self):
+        psi = uniform_superposition(Register(12))
+        amps = psi.amplitudes
+        assert amps.strides == (0,) and not amps.flags.writeable
+        assert np.array_equal(amps, np.full(1 << 12, 2.0**-6))
+        assert psi.amplitudes is amps
+
 
 def test_numpy_sum_is_the_pairwise_tree_of_its_128_blocks():
     rng = np.random.default_rng(7)
@@ -520,3 +565,124 @@ def test_numpy_sum_is_the_pairwise_tree_of_its_128_blocks():
             "float64 array is no longer the pairwise tree of its aligned "
             "128-element block sums, which the blocked reductions of "
             "qic.state (_BLOCK, _pairwise) rely on for unchanged bits")
+
+
+def test_numpy_cumsum_adds_strictly_in_order():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3, 127, 128, 129, 1000, 65536, 65537, 70000):
+        x = rng.random(n) * 2.0 ** rng.integers(-60, 60, n)
+        expected, total = [], 0.0
+        for value in x.tolist():
+            total += value
+            expected.append(total)
+        np.cumsum(x, out=x)  # aliased, as sample scans its buffer
+        assert np.array_equal(x.view(np.uint64),
+                              np.array(expected).view(np.uint64)), (
+            f"numpy contract broken at {n} elements: np.cumsum over a "
+            "float64 array, written in place, no longer adds strictly in "
+            "index order, which qic.state.sample (and the closed-form run "
+            "ends of _constant_run_end) rely on for unchanged bits")
+
+
+def _cumsum_end(carry, v, count):
+    run = np.full(count + 1, v)
+    run[0] = carry
+    return float(np.cumsum(run)[-1])
+
+
+class TestConstantRunEnd:
+    """The closed-form end of a constant run against np.cumsum, bitwise."""
+
+    def check(self, carry, v, count):
+        got = _constant_run_end(carry, v, count)
+        expected = _cumsum_end(carry, v, count)
+        assert got.hex() == expected.hex(), (carry, v, count)
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 7, 64, 1000,
+                                       2**16 - 1, 2**16, 2**16 + 1])
+    def test_carry_of_zero(self, count):
+        rng = np.random.default_rng(count)
+        for v in [1.0, 0.1, 2.0**-23, 1 / 3, *rng.random(20).tolist()]:
+            self.check(0.0, v, count)
+
+    def test_every_count_up_to_a_few_hundred(self):
+        for count in range(1, 300):
+            self.check(0.0, 0.1, count)
+            self.check(0.37, 1e-3 / 3, count)
+
+    def test_carry_below_v(self):
+        rng = np.random.default_rng(2)
+        for _ in range(200):
+            v = float(rng.random())
+            self.check(v * float(rng.random()), v, int(rng.integers(1, 5000)))
+
+    def test_carry_far_above_v_gets_stuck(self):
+        # v below half an ulp of the carry: every add rounds back.
+        self.check(1.0, 2.0**-54, 2**16 + 1)
+        self.check(1.0, 2.0**-53 * 0.75, 2**16)
+        assert _constant_run_end(1.0, 2.0**-60, 2**16) == 1.0
+        # v just above half an ulp: every add moves by one ulp.
+        self.check(1.0, 2.0**-53 * 1.25, 2**16 + 1)
+
+    def test_subnormal_v(self):
+        tiny = 5e-324
+        for v in (tiny, 3 * tiny, 2.0**-1030, 2.0**-1022 - tiny):
+            for carry in (0.0, tiny, 2.0**-1022, 1e-300):
+                for count in (1, 2, 1000, 2**16 + 1):
+                    self.check(carry, v, count)
+
+    def test_exact_ties(self):
+        # v an odd multiple of half the sum's ulp: rounding goes to even.
+        for v, carry in [(2.0**-53, 1.0), (3 * 2.0**-53, 1.0),
+                         (1 + 2.0**-52, 0.0), (2.0**-53, 1 + 2.0**-52)]:
+            for count in (1, 2, 3, 100, 2**16 + 1):
+                self.check(carry, v, count)
+
+    def test_runs_across_several_binades(self):
+        for v in (1.0, 0.3, 1e-5, 2.0**-40 * 3):
+            self.check(0.0, v, 2**16 + 1)
+            self.check(v / 7, v, 2**16)
+
+    def test_random_cases(self):
+        rng = np.random.default_rng(5)
+        ties = 0
+        for _ in range(3000):
+            v = float(rng.random() * 2.0 ** rng.integers(-80, 4))
+            if rng.random() < 0.3:
+                # Round v to a few bits so that ties are common.
+                v = float(np.round(v * 2.0**12) / 2.0**12) or 2.0**-12
+            carry = float(rng.random() * 2.0 ** rng.integers(-90, 10))
+            if rng.random() < 0.2:
+                carry = 0.0
+            count = int(rng.integers(1, 3000))
+            self.check(carry, v, count)
+            ties += _is_tie_somewhere(carry, v, count)
+        assert ties > 100
+
+
+def _is_tie_somewhere(carry, v, count):
+    """Whether some add of the run is a tie, checked one add at a time."""
+    s = carry
+    for _ in range(count):
+        u = math.ulp(s)
+        if math.fmod(v, u) * 2 == u:
+            return True
+        s += v
+    return False
+
+
+def test_sample_on_a_uniform_state_allocates_only_block_scratch():
+    psi = uniform_superposition(Register(20))
+    sample(psi, np.random.default_rng(0))  # first calls import what they need
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        draws = [sample(psi, np.random.default_rng(seed)) for seed in range(5)]
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert draws == [sample(StateVector(psi.register, psi.amplitudes,
+                                        normalized=True),
+                            np.random.default_rng(seed)) for seed in range(5)]
+    # One scan of a block plus its carry slot, and small change.
+    assert peak < 8 * (qic.state._BLOCK + 1) + 4096
