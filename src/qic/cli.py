@@ -34,7 +34,8 @@ from .state import Register, probability, uniform_superposition
 
 DEMO_QUBITS = 3
 DEMO_VALID = (1, 3)
-# Sweep grids run one interference per cell; cap the points per axis.
+# Sweep grids run one interference per cell; cap the points per axis, and
+# every pass or noise-event count likewise.
 MAX_RANGE_POINTS = 10_000
 
 
@@ -120,14 +121,27 @@ def parse_range(text: str) -> list[float]:
     return values
 
 
+def _count(name: str, value: int) -> int:
+    """The pass or event count ``value``, refused above MAX_RANGE_POINTS."""
+    if value > MAX_RANGE_POINTS:
+        raise ValueError(f"{name} {value} exceeds the limit of "
+                         f"{MAX_RANGE_POINTS}")
+    return value
+
+
 def _int_range(text: str) -> list[int]:
     values = []
     for value in parse_range(text):
         rounded = round(value)
         if abs(value - rounded) > 1e-9 or rounded < 1:
             raise ValueError(f"range {text!r} must contain integers >= 1")
-        values.append(int(rounded))
+        values.append(_count("--passes", int(rounded)))
     return values
+
+
+def _interference_config(args) -> InterferenceConfig:
+    return InterferenceConfig(args.epsilon, _count("--passes", args.passes),
+                              args.collapse_tol)
 
 
 def _build_predicate(args, register: Register) -> tuple[Predicate, dict]:
@@ -135,7 +149,8 @@ def _build_predicate(args, register: Register) -> tuple[Predicate, dict]:
         source = parse_expr(args.expr)
         config = {"kind": "expr", "text": args.expr}
     elif args.cnf is not None:
-        source = parse_dimacs(Path(args.cnf).read_text())
+        # One character per byte, so parse offsets count bytes.
+        source = parse_dimacs(Path(args.cnf).read_bytes().decode("latin-1"))
         config = {"kind": "cnf", "path": args.cnf}
     else:
         source = frozenset(args.valid)
@@ -157,7 +172,7 @@ def _distribution(register: Register, pred: Predicate,
 def _run_demo(args) -> str:
     register = Register(DEMO_QUBITS)
     pred = Predicate(frozenset(DEMO_VALID), register)
-    icfg = InterferenceConfig(args.epsilon, args.passes, args.collapse_tol)
+    icfg = _interference_config(args)
     distribution = _distribution(register, pred, icfg)
     report = enumerate_solutions(pred, register,
                                  RunConfig(seed=args.seed, interference=icfg))
@@ -205,7 +220,7 @@ def _run_demo(args) -> str:
 def _run_solve(args) -> str:
     register = Register(args.qubits)
     pred, source_config = _build_predicate(args, register)
-    icfg = InterferenceConfig(args.epsilon, args.passes, args.collapse_tol)
+    icfg = _interference_config(args)
     run_cfg = RunConfig(seed=args.seed, interference=icfg,
                         max_runs=args.max_runs)
     report = enumerate_solutions(pred, register, run_cfg)
@@ -233,9 +248,10 @@ def _run_sweep(args) -> str:
 
 
 def _run_ecc(args) -> str:
+    _count("--events", args.events)
     scheme = parse_scheme(args.parity, args.data_qubits)
     model = NoiseModel(events=args.events, theta=args.theta)
-    icfg = InterferenceConfig(args.epsilon, args.passes, args.collapse_tol)
+    icfg = _interference_config(args)
     report = ecc_experiment(scheme, model, icfg, args.seed)
     if args.format == "csv":
         metrics = ("status", "valid_mass_before", "fidelity_before",

@@ -1,10 +1,8 @@
 """Iterative solution enumeration with exclusion of found solutions.
 
 Each run interferes the uniform superposition against the predicate
-extended with all solutions found so far, and measures once.  The uniform
-state is all fill blocks (see ``qic.state``), and interference keeps every
-block without a valid flag a scalar, so a run over a sparse solution set
-allocates, squares and scans only the blocks that hold a solution.
+extended with all solutions found so far, and measures once; ``qic.state``
+keeps such a run over a sparse solution set free of 2^m arrays.
 A verified new solution is recorded and excluded from later runs; the
 loop ends when the state cancels completely (Exhausted), when a remnant
 or an already-found solution is measured, or at the run cap.

@@ -303,7 +303,7 @@ def _tokenize(text: str) -> list[tuple[str, int, int]]:
     pos = 0
     while pos < len(text):
         ch = text[pos]
-        if ch.isspace():
+        if ch in " \t\n\r\v\f":  # ASCII only, so offsets count bytes
             pos += 1
             continue
         if ch in _SINGLE_CHAR_TOKENS:

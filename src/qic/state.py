@@ -11,11 +11,12 @@ kernel ``_flip``, which may write over its source so that a chain of noise
 events runs in one owned buffer.
 
 A state may hold its aligned blocks privately, each an array or a *fill*
-scalar that every amplitude of the block equals.  The uniform state is all
-fill, and interference keeps a flag-free fill block a scalar, so an
-enumeration run over a sparse solution set stores, squares and scans only
-the blocks that hold a solution.  ``amplitudes`` materialises the dense
-array on first access.
+scalar that every amplitude of the block equals.  This module alone knows
+that format, so it also owns the interference pass kernel ``_interfere``.
+The uniform state is all fill, and the kernel keeps a flag-free fill block
+a scalar, so an enumeration run over a sparse solution set stores, squares
+and scans only the blocks that hold a solution.  ``amplitudes``
+materialises the dense array on first access.
 """
 
 from __future__ import annotations
@@ -263,6 +264,63 @@ def norm_squared(psi: StateVector) -> float:
                       for _, part in parts])
 
 
+def _interfere(psi: StateVector, valid: np.ndarray, leakage: float,
+               passes: int, tol: float) -> StateVector:
+    """``passes`` interference passes against 2^m bool ``valid`` flags.
+
+    Each pass scales valid amplitudes by 2 - leakage and invalid ones by
+    leakage and renormalises (NormCollapse below ``tol``), with the rounding
+    steps of whole-array passes: times the weight, then per later pass
+    times the previous 1/sqrt(surviving) and the weight; the last factor
+    comes once the last surviving mass is known.  A flag-free fill block
+    stays a scalar through the same steps; every other block is a row of
+    one owned buffer, the output's dense array if no block stayed a scalar.
+    """
+    parts = _parts(psi)
+    step = parts[0][0].stop
+    scalar = [_is_fill(part) and not valid[block].any()
+              for block, part in parts]
+    dtypes = {part.dtype for _, part in parts if not _is_fill(part)}
+    buf = np.empty((scalar.count(False), step),
+                   dtype=np.result_type(np.float64, *dtypes))
+    rows = iter(buf)
+    segs = [part if keep else next(rows)
+            for (_, part), keep in zip(parts, scalar)]
+    weights, mass = np.empty(step), np.empty(step)
+    # Indexed by a flag: leakage for invalid, 2 - leakage for valid.
+    levels = np.array([leakage, 2.0 - leakage])
+    scale = None
+    for _ in range(passes):
+        sums, fill_sums = [], {}
+        for i, (block, part) in enumerate(parts):
+            seg = segs[i]
+            if _is_fill(seg):
+                seg = segs[i] = (seg if scale is None
+                                 else seg * scale) * levels[0]
+            else:
+                if scale is not None:
+                    seg *= scale
+                levels.take(valid[block].view(np.uint8), out=weights,
+                            mode="clip")
+                np.multiply(part if scale is None else seg, weights, out=seg)
+            sums.append(_block_mass(seg, mass, fill_sums))
+        surviving = _pairwise(sums)
+        if surviving < tol:
+            raise NormCollapse(surviving, tol)
+        # As numpy's complex / real does, up to the sign of a zero amplitude.
+        scale = 1.0 / np.sqrt(surviving)
+    buf *= scale
+    buf.flags.writeable = False
+    if not any(scalar):
+        return StateVector(psi.register, buf.reshape(-1), normalized=True,
+                           copy=False)
+    rows = iter(buf)
+    return StateVector._of_parts(
+        psi.register, [(block, seg * scale if keep else next(rows))
+                       for (block, _), seg, keep in zip(parts, segs, scalar)],
+        normalized=True)
+
+
 def check_tolerance(tol: float, name: str = "tol") -> None:
     """Reject a norm-collapse tolerance that is not a finite number > 0."""
     if not (math.isfinite(tol) and tol > 0):
@@ -291,15 +349,16 @@ def probability(psi: StateVector, index: int) -> float:
     return float(abs(value) ** 2)
 
 
-def _constant_run_end(carry: float, v: float, count: int) -> float:
-    """``np.cumsum([carry, v, ..., v])[-1]`` for ``count`` copies of v >= 0.
+def _constant_run_end(carry: float, v: float, count: int) -> float | None:
+    """``np.cumsum([carry, v, ..., v])[-1]`` for ``count`` copies of v >= 0,
+    or None if some add of the run is a tie.
 
     While the running sum s stays below 2^53 u, where u is its ulp, every
     sum is a multiple of u, so fl(s + v) is s plus v rounded to a multiple
     of u.  That step does not depend on s unless v is a tie (an odd
     multiple of u/2, rounded to even), so such a stretch is jumped in
     exact integer multiples of u.  The add that leaves it is done in
-    floats; a tie falls back to np.cumsum of the rest.
+    floats.
     """
     s, v = float(carry), float(v)
     while count:
@@ -311,9 +370,7 @@ def _constant_run_end(carry: float, v: float, count: int) -> float:
         else:
             rest, half = num & ((1 << shift) - 1), 1 << (shift - 1)
             if rest == half:
-                run = np.full(count + 1, v)
-                run[0] = s
-                return float(np.cumsum(run, out=run)[-1])
+                return None
             step = (num >> shift) + (rest > half)
         if step == 0:
             return s  # every add rounds back to s
@@ -364,11 +421,12 @@ def sample(psi: StateVector, rng: np.random.Generator,
         return float(scan[-1])
 
     # Only the running sum into each block and at the end is kept; a fill
-    # block's end comes in closed form.
+    # block's end comes in closed form unless it ties.
     ends = [0.0]
     for _, part in parts:
-        ends.append(_constant_run_end(ends[-1], fill_mass(part), step)
-                    if _is_fill(part) else running_sum(part, ends[-1]))
+        end = (_constant_run_end(ends[-1], fill_mass(part), step)
+               if _is_fill(part) else None)
+        ends.append(running_sum(part, ends[-1]) if end is None else end)
     if not ends[-1] > 0:
         raise NormCollapse(ends[-1], tol)
     # Scaling by the rounded total keeps u below ends[-1], so the first

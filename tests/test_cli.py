@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+import qic.cli
 from qic.cli import MAX_RANGE_POINTS, main, parse_range
+from qic.errors import QicError
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -308,6 +310,69 @@ class TestInputErrors:
         assert out == ""
         assert err == ("qic: mask over 4 qubits exceeds the 3-qubit "
                        "materialization cap\n")
+
+    @staticmethod
+    def stub_work(monkeypatch):
+        """Make each command's first step of real work fail with exit 3."""
+        def work(*args, **kwargs):
+            raise QicError("work started")
+
+        for name in ("interfere_repeated", "enumerate_solutions",
+                     "remnant_sweep", "ecc_experiment"):
+            monkeypatch.setattr(qic.cli, name, work)
+
+    @pytest.mark.parametrize("argv", [
+        ["demo", "--passes", "{n}"],
+        ["solve", "--qubits", "3", "--expr", "b0", "--passes", "{n}"],
+        ["ecc", "--data-qubits", "2", "--passes", "{n}"],
+        ["ecc", "--data-qubits", "2", "--events", "{n}"],
+        ["sweep", "--qubits", "3", "--valid", "1,3", "--epsilon", "0.1",
+         "--passes", "{n}"],
+        ["sweep", "--qubits", "3", "--valid", "1,3", "--epsilon", "0.1",
+         "--passes", "1:{n}:{step}"],
+    ])
+    def test_counts_above_the_limit_exit_1_before_any_work(self, argv, capsys,
+                                                           monkeypatch):
+        self.stub_work(monkeypatch)
+        for n, code in ((MAX_RANGE_POINTS, 3), (MAX_RANGE_POINTS + 1, 1),
+                        (10**9, 1)):
+            assert main([arg.format(n=n, step=n - 1) for arg in argv]) == code
+            out, err = capsys.readouterr()
+            assert out == "" and len(err.splitlines()) == 1
+            if code == 1:
+                assert err == (f"qic: {argv[-2]} {n} exceeds the limit of "
+                               f"{MAX_RANGE_POINTS}\n")
+            else:
+                assert err == "qic: QicError: work started\n"
+
+    @pytest.mark.parametrize("newline,offset", [("\n", 20), ("\r\n", 22)])
+    def test_cnf_offsets_count_bytes(self, newline, offset, tmp_path, capsys):
+        cnf = tmp_path / "bad.cnf"
+        # 'é' is two bytes in UTF-8.
+        cnf.write_bytes(newline.join(["c café", "p cnf 1 1", "1 x 0", ""])
+                        .encode())
+        assert main(["solve", "--qubits", "1", "--cnf", str(cnf)]) == 2
+        assert capsys.readouterr().err == (
+            "qic: ParseError: expected a literal or 0, got 'x' "
+            f"(at offset {offset})\n")
+        cnf.write_bytes("c café\np cnf 1 1\n1 0\n".encode())
+        assert main(["solve", "--qubits", "1", "--cnf", str(cnf)]) == 0
+
+    def test_non_utf8_cnf_byte_is_a_parse_error_at_its_offset(self, tmp_path,
+                                                              capsys):
+        cnf = tmp_path / "bad.cnf"
+        cnf.write_bytes(b"p cnf 1 1\n1 \xff 0\n")
+        assert main(["solve", "--qubits", "1", "--cnf", str(cnf)]) == 2
+        assert capsys.readouterr().err == (
+            "qic: ParseError: expected a literal or 0, got '\xff' "
+            "(at offset 12)\n")
+
+    def test_expr_skips_only_ascii_whitespace(self, capsys):
+        # A no-break space is two bytes in UTF-8 and is not skipped.
+        assert main(["solve", "--qubits", "2", "--expr", "b0\u00a0& x"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("qic: ParseError: unexpected character '\\xa0'")
+        assert err.endswith("(at offset 2)\n")
 
     def test_unwritable_output_exits_1(self, tmp_path):
         target = tmp_path / "missing" / "x"

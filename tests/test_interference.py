@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -204,6 +205,13 @@ def _random_case(seed, m):
     return Predicate(frozenset(valid.tolist()), Register(m))
 
 
+def _sparse_case(seed, m):
+    """One to three valid indices: most blocks of a large state hold none."""
+    rng = np.random.default_rng(seed)
+    valid = rng.integers(0, 1 << m, int(rng.integers(1, 4)))
+    return Predicate(frozenset(valid.tolist()), Register(m))
+
+
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 12),
        eps=st.floats(0.0, 1.0, exclude_max=True), passes=st.integers(1, 4),
@@ -308,11 +316,13 @@ def _state_of_kind(kind, seed, m):
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 12),
        eps=st.floats(0.0, 1.0, exclude_max=True), passes=st.integers(1, 4),
-       kind=st.sampled_from(["uniform", "real", "complex"]))
+       kind=st.sampled_from(["uniform", "real", "complex"]),
+       sparse=st.booleans())
 def test_blocked_kernel_matches_dense_reference_bitwise(seed, m, eps, passes,
-                                                        kind):
+                                                        kind, sparse):
     psi = _state_of_kind(kind, seed + 1, m)
-    pred = _random_case(seed, m)
+    # A sparse set leaves array blocks of a dense input without a flag.
+    pred = (_sparse_case if sparse else _random_case)(seed, m)
     cfg = InterferenceConfig(leakage=eps, passes=passes)
     valid = np.isin(np.arange(1 << m), list(pred.source))
     expected = _dense_interfere(psi, valid, cfg, passes)
@@ -325,6 +335,24 @@ def test_blocked_kernel_matches_dense_reference_bitwise(seed, m, eps, passes,
         assert got.amplitudes.dtype == expected.dtype
         assert np.array_equal(got.amplitudes.view(np.uint64),
                               expected.view(np.uint64))
+
+
+def test_dense_input_costs_one_output_array(monkeypatch):
+    monkeypatch.setattr(qic.state, "_BLOCK", 1024)
+    psi = random_state(np.random.default_rng(3), 14)
+    pred = _random_case(4, 14)
+    cfg = InterferenceConfig(leakage=0.1, passes=3)
+    interfere_repeated(psi, pred, cfg)  # first calls import and compile
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        amps = interfere_repeated(psi, pred, cfg).amplitudes
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert amps.dtype == np.complex128
+    # The output plus block scratch; a materialising copy would read about 2.
+    assert peak < 1.25 * psi.amplitudes.nbytes, peak / psi.amplitudes.nbytes
 
 
 class TestRemnantSweep:

@@ -591,10 +591,17 @@ def _cumsum_end(carry, v, count):
 
 
 class TestConstantRunEnd:
-    """The closed-form end of a constant run against np.cumsum, bitwise."""
+    """The closed-form end of a constant run against np.cumsum, bitwise.
+
+    A run with a tie returns None, and sample scans that block with
+    np.cumsum instead, so a None must come from a run that ties.
+    """
 
     def check(self, carry, v, count):
         got = _constant_run_end(carry, v, count)
+        if got is None:
+            assert _is_tie_somewhere(carry, v, count), (carry, v, count)
+            return
         expected = _cumsum_end(carry, v, count)
         assert got.hex() == expected.hex(), (carry, v, count)
 
@@ -637,6 +644,8 @@ class TestConstantRunEnd:
                          (1 + 2.0**-52, 0.0), (2.0**-53, 1 + 2.0**-52)]:
             for count in (1, 2, 3, 100, 2**16 + 1):
                 self.check(carry, v, count)
+                assert ((_constant_run_end(carry, v, count) is None)
+                        == _is_tie_somewhere(carry, v, count))
 
     def test_runs_across_several_binades(self):
         for v in (1.0, 0.3, 1e-5, 2.0**-40 * 3):
@@ -656,7 +665,9 @@ class TestConstantRunEnd:
                 carry = 0.0
             count = int(rng.integers(1, 3000))
             self.check(carry, v, count)
-            ties += _is_tie_somewhere(carry, v, count)
+            tie = _is_tie_somewhere(carry, v, count)
+            assert (_constant_run_end(carry, v, count) is None) == tie
+            ties += tie
         assert ties > 100
 
 
@@ -686,3 +697,28 @@ def test_sample_on_a_uniform_state_allocates_only_block_scratch():
                             np.random.default_rng(seed)) for seed in range(5)]
     # One scan of a block plus its carry slot, and small change.
     assert peak < 8 * (qic.state._BLOCK + 1) + 4096
+
+
+def test_sample_with_tying_fill_blocks_allocates_one_block_scan():
+    reg = Register(20)
+    step = qic.state._BLOCK
+    fill = 0.001
+    # The run of fill masses from carry 0 ties, so every block falls back
+    # to a real scan, which must reuse sample's own buffer.
+    assert _constant_run_end(0.0, fill * fill, step) is None
+    psi = StateVector._of_parts(reg, [(block, np.float64(fill))
+                                      for block in qic.state._blocks(1 << 20)],
+                                normalized=True)
+    sample(psi, np.random.default_rng(0))  # first calls import what they need
+    rng = np.random.default_rng(1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        draws = [sample(psi, rng) for _ in range(5)]
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    dense = StateVector(reg, psi.amplitudes, normalized=True)
+    rng = np.random.default_rng(1)
+    assert draws == [sample(dense, rng) for _ in range(5)]
+    assert peak < 8 * (step + 1) + 4096
