@@ -32,6 +32,8 @@ from .state import (
     StateVector,
     _blocks,
     _flip,
+    _gather_abs,
+    _interfere,
     apply_partial_bit_flip,  # noqa: F401  (tracers wrap qic.ecc's binding)
     fidelity,
     uniform_superposition,
@@ -201,35 +203,58 @@ class NoiseEvent:
         return asdict(self)
 
 
+def _inject_noise(psi: StateVector, model: NoiseModel,
+                  rng: np.random.Generator
+                  ) -> tuple[StateVector, np.ndarray | None,
+                             tuple[NoiseEvent, ...]]:
+    """``inject_noise`` that also returns the buffer the flips ran in.
+
+    The state views that buffer read-only while the buffer stays writable,
+    so the caller owns the state's memory and may overwrite it, as
+    correction does.  With no events the buffer is None and the state is
+    ``psi``.
+    """
+    m = psi.register.total_qubits
+    qubits = [int(rng.integers(0, m)) for _ in range(model.events)]
+    events = tuple(NoiseEvent(qubit, model.theta) for qubit in qubits)
+    if not qubits:
+        return psi, None, events
+    buf = np.empty(psi.register.dimension, dtype=np.complex128)
+    for i, qubit in enumerate(qubits):
+        _flip(buf if i else psi.amplitudes, buf, qubit, model.theta)
+    noisy = StateVector(psi.register, buf.view(), normalized=psi.normalized,
+                        copy=False)
+    return noisy, buf, events
+
+
 def inject_noise(psi: StateVector, model: NoiseModel,
                  rng: np.random.Generator
                  ) -> tuple[StateVector, tuple[NoiseEvent, ...]]:
     """Apply the model's partial flips on qubits drawn from ``rng``.
 
-    Returns the evolved state and the event log.  The flips run in one owned
-    buffer, with the bits of chained ``apply_partial_bit_flip`` calls.
+    Returns the evolved state and the event log; ``psi`` is not changed.
+    The flips run in one fresh buffer, with the bits of chained
+    ``apply_partial_bit_flip`` calls.
     """
-    m = psi.register.total_qubits
-    qubits = [int(rng.integers(0, m)) for _ in range(model.events)]
-    if qubits:
-        amps = np.empty(psi.register.dimension, dtype=np.complex128)
-        for i, qubit in enumerate(qubits):
-            _flip(amps if i else psi.amplitudes, amps, qubit, model.theta)
-        psi = StateVector(psi.register, amps, normalized=psi.normalized,
-                          copy=False)
-    return psi, tuple(NoiseEvent(qubit, model.theta) for qubit in qubits)
+    noisy, _, events = _inject_noise(psi, model, rng)
+    return noisy, events
 
 
 def checksum_valid_mass(psi: StateVector, scheme: ChecksumScheme) -> float:
     """Squared mass carried by checksum-valid components."""
     mask = compile_mask(checksum_predicate(scheme), psi.register)
     # Gather, then square: np.sum sees the values and order of squaring all.
-    return float(np.sum(np.abs(psi.amplitudes[mask.valid]) ** 2))
+    mags = _gather_abs(psi, mask.valid)
+    return float(np.sum(np.square(mags, out=mags)))
 
 
 def correct(psi: StateVector, scheme: ChecksumScheme,
             cfg: InterferenceConfig = InterferenceConfig()) -> StateVector:
-    """Remove checksum-violating components by interference."""
+    """Remove checksum-violating components by interference.
+
+    Pure: the result owns a fresh array.  ``ecc_experiment`` runs the same
+    passes in its noise buffer instead.
+    """
     return interfere_repeated(psi, checksum_predicate(scheme), cfg)
 
 
@@ -261,24 +286,37 @@ def ecc_experiment(scheme: ChecksumScheme, model: NoiseModel,
     The ideal state encodes ``data_state`` (uniform superposition over the
     data qubits by default).  Masses and fidelities are taken against the
     ideal encoded state before and after the correction pass.
+
+    Two 2^m complex128 arrays are live at the peak: the ideal state, made
+    complex before the noise runs, and one buffer that this function owns.
+    The noise flips run in that buffer and the correction passes then
+    overwrite it, so the corrected state is the buffer.  With no noise
+    events there is no buffer, and correction writes a fresh array rather
+    than the ideal state.
     """
     check_compile_cap(scheme.register())
     if data_state is None:
         data_state = uniform_superposition(Register(scheme.data_bits))
     psi_ideal = encode(data_state, scheme)
+    # fidelity takes complex128 overlaps: convert once, and before the noise
+    # buffer exists, so the real encoding is gone by then.  The first flip
+    # gives the same bits from either dtype.
+    psi_ideal = StateVector(
+        psi_ideal.register,
+        psi_ideal.amplitudes.astype(np.complex128, copy=False),
+        normalized=psi_ideal.normalized, copy=False)
     rng = np.random.default_rng(seed)
-    psi_noisy, events = inject_noise(psi_ideal, model, rng)
-    # fidelity takes complex128 overlaps: convert the ideal state once here
-    # rather than on each call, and only after the noise has run.
-    psi_ideal = StateVector(psi_ideal.register,
-                            psi_ideal.amplitudes.astype(np.complex128),
-                            normalized=psi_ideal.normalized, copy=False)
+    psi_noisy, buf, events = _inject_noise(psi_ideal, model, rng)
 
     mass_before = checksum_valid_mass(psi_noisy, scheme)
     fid_before = fidelity(psi_noisy, psi_ideal)
     try:
-        psi_corrected = correct(psi_noisy, scheme, cfg)
-        del psi_noisy
+        # In place in the noise buffer (fresh without one), which also
+        # overwrites psi_noisy: it is not read again.
+        mask = compile_mask(checksum_predicate(scheme), psi_noisy.register)
+        psi_corrected = _interfere(psi_noisy, mask.valid, cfg.leakage,
+                                   cfg.passes, cfg.collapse_tol, out=buf)
+        del psi_noisy, buf
         status = "ok"
         mass_after = checksum_valid_mass(psi_corrected, scheme)
         fid_after = fidelity(psi_corrected, psi_ideal)

@@ -19,6 +19,7 @@ from .predicate import Predicate, compile_mask
 from .state import (
     DEFAULT_COLLAPSE_TOL,
     StateVector,
+    _gather_abs,
     _interfere,
     apply_phase_mask,
     check_tolerance,
@@ -81,7 +82,9 @@ def remnant_sweep(pred: Predicate, epsilons, passes,
     invalid / mean valid magnitude from the uniform state (0.0 if all valid).
 
     Per epsilon, the distinct pass counts run as one chain of passes, which
-    gives the bits of a separate multi-pass call for each.
+    gives the bits of a separate multi-pass call for each.  The magnitudes
+    are gathered block by block, so a state whose flag-free blocks stayed
+    scalars is never made dense.
     """
     valid = compile_mask(pred, pred.register).valid
     if not valid.any():
@@ -96,9 +99,9 @@ def remnant_sweep(pred: Predicate, epsilons, passes,
         for r in sorted(cfgs):
             psi = _interfere(psi, valid, eps, r - done, collapse_tol)
             done = r
-            amps = psi.amplitudes
             measured[r] = 0.0 if all_valid else float(
-                np.mean(np.abs(amps[~valid])) / np.mean(np.abs(amps[valid])))
+                np.mean(_gather_abs(psi, ~valid))
+                / np.mean(_gather_abs(psi, valid)))
         for r in passes:
             predicted = (eps / (2.0 - eps)) ** r
             rows.append([eps, r, predicted, measured[r],

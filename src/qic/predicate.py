@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -461,46 +462,45 @@ class CnfFormula:
         return self.variable_count - 1
 
 
+# Lines end at "\n" alone, fields part at ASCII whitespace alone, and numbers
+# are ASCII digits with an optional sign; str.splitlines, str.split and int()
+# would also take the bytes 0x85, 0xA0 or 0x1C, and "1_0".
+_DIMACS_FIELD = re.compile(r"[^ \t\r\v\f]+")
+_DIMACS_INT = re.compile(r"[+-]?[0-9]+")
+
+
 def parse_dimacs(text: str) -> CnfFormula:
     """Parse the DIMACS CNF subset; raises ParseError with a byte offset."""
     header = None
     body = []  # (int value, offset) literal stream after the header
     line_start = 0
-    for line in text.splitlines(keepends=True):
-        stripped = line.strip()
-        if stripped and not stripped.startswith("c"):
-            fields = []
-            col = 0
-            for field in line.split():
-                col = line.index(field, col)
-                fields.append((field, line_start + col))
-                col += len(field)
-            if header is None:
-                if len(fields) != 4 or fields[0][0] != "p" or fields[1][0] != "cnf":
-                    raise ParseError(
-                        "expected header 'p cnf <vars> <clauses>'", fields[0][1]
-                    )
-                try:
-                    var_count = int(fields[2][0])
-                    clause_count = int(fields[3][0])
-                except ValueError:
+    for line in text.split("\n"):
+        fields = [(match.group(), line_start + match.start())
+                  for match in _DIMACS_FIELD.finditer(line)]
+        line_start += len(line) + 1
+        if not fields or fields[0][0].startswith("c"):
+            continue
+        if header is None:
+            if len(fields) != 4 or fields[0][0] != "p" or fields[1][0] != "cnf":
+                raise ParseError(
+                    "expected header 'p cnf <vars> <clauses>'", fields[0][1]
+                )
+            for field, offset in fields[2:]:
+                if not _DIMACS_INT.fullmatch(field):
                     raise ParseError(
                         "expected integer counts in 'p cnf <vars> <clauses>'",
-                        fields[2][1],
-                    ) from None
-                if var_count < 0 or clause_count < 0:
-                    raise ParseError("header counts must be non-negative",
-                                     fields[2][1])
-                header = (var_count, clause_count)
-            else:
-                for field, offset in fields:
-                    try:
-                        body.append((int(field), offset))
-                    except ValueError:
-                        raise ParseError(
-                            f"expected a literal or 0, got {field!r}", offset
-                        ) from None
-        line_start += len(line)
+                        offset)
+            var_count, clause_count = int(fields[2][0]), int(fields[3][0])
+            if var_count < 0 or clause_count < 0:
+                raise ParseError("header counts must be non-negative",
+                                 fields[2][1])
+            header = (var_count, clause_count)
+        else:
+            for field, offset in fields:
+                if not _DIMACS_INT.fullmatch(field):
+                    raise ParseError(
+                        f"expected a literal or 0, got {field!r}", offset)
+                body.append((int(field), offset))
     if header is None:
         raise ParseError("expected header 'p cnf <vars> <clauses>'", len(text))
     var_count, clause_count = header

@@ -6,9 +6,10 @@ significant qubit first, so index 1 on a 3-qubit register is ``"001"``.
 Checksum qubits, when present, occupy the high indices ``n .. m-1``.
 
 All public transforms are pure: the input state is never mutated and
-outputs own fresh amplitude arrays.  The one exception is the private flip
-kernel ``_flip``, which may write over its source so that a chain of noise
-events runs in one owned buffer.
+outputs own fresh amplitude arrays.  Two private kernels may write over
+their source instead: ``_flip``, so that a chain of noise events runs in
+one owned buffer, and ``_interfere`` given ``out``, so that correction
+runs in that same buffer.
 
 A state may hold its aligned blocks privately, each an array or a *fill*
 scalar that every amplitude of the block equals.  This module alone knows
@@ -264,8 +265,25 @@ def norm_squared(psi: StateVector) -> float:
                       for _, part in parts])
 
 
+def _gather_abs(psi: StateVector, flags: np.ndarray) -> np.ndarray:
+    """``np.abs(psi.amplitudes[flags])``, gathered block by block into one
+    float64 array; a fill block contributes its scalar."""
+    out = np.empty(np.count_nonzero(flags))
+    start = 0
+    for block, part in _parts(psi):
+        chosen = flags[block]
+        stop = start + np.count_nonzero(chosen)
+        if _is_fill(part):
+            out[start:stop] = abs(part)
+        else:
+            np.abs(part[chosen], out=out[start:stop])
+        start = stop
+    return out
+
+
 def _interfere(psi: StateVector, valid: np.ndarray, leakage: float,
-               passes: int, tol: float) -> StateVector:
+               passes: int, tol: float, out: np.ndarray | None = None
+               ) -> StateVector:
     """``passes`` interference passes against 2^m bool ``valid`` flags.
 
     Each pass scales valid amplitudes by 2 - leakage and invalid ones by
@@ -275,14 +293,26 @@ def _interfere(psi: StateVector, valid: np.ndarray, leakage: float,
     comes once the last surviving mass is known.  A flag-free fill block
     stays a scalar through the same steps; every other block is a row of
     one owned buffer, the output's dense array if no block stayed a scalar.
+
+    For a dense ``psi``, ``out`` may name a writable, contiguous 2^m array
+    of its dtype to serve as that buffer, even psi's own memory: each
+    element is read before it is written.  Whatever else views ``out`` is
+    then overwritten.
     """
     parts = _parts(psi)
     step = parts[0][0].stop
     scalar = [_is_fill(part) and not valid[block].any()
               for block, part in parts]
     dtypes = {part.dtype for _, part in parts if not _is_fill(part)}
-    buf = np.empty((scalar.count(False), step),
-                   dtype=np.result_type(np.float64, *dtypes))
+    dtype = np.result_type(np.float64, *dtypes)
+    if out is None:
+        buf = np.empty((scalar.count(False), step), dtype=dtype)
+    else:
+        if (psi._parts is not None or out.dtype != dtype
+                or out.shape != (psi.register.dimension,)):
+            raise ValueError("out must be 2^m amplitudes of a dense input's "
+                             "dtype")
+        buf = out.reshape(-1, step)
     rows = iter(buf)
     segs = [part if keep else next(rows)
             for (_, part), keep in zip(parts, scalar)]

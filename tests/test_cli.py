@@ -367,6 +367,32 @@ class TestInputErrors:
             "qic: ParseError: expected a literal or 0, got '\xff' "
             "(at offset 12)\n")
 
+    @pytest.mark.parametrize("text,field,offset", [
+        (b"p cnf 2 1\n1\xa02 0\n", "1\xa02", 10),
+        (b"p cnf 2 1\n1\x852 0\n", "1\x852", 10),
+        (b"p cnf 2 1\n1\x1c2 0\n", "1\x1c2", 10),
+        (b"p cnf 12 1\n1_0 0\n", "1_0", 11),
+        (b"p cnf 1_2 1\n1 0\n", None, 6),
+    ])
+    def test_cnf_takes_only_ascii_separators_and_digits(self, text, field,
+                                                        offset, tmp_path,
+                                                        capsys):
+        cnf = tmp_path / "bad.cnf"
+        cnf.write_bytes(text)
+        assert main(["solve", "--qubits", "12", "--cnf", str(cnf)]) == 2
+        message = (f"expected a literal or 0, got {field!r}" if field
+                   else "expected integer counts in 'p cnf <vars> <clauses>'")
+        assert capsys.readouterr().err == (
+            f"qic: ParseError: {message} (at offset {offset})\n")
+
+    def test_cnf_numbers_may_carry_a_plus_sign(self, tmp_path, capsys):
+        cnf = tmp_path / "plus.cnf"
+        cnf.write_bytes(b"p cnf +2 1\r\n+1 -2 0\r\n")
+        assert main(["solve", "--qubits", "2", "--cnf", str(cnf),
+                     "--format", "json"]) == 0
+        found = json.loads(capsys.readouterr().out)["results"]["found"]
+        assert sorted(found) == ["00", "01", "11"]
+
     def test_expr_skips_only_ascii_whitespace(self, capsys):
         # A no-break space is two bytes in UTF-8 and is not skipped.
         assert main(["solve", "--qubits", "2", "--expr", "b0\u00a0& x"]) == 2

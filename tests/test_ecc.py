@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import qic.ecc
 import qic.state
 
 from qic.ecc import (
@@ -24,6 +25,8 @@ from qic.predicate import Predicate, compile_mask
 from qic.state import (
     Register,
     StateVector,
+    _flip,
+    _interfere,
     apply_partial_bit_flip,
     basis_state,
     fidelity,
@@ -527,6 +530,66 @@ class TestStreamedEcc:
             assert (checksum_valid_mass(psi, scheme)
                     == _dense_mass(psi.amplitudes, scheme))
 
+    def test_correct_leaves_its_input_unchanged(self, small_blocks):
+        scheme = ChecksumScheme(8, ((0, 1, 2, 3), (4, 5, 6, 7)))
+        psi = encode(_random_data(np.random.default_rng(8), 8, True), scheme)
+        noisy, _ = inject_noise(psi, NoiseModel(events=3, theta=0.4),
+                                np.random.default_rng(9))
+        before = noisy.amplitudes.copy()
+        out = correct(noisy, scheme, InterferenceConfig(0.05, 2))
+        assert not np.shares_memory(out.amplitudes, noisy.amplitudes)
+        assert np.array_equal(_bits(noisy.amplitudes), _bits(before))
+
+    @pytest.mark.parametrize("theta", [1e-3, 0.5, 1.0, math.pi / 2])
+    def test_flip_of_real_source_matches_its_complex_copy(self, theta,
+                                                          small_blocks):
+        # ecc_experiment makes the ideal state complex before the first flip.
+        rng = np.random.default_rng(10)
+        m = 9
+        src = rng.normal(size=1 << m)
+        src[rng.random(1 << m) < 0.2] = 0.0
+        src[rng.random(1 << m) < 0.2] = -0.0
+        as_complex = src.astype(np.complex128)
+        for qubit in range(m):
+            real_out = np.empty(1 << m, dtype=np.complex128)
+            _flip(src, real_out, qubit, theta)
+            complex_out = as_complex.copy()
+            _flip(complex_out, complex_out, qubit, theta)
+            assert np.array_equal(_bits(real_out), _bits(complex_out)), qubit
+
+
+def test_ecc_experiment_without_events_keeps_report_and_ideal_state(
+        monkeypatch):
+    scheme = ChecksumScheme(10, (tuple(range(5)), tuple(range(5, 10))))
+    cfg = InterferenceConfig(0.05, 2)
+    calls = []
+
+    def spy(psi, valid, leakage, passes, tol, out=None):
+        before = psi.amplitudes.copy()
+        result = _interfere(psi, valid, leakage, passes, tol, out=out)
+        calls.append((out, np.array_equal(_bits(psi.amplitudes),
+                                          _bits(before))))
+        return result
+
+    monkeypatch.setattr(qic.ecc, "_interfere", spy)
+    report = ecc_experiment(scheme, NoiseModel(events=0), cfg, seed=3)
+    assert calls == [(None, True)]
+
+    # The float64 ideal state, corrected as a fresh state, as before the
+    # ideal state became complex ahead of the noise.
+    ideal = encode(uniform_superposition(Register(10)), scheme)
+    assert ideal.amplitudes.dtype == np.float64
+    as_complex = StateVector(ideal.register,
+                             ideal.amplitudes.astype(np.complex128))
+    corrected = correct(ideal, scheme, cfg)
+    expected = [checksum_valid_mass(ideal, scheme),
+                fidelity(ideal, as_complex),
+                checksum_valid_mass(corrected, scheme),
+                fidelity(corrected, as_complex)]
+    got = [report.valid_mass_before, report.fidelity_before,
+           report.valid_mass_after, report.fidelity_after]
+    assert [x.hex() for x in got] == [x.hex() for x in expected]
+
 
 def test_ecc_report_matches_dense_reference_at_full_block_size():
     # m = 18 with the real 2^16-amplitude blocks: flips on qubits 16 and 17
@@ -553,8 +616,9 @@ def test_ecc_report_matches_dense_reference_at_full_block_size():
 
 
 def test_ecc_experiment_peak_memory(monkeypatch):
-    # The noisy, the ideal (complex for fidelity) and the corrected state
-    # coexist during correction; nothing else is state-sized.
+    # Two complex arrays coexist: the ideal state (complex for fidelity)
+    # and the noise buffer, which correction overwrites; nothing else is
+    # state-sized.
     monkeypatch.setattr(qic.state, "_BLOCK", 1024)
     scheme = ChecksumScheme(12, (tuple(range(6)), tuple(range(6, 12))))
     state_bytes = 16 << scheme.register().total_qubits
@@ -570,4 +634,4 @@ def test_ecc_experiment_peak_memory(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.5 * state_bytes, peak / state_bytes
+    assert peak < 2.5 * state_bytes, peak / state_bytes

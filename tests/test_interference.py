@@ -16,10 +16,12 @@ from qic.interference import (
     mark_invalid,
     remnant_sweep,
 )
-from qic.predicate import Predicate
+from qic.predicate import Predicate, parse_expr
 from qic.state import (
     Register,
     StateVector,
+    _gather_abs,
+    _interfere,
     norm_squared,
     probability,
     sample,
@@ -355,6 +357,81 @@ def test_dense_input_costs_one_output_array(monkeypatch):
     assert peak < 1.25 * psi.amplitudes.nbytes, peak / psi.amplitudes.nbytes
 
 
+def _kernel_or_collapse(psi, valid, cfg, out=None):
+    try:
+        return _interfere(psi, valid, cfg.leakage, cfg.passes,
+                          cfg.collapse_tol, out=out)
+    except NormCollapse:
+        return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 12),
+       eps=st.floats(0.0, 1.0, exclude_max=True), passes=st.integers(1, 4),
+       kind=st.sampled_from(["real", "complex"]), sparse=st.booleans())
+def test_kernel_in_its_own_input_matches_a_fresh_output(seed, m, eps, passes,
+                                                        kind, sparse):
+    pred = (_sparse_case if sparse else _random_case)(seed, m)
+    valid = np.isin(np.arange(1 << m), list(pred.source))
+    cfg = InterferenceConfig(leakage=eps, passes=passes)
+    amps = np.array(_state_of_kind(kind, seed + 1, m).amplitudes)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qic.state, "_BLOCK", 128)
+        fresh = _kernel_or_collapse(
+            StateVector(Register(m), amps, normalized=True), valid, cfg)
+        # The input views amps read-only; out writes amps itself.
+        psi = StateVector(Register(m), amps.view(), normalized=True,
+                          copy=False)
+        got = _kernel_or_collapse(psi, valid, cfg, out=amps)
+    assert (got is None) == (fresh is None)
+    if got is not None:
+        assert np.shares_memory(got.amplitudes, amps)
+        assert got.amplitudes.dtype == fresh.amplitudes.dtype
+        assert np.array_equal(got.amplitudes.view(np.uint64),
+                              fresh.amplitudes.view(np.uint64))
+
+
+def test_kernel_out_needs_a_dense_input_of_its_dtype():
+    valid = np.zeros(1 << 4, dtype=bool)
+    valid[3] = True
+    out = np.empty(1 << 4, dtype=np.complex128)
+    for psi in (uniform_superposition(Register(4)),
+                StateVector(Register(4), np.ones(1 << 4))):
+        with pytest.raises(ValueError, match="out must be"):
+            _interfere(psi, valid, 0.1, 1, 1e-9, out=out)
+
+
+def _mixed_state(m):
+    """Flag-free blocks stay fills and the flagged ones become arrays."""
+    pred = Predicate(frozenset({3, (1 << m) - 2}), Register(m))
+    return interfere_repeated(uniform_superposition(Register(m)), pred,
+                              InterferenceConfig(0.2, 2))
+
+
+@pytest.mark.parametrize("kind", ["fill", "mixed", "real", "complex"])
+def test_gather_abs_matches_dense_gather_bitwise(kind, monkeypatch):
+    monkeypatch.setattr(qic.state, "_BLOCK", 128)
+    m = 10
+    if kind == "fill":
+        psi = uniform_superposition(Register(m))
+    elif kind == "mixed":
+        psi = _mixed_state(m)
+        assert {qic.state._is_fill(part) for _, part in psi._parts} == {
+            True, False}
+    else:
+        psi = _state_of_kind(kind, 5, m)
+    rng = np.random.default_rng(6)
+    cases = [rng.random(1 << m) < 0.3, np.ones(1 << m, dtype=bool),
+             np.zeros(1 << m, dtype=bool), np.arange(1 << m) == 900]
+    got = [_gather_abs(psi, flags) for flags in cases]
+    if kind in ("fill", "mixed"):
+        assert psi._dense is None  # gathered without materialising
+    for flags, mags in zip(cases, got):
+        assert mags.dtype == np.float64
+        assert np.array_equal(mags.view(np.uint64),
+                              np.abs(psi.amplitudes[flags]).view(np.uint64))
+
+
 class TestRemnantSweep:
     def test_rows_match_closed_form(self):
         reg = Register(3)
@@ -396,6 +473,29 @@ class TestRemnantSweep:
                                      abs(measured - predicted)])
             assert ([[float(x).hex() for x in row] for row in rows]
                     == [[float(x).hex() for x in row] for row in expected])
+
+    def test_peak_memory_is_below_one_dense_state_beside_the_buffer(
+            self, monkeypatch):
+        monkeypatch.setattr(qic.state, "_BLOCK", 1024)
+        m = 14
+        # Valid in half the blocks (their rows of the block buffer); the
+        # other half stay scalars.
+        pred = Predicate(parse_expr("b13&b2"), Register(m))
+        buffer_bytes = 8 << (m - 1)
+
+        def run():
+            return remnant_sweep(pred, [0.0, 0.1, 0.2], [1, 2, 3, 4])
+
+        run()  # first calls import and compile
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        dense_bytes = 8 << m
+        # Materialising each state and gathering complex copies read 3.05.
+        assert peak < buffer_bytes + dense_bytes, peak / dense_bytes
 
     def test_no_valid_component_is_an_error(self):
         reg = Register(2)
