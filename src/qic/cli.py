@@ -28,7 +28,7 @@ from .errors import (
 )
 from .interference import InterferenceConfig, interfere_repeated
 from .interference import SWEEP_COLUMNS, remnant_sweep
-from .predicate import Predicate, parse_dimacs, parse_expr
+from .predicate import Predicate, parse_dimacs, parse_expr, parse_int
 from .reports import envelope, format_float, render_csv, render_json
 from .state import Register, probability, uniform_superposition
 
@@ -80,8 +80,8 @@ def _add_source_flags(parser):
 
 def _index_list(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",")]
-    except ValueError:
+        return [parse_int(part) for part in text.split(",")]
+    except ParseError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}"
         ) from None

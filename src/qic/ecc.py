@@ -24,8 +24,8 @@ from .predicate import (
     Predicate,
     Var,
     Xor,
-    check_compile_cap,
     compile_mask,
+    parse_int,
 )
 from .state import (
     Register,
@@ -35,6 +35,7 @@ from .state import (
     _gather_abs,
     _interfere,
     apply_partial_bit_flip,  # noqa: F401  (tracers wrap qic.ecc's binding)
+    check_seed,
     fidelity,
     uniform_superposition,
 )
@@ -104,19 +105,14 @@ def parse_scheme(text: str, data_bits: int) -> ChecksumScheme:
             f"expected 'global' or 'groups:...', got {text!r}", 0
         )
     groups = []
-    pos = len(prefix)
+    pos = len(prefix)  # offset of the next item
     for part in text[len(prefix):].split(";"):
         members = []
         for item in part.split(","):
-            try:
-                members.append(int(item))
-            except ValueError:
-                raise ParseError(
-                    f"expected a data bit index, got {item.strip()!r}",
-                    pos + part.index(item),
-                ) from None
+            members.append(parse_int(item, pos,
+                                     "expected a data bit index, got {!r}"))
+            pos += len(item) + 1
         groups.append(tuple(members))
-        pos += len(part) + 1
     return ChecksumScheme(data_bits, tuple(groups))
 
 
@@ -175,7 +171,7 @@ def encode(psi_data: StateVector, scheme: ChecksumScheme) -> StateVector:
     columns = np.arange(blocks[0].stop)
     for block in blocks:
         rows[:, block][checksums[block], columns] = psi_data.amplitudes[block]
-    return StateVector(full, amps, normalized=psi_data.normalized, copy=False)
+    return StateVector._adopt(full, amps, normalized=psi_data.normalized)
 
 
 @dataclass(frozen=True)
@@ -222,8 +218,8 @@ def _inject_noise(psi: StateVector, model: NoiseModel,
     buf = np.empty(psi.register.dimension, dtype=np.complex128)
     for i, qubit in enumerate(qubits):
         _flip(buf if i else psi.amplitudes, buf, qubit, model.theta)
-    noisy = StateVector(psi.register, buf.view(), normalized=psi.normalized,
-                        copy=False)
+    noisy = StateVector._adopt(psi.register, buf.view(),
+                               normalized=psi.normalized)
     return noisy, buf, events
 
 
@@ -294,17 +290,18 @@ def ecc_experiment(scheme: ChecksumScheme, model: NoiseModel,
     events there is no buffer, and correction writes a fresh array rather
     than the ideal state.
     """
-    check_compile_cap(scheme.register())
+    # Refuses an oversized register, and a bad seed, before any state exists.
+    register = scheme.register()
+    check_seed(seed)
     if data_state is None:
         data_state = uniform_superposition(Register(scheme.data_bits))
     psi_ideal = encode(data_state, scheme)
     # fidelity takes complex128 overlaps: convert once, and before the noise
     # buffer exists, so the real encoding is gone by then.  The first flip
     # gives the same bits from either dtype.
-    psi_ideal = StateVector(
-        psi_ideal.register,
-        psi_ideal.amplitudes.astype(np.complex128, copy=False),
-        normalized=psi_ideal.normalized, copy=False)
+    psi_ideal = StateVector._adopt(
+        register, psi_ideal.amplitudes.astype(np.complex128, copy=False),
+        normalized=psi_ideal.normalized)
     rng = np.random.default_rng(seed)
     psi_noisy, buf, events = _inject_noise(psi_ideal, model, rng)
 
@@ -313,7 +310,7 @@ def ecc_experiment(scheme: ChecksumScheme, model: NoiseModel,
     try:
         # In place in the noise buffer (fresh without one), which also
         # overwrites psi_noisy: it is not read again.
-        mask = compile_mask(checksum_predicate(scheme), psi_noisy.register)
+        mask = compile_mask(checksum_predicate(scheme), register)
         psi_corrected = _interfere(psi_noisy, mask.valid, cfg.leakage,
                                    cfg.passes, cfg.collapse_tol, out=buf)
         del psi_noisy, buf

@@ -17,10 +17,8 @@ import numpy as np
 
 from .errors import NormCollapse, RegisterMismatch
 from .interference import InterferenceConfig, interfere_repeated
-from .predicate import Predicate, check_compile_cap, evaluate, with_exclusions
-from .state import Register, sample, uniform_superposition
-
-MAX_SEED = 2**64
+from .predicate import Predicate, evaluate, with_exclusions
+from .state import Register, check_seed, sample, uniform_superposition
 
 
 class Termination(str, Enum):
@@ -42,8 +40,7 @@ class RunConfig:
     max_runs: int | None = None
 
     def __post_init__(self):
-        if not 0 <= self.seed < MAX_SEED:
-            raise ValueError(f"seed must be a 64-bit integer, got {self.seed}")
+        check_seed(self.seed)
         if self.max_runs is not None and self.max_runs < 1:
             raise ValueError(f"max_runs must be >= 1, got {self.max_runs}")
 
@@ -89,7 +86,6 @@ def enumerate_solutions(pred: Predicate, register: Register,
         raise RegisterMismatch(
             f"predicate bound to {pred.register}, enumeration over {register}"
         )
-    check_compile_cap(register)
     max_runs = cfg.max_runs if cfg.max_runs is not None else register.dimension + 8
     rng = np.random.default_rng(cfg.seed)
 

@@ -31,12 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRange, ParseError, RegisterMismatch, UnboundVariable
+from .errors import ParseError, RegisterMismatch, UnboundVariable
 from .state import PhaseMask, Register
-
-# Masks materialize as dense 2^m flag arrays; reject registers where that
-# array would be unreasonably large.
-MASK_COMPILE_CAP = 26
 
 # Expressions and CNF formulas compile bitsliced: basis index i is bit
 # i % 64 of word i // 64, in explicitly little-endian 64-bit words.
@@ -296,6 +292,24 @@ class Xor(_Binary):
 _SINGLE_CHAR_TOKENS = {"~", "&", "|", "^", "(", ")", "0", "1"}
 # ASCII only: str.isdigit() also accepts digits that int() rejects ('²').
 _DIGITS = frozenset("0123456789")
+_ASCII_SPACE = " \t\n\r\v\f"
+_INT = re.compile(rf"[{_ASCII_SPACE}]*([+-]?[0-9]+)[{_ASCII_SPACE}]*")
+
+
+def parse_int(text: str, offset: int = 0,
+              message: str = "expected an integer, got {!r}") -> int:
+    """The integer of a field: ASCII digits with an optional sign, between
+    optional ASCII whitespace (int() would also take "1_0", other scripts'
+    digits and 0xA0).  Otherwise, or past int()'s digit limit, a ParseError
+    at ``offset`` whose message formats ``message`` with the stripped text.
+    """
+    match = _INT.fullmatch(text)
+    if match is not None:
+        try:
+            return int(match.group(1))
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            pass
+    raise ParseError(message.format(text.strip(_ASCII_SPACE)), offset)
 
 
 def _tokenize(text: str) -> list[tuple[str, int, int]]:
@@ -304,7 +318,7 @@ def _tokenize(text: str) -> list[tuple[str, int, int]]:
     pos = 0
     while pos < len(text):
         ch = text[pos]
-        if ch in " \t\n\r\v\f":  # ASCII only, so offsets count bytes
+        if ch in _ASCII_SPACE:  # ASCII only, so offsets count bytes
             pos += 1
             continue
         if ch in _SINGLE_CHAR_TOKENS:
@@ -318,11 +332,8 @@ def _tokenize(text: str) -> list[tuple[str, int, int]]:
                 end += 1
             if end == start:
                 raise ParseError("expected digits after 'b'", start)
-            try:
-                index = int(text[start:end])
-            except ValueError:  # more digits than sys.get_int_max_str_digits()
-                raise ParseError("variable index has too many digits",
-                                 start) from None
+            index = parse_int(text[start:end], start,
+                              "variable index has too many digits")
             tokens.append(("var", index, pos))
             pos = end
             continue
@@ -462,11 +473,9 @@ class CnfFormula:
         return self.variable_count - 1
 
 
-# Lines end at "\n" alone, fields part at ASCII whitespace alone, and numbers
-# are ASCII digits with an optional sign; str.splitlines, str.split and int()
-# would also take the bytes 0x85, 0xA0 or 0x1C, and "1_0".
-_DIMACS_FIELD = re.compile(r"[^ \t\r\v\f]+")
-_DIMACS_INT = re.compile(r"[+-]?[0-9]+")
+# Lines end at "\n" alone and fields part at ASCII whitespace alone;
+# str.splitlines and str.split would also take the bytes 0x85, 0xA0 or 0x1C.
+_DIMACS_FIELD = re.compile(rf"[^{_ASCII_SPACE}]+")
 
 
 def parse_dimacs(text: str) -> CnfFormula:
@@ -485,22 +494,18 @@ def parse_dimacs(text: str) -> CnfFormula:
                 raise ParseError(
                     "expected header 'p cnf <vars> <clauses>'", fields[0][1]
                 )
-            for field, offset in fields[2:]:
-                if not _DIMACS_INT.fullmatch(field):
-                    raise ParseError(
-                        "expected integer counts in 'p cnf <vars> <clauses>'",
-                        offset)
-            var_count, clause_count = int(fields[2][0]), int(fields[3][0])
+            var_count, clause_count = (
+                parse_int(field, offset,
+                          "expected integer counts in 'p cnf <vars> <clauses>'")
+                for field, offset in fields[2:])
             if var_count < 0 or clause_count < 0:
                 raise ParseError("header counts must be non-negative",
                                  fields[2][1])
             header = (var_count, clause_count)
         else:
-            for field, offset in fields:
-                if not _DIMACS_INT.fullmatch(field):
-                    raise ParseError(
-                        f"expected a literal or 0, got {field!r}", offset)
-                body.append((int(field), offset))
+            body.extend(
+                (parse_int(field, offset, "expected a literal or 0, got {!r}"),
+                 offset) for field, offset in fields)
     if header is None:
         raise ParseError("expected header 'p cnf <vars> <clauses>'", len(text))
     var_count, clause_count = header
@@ -547,7 +552,6 @@ class Predicate:
 
     def __post_init__(self):
         m = self.register.total_qubits
-        dim = self.register.dimension
         src = self.source
         if isinstance(src, (BoolExpr, CnfFormula)):
             top = src.max_variable()
@@ -557,23 +561,14 @@ class Predicate:
                     f"only {m} qubits"
                 )
         else:
-            src = frozenset(int(i) for i in src)
-            for i in src:
-                if not 0 <= i < dim:
-                    raise IndexOutOfRange(f"valid index {i} outside [0, {dim})")
-            object.__setattr__(self, "source", src)
-        excl = frozenset(int(i) for i in self.exclusions)
-        for i in excl:
-            if not 0 <= i < dim:
-                raise IndexOutOfRange(f"excluded index {i} outside [0, {dim})")
-        object.__setattr__(self, "exclusions", excl)
+            object.__setattr__(self, "source", self.register.indices(src))
+        object.__setattr__(self, "exclusions",
+                           self.register.indices(self.exclusions))
 
 
 def evaluate(pred: Predicate, index: int, ignore_exclusions: bool = False) -> bool:
     """Truth of the predicate at ``index``; excluded indices read invalid."""
-    dim = pred.register.dimension
-    if not 0 <= index < dim:
-        raise IndexOutOfRange(f"index {index} outside [0, {dim})")
+    index = pred.register.index(index)
     if not ignore_exclusions and index in pred.exclusions:
         return False
     src = pred.source
@@ -606,27 +601,12 @@ def _source_flags(source, m: int) -> np.ndarray:
     return flags
 
 
-def check_compile_cap(register: Register) -> None:
-    """Raise ValueError if a mask over ``register`` would exceed the cap.
-
-    Callers that build states before compiling call this first, so an
-    oversized register fails before any amplitudes are allocated.
-    """
-    m = register.total_qubits
-    if m > MASK_COMPILE_CAP:
-        raise ValueError(
-            f"mask over {m} qubits exceeds the {MASK_COMPILE_CAP}-qubit "
-            "materialization cap"
-        )
-
-
 def compile_mask(pred: Predicate, register: Register) -> PhaseMask:
     """Materialize the predicate as a dense valid-flag mask."""
     if register != pred.register:
         raise RegisterMismatch(
             f"predicate bound to {pred.register}, asked to compile for {register}"
         )
-    check_compile_cap(register)
     flags = _source_flags(pred.source, register.total_qubits)
     if pred.exclusions:
         flags = flags.copy()
@@ -637,5 +617,4 @@ def compile_mask(pred: Predicate, register: Register) -> PhaseMask:
 
 def with_exclusions(pred: Predicate, found) -> Predicate:
     """A copy of ``pred`` whose valid set additionally excludes ``found``."""
-    return Predicate(pred.source, pred.register,
-                     pred.exclusions | frozenset(int(i) for i in found))
+    return Predicate(pred.source, pred.register, pred.exclusions.union(found))

@@ -30,7 +30,8 @@ import numpy as np
 
 from .errors import IndexOutOfRange, NormCollapse, RegisterMismatch
 
-MAX_QUBITS = 30
+# The one size limit: every command compiles 2^m dense valid flags.
+MAX_QUBITS = 26
 
 # Guards accumulated rounding only; perfect cancellation yields exact zeros.
 DEFAULT_COLLAPSE_TOL = 1e-9
@@ -64,11 +65,26 @@ class Register:
     def dimension(self) -> int:
         return 1 << self.total_qubits
 
+    def indices(self, values) -> frozenset:
+        """``values`` as a frozenset of ints, each a basis index.
+
+        Raises IndexOutOfRange unless every one lies in [0, 2^m); only the
+        smallest and largest are tested.
+        """
+        found = frozenset(map(int, values))
+        for i in (min(found, default=0), max(found, default=0)):
+            if not 0 <= i < self.dimension:
+                raise IndexOutOfRange(f"index {i} outside [0, {self.dimension})")
+        return found
+
+    def index(self, value) -> int:
+        """``value`` as an int basis index, as ``indices`` checks it."""
+        (i,) = self.indices((value,))
+        return i
+
     def bitstring(self, index: int) -> str:
         """Render a basis index most-significant qubit first."""
-        if not 0 <= index < self.dimension:
-            raise IndexOutOfRange(f"index {index} outside [0, {self.dimension})")
-        return format(index, f"0{self.total_qubits}b")
+        return format(self.index(index), f"0{self.total_qubits}b")
 
 
 class StateVector:
@@ -80,11 +96,10 @@ class StateVector:
 
     __slots__ = ("register", "normalized", "_dense", "_parts")
 
-    def __init__(self, register: Register, amplitudes, normalized: bool = False,
-                 copy: bool = True):
+    def __init__(self, register: Register, amplitudes, normalized: bool = False):
         arr = np.asarray(amplitudes)
         dtype = np.complex128 if np.iscomplexobj(arr) else np.float64
-        arr = np.array(arr, dtype=dtype, copy=copy)
+        arr = np.array(arr, dtype=dtype)
         if arr.shape != (register.dimension,):
             raise ValueError(
                 f"expected {register.dimension} amplitudes, got {arr.shape}"
@@ -95,6 +110,16 @@ class StateVector:
         self._dense = arr
         # For a state built in blocks: (block, array or float64 fill) pairs.
         self._parts = None
+
+    @classmethod
+    def _adopt(cls, register: Register, amps: np.ndarray,
+               normalized: bool) -> "StateVector":
+        """Wrap 2^m float64 or complex128 amplitudes that no caller writes
+        through: no copy, no checks."""
+        amps.flags.writeable = False
+        psi = cls._of_parts(register, None, normalized)
+        psi._dense = amps
+        return psi
 
     @classmethod
     def _of_parts(cls, register: Register, parts: list,
@@ -151,12 +176,7 @@ class PhaseMask:
     @classmethod
     def from_indices(cls, register: Register, indices) -> "PhaseMask":
         flags = np.zeros(register.dimension, dtype=bool)
-        for i in indices:
-            if not 0 <= i < register.dimension:
-                raise IndexOutOfRange(
-                    f"index {i} outside [0, {register.dimension})"
-                )
-            flags[i] = True
+        flags[list(register.indices(indices))] = True
         return cls._adopt(register, flags)
 
     def valid_indices(self) -> list[int]:
@@ -177,11 +197,9 @@ def uniform_superposition(register: Register) -> StateVector:
 
 def basis_state(register: Register, index: int) -> StateVector:
     """The single basis component |index>."""
-    if not 0 <= index < register.dimension:
-        raise IndexOutOfRange(f"index {index} outside [0, {register.dimension})")
     amps = np.zeros(register.dimension)
-    amps[index] = 1.0
-    return StateVector(register, amps, normalized=True, copy=False)
+    amps[register.index(index)] = 1.0
+    return StateVector._adopt(register, amps, normalized=True)
 
 
 # Full-state reductions walk aligned blocks of _BLOCK amplitudes with
@@ -342,8 +360,8 @@ def _interfere(psi: StateVector, valid: np.ndarray, leakage: float,
     buf *= scale
     buf.flags.writeable = False
     if not any(scalar):
-        return StateVector(psi.register, buf.reshape(-1), normalized=True,
-                           copy=False)
+        return StateVector._adopt(psi.register, buf.reshape(-1),
+                                  normalized=True)
     rows = iter(buf)
     return StateVector._of_parts(
         psi.register, [(block, seg * scale if keep else next(rows))
@@ -357,6 +375,12 @@ def check_tolerance(tol: float, name: str = "tol") -> None:
         raise ValueError(f"{name} must be a finite number > 0, got {tol}")
 
 
+def check_seed(seed: int) -> None:
+    """Reject a seed outside [0, 2^64), the range every run accepts."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be a 64-bit integer, got {seed}")
+
+
 def normalize(psi: StateVector, tol: float = DEFAULT_COLLAPSE_TOL) -> StateVector:
     """Rescale to unit norm. Raises NormCollapse if norm_squared < tol."""
     check_tolerance(tol)
@@ -365,14 +389,11 @@ def normalize(psi: StateVector, tol: float = DEFAULT_COLLAPSE_TOL) -> StateVecto
         raise NormCollapse(n2, tol)
     # As numpy's complex / real does, up to the sign of a zero amplitude.
     amps = psi.amplitudes * (1.0 / np.sqrt(n2))
-    return StateVector(psi.register, amps, normalized=True, copy=False)
+    return StateVector._adopt(psi.register, amps, normalized=True)
 
 
 def probability(psi: StateVector, index: int) -> float:
-    if not 0 <= index < psi.register.dimension:
-        raise IndexOutOfRange(
-            f"index {index} outside [0, {psi.register.dimension})"
-        )
+    index = psi.register.index(index)
     parts = _parts(psi)
     block, part = parts[index // parts[0][0].stop]
     value = part if _is_fill(part) else part[index - block.start]
@@ -488,7 +509,7 @@ def apply_phase_mask(psi: StateVector, mask: PhaseMask) -> StateVector:
             f"registers differ: {psi.register} vs {mask.register}"
         )
     amps = np.where(mask.valid, psi.amplitudes, -psi.amplitudes)
-    return StateVector(psi.register, amps, normalized=psi.normalized, copy=False)
+    return StateVector._adopt(psi.register, amps, normalized=psi.normalized)
 
 
 def _flip(src: np.ndarray, out: np.ndarray, qubit: int, theta: float) -> None:
@@ -526,5 +547,4 @@ def apply_partial_bit_flip(psi: StateVector, qubit: int,
         raise IndexOutOfRange(f"qubit {qubit} outside [0, {m})")
     amps = np.empty(psi.register.dimension, dtype=np.complex128)
     _flip(psi.amplitudes, amps, qubit, theta)
-    return StateVector(psi.register, amps, normalized=psi.normalized,
-                       copy=False)
+    return StateVector._adopt(psi.register, amps, normalized=psi.normalized)

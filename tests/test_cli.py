@@ -302,14 +302,63 @@ class TestInputErrors:
         ["solve", "--qubits", "4", "--valid", "1"],
     ])
     def test_oversized_register_exits_1(self, argv, capsys, monkeypatch):
-        import qic.predicate
+        import qic.state
 
-        monkeypatch.setattr(qic.predicate, "MASK_COMPILE_CAP", 3)
+        monkeypatch.setattr(qic.state, "MAX_QUBITS", 3)
         assert main(argv) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == ("qic: mask over 4 qubits exceeds the 3-qubit "
-                       "materialization cap\n")
+        assert err == ("qic: register of 4 qubits exceeds the 3-qubit cap "
+                       "(2^m amplitudes must fit in memory)\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--qubits", "27", "--valid", "1"],
+        ["ecc", "--data-qubits", "26"],
+    ])
+    def test_register_above_max_qubits_exits_1(self, argv, capsys):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("qic: register of 27 qubits exceeds the 26-qubit cap "
+                       "(2^m amplitudes must fit in memory)\n")
+
+    @pytest.mark.parametrize("seed", ["18446744073709551616", "-1"])
+    def test_ecc_seed_outside_64_bits_exits_1(self, seed, capsys):
+        assert main(["ecc", "--data-qubits", "3", "--seed", seed]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"qic: seed must be a 64-bit integer, got {seed}\n"
+
+    @pytest.mark.parametrize("valid", ["1_0", "\u0663", "3\u00a0", "1,\u0663"])
+    def test_valid_fields_take_only_ascii_digits(self, valid, capsys):
+        assert main(["solve", "--qubits", "4", "--valid", valid]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert "expected comma-separated integers" in err
+
+    def test_valid_fields_may_carry_a_sign_and_spaces(self, capsys):
+        assert main(["solve", "--qubits", "4", "--valid", "+3, 9 "]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["config"]["source"]["indices"] == [3, 9]
+
+    @pytest.mark.parametrize("parity,offset", [
+        ("groups:0,1;2,1_0", 13), ("groups:0,1;2,\u0663", 13),
+        ("groups:0,1;2,3\u00a0", 13), ("groups:0,1,", 11),
+    ])
+    def test_parity_members_take_only_ascii_digits(self, parity, offset,
+                                                   capsys):
+        assert main(["ecc", "--data-qubits", "4", "--parity", parity,
+                     "--events", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("qic: ParseError: expected a data bit index")
+        assert err.endswith(f"(at offset {offset})\n")
+
+    def test_parity_members_may_carry_a_sign_and_spaces(self, capsys):
+        assert main(["ecc", "--data-qubits", "4", "--parity",
+                     "groups:0, 1;+2,3", "--events", "0"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["config"]["groups"] == [[0, 1], [2, 3]]
 
     @staticmethod
     def stub_work(monkeypatch):
@@ -373,6 +422,11 @@ class TestInputErrors:
         (b"p cnf 2 1\n1\x1c2 0\n", "1\x1c2", 10),
         (b"p cnf 12 1\n1_0 0\n", "1_0", 11),
         (b"p cnf 1_2 1\n1 0\n", None, 6),
+        # More digits than int() converts.
+        pytest.param(b"p cnf 2 1\n" + b"1" * 4400 + b" 0\n", "1" * 4400, 10,
+                     id="literal-past-int-digit-limit"),
+        pytest.param(b"p cnf 2 " + b"1" * 4400 + b"\n1 0\n", None, 8,
+                     id="count-past-int-digit-limit"),
     ])
     def test_cnf_takes_only_ascii_separators_and_digits(self, text, field,
                                                         offset, tmp_path,

@@ -306,17 +306,31 @@ class TestEccExperiment:
     def test_oversized_register_fails_before_any_state_exists(self,
                                                                monkeypatch):
         import qic.ecc
-        import qic.predicate
+        import qic.state
 
         def no_state(*args):
             raise AssertionError("amplitudes allocated before the cap check")
 
-        monkeypatch.setattr(qic.predicate, "MASK_COMPILE_CAP", 3)
+        monkeypatch.setattr(qic.state, "MAX_QUBITS", 3)
         monkeypatch.setattr(qic.ecc, "uniform_superposition", no_state)
         monkeypatch.setattr(qic.ecc, "encode", no_state)
         with pytest.raises(ValueError, match="4 qubits exceeds the 3-qubit"):
             ecc_experiment(ChecksumScheme.global_parity(3),
                            NoiseModel(events=1), InterferenceConfig(), seed=1)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_fails_before_any_state_exists(self, seed,
+                                                                 monkeypatch):
+        import qic.ecc
+
+        def no_state(*args):
+            raise AssertionError("amplitudes allocated before the seed check")
+
+        monkeypatch.setattr(qic.ecc, "uniform_superposition", no_state)
+        monkeypatch.setattr(qic.ecc, "encode", no_state)
+        with pytest.raises(ValueError, match="seed must be a 64-bit integer"):
+            ecc_experiment(ChecksumScheme.global_parity(3),
+                           NoiseModel(events=1), InterferenceConfig(), seed)
 
     def test_event_log_echoed(self):
         report = ecc_experiment(ChecksumScheme.global_parity(2),

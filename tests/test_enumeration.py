@@ -52,15 +52,16 @@ class TestEnumerateSolutions:
     def test_oversized_register_fails_before_any_state_exists(self,
                                                                monkeypatch):
         import qic.enumeration
-        import qic.predicate
+        import qic.state
 
         def no_state(*args):
             raise AssertionError("amplitudes allocated before the cap check")
 
-        monkeypatch.setattr(qic.predicate, "MASK_COMPILE_CAP", 3)
+        monkeypatch.setattr(qic.state, "MAX_QUBITS", 3)
         monkeypatch.setattr(qic.enumeration, "uniform_superposition", no_state)
-        reg = Register(4)
+        # The register itself refuses, so no run can start.
         with pytest.raises(ValueError, match="4 qubits exceeds the 3-qubit"):
+            reg = Register(4)
             enumerate_solutions(Predicate(frozenset({1}), reg), reg,
                                 RunConfig(seed=1))
 

@@ -380,8 +380,7 @@ def test_kernel_in_its_own_input_matches_a_fresh_output(seed, m, eps, passes,
         fresh = _kernel_or_collapse(
             StateVector(Register(m), amps, normalized=True), valid, cfg)
         # The input views amps read-only; out writes amps itself.
-        psi = StateVector(Register(m), amps.view(), normalized=True,
-                          copy=False)
+        psi = StateVector._adopt(Register(m), amps.view(), normalized=True)
         got = _kernel_or_collapse(psi, valid, cfg, out=amps)
     assert (got is None) == (fresh is None)
     if got is not None:

@@ -7,7 +7,7 @@ refuse a well-formed scheme that breaks the structural rules with
 SchemeInvalid, which the CLI reports like a ParseError (exit 2).
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qic.ecc import ChecksumScheme, parse_scheme
@@ -44,6 +44,8 @@ def test_parse_expr_parses_or_raises_parse_error(text):
 
 @settings(max_examples=300, deadline=None)
 @given(text=st.one_of(st.text(max_size=60), _near(_DIMACS_PIECES)))
+@example(text="p cnf 2 1\n" + "9" * 4400)
+@example(text="p cnf " + "9" * 4400 + " 1\n")
 def test_parse_dimacs_parses_or_raises_parse_error(text):
     try:
         cnf = parse_dimacs(text)

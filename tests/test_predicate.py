@@ -24,7 +24,13 @@ from qic.predicate import (
     parse_expr,
     with_exclusions,
 )
-from qic.state import Register
+from qic.state import (
+    PhaseMask,
+    Register,
+    basis_state,
+    probability,
+    uniform_superposition,
+)
 
 from conftest import (
     bits_of,
@@ -258,10 +264,9 @@ class TestCompileMask:
             compile_mask(pred, Register(3))
 
     def test_materialization_cap(self):
-        reg = Register(27)
-        pred = Predicate(frozenset({0}), reg)
-        with pytest.raises(ValueError):
-            compile_mask(pred, reg)
+        # No mask can be compiled over a register that cannot be built.
+        with pytest.raises(ValueError, match="27 qubits exceeds the 26-qubit"):
+            Register(27)
 
     def test_private_flags_are_not_copied_again(self):
         reg = Register(8)
@@ -303,6 +308,40 @@ class TestWithExclusions:
         pred = Predicate(frozenset({1, 3}), reg)
         with_exclusions(pred, {1})
         assert pred.exclusions == frozenset()
+
+
+# Every public entry point that takes basis indices, as a value comparable
+# across calls.
+_INDEX_ENTRY_POINTS = {
+    "bitstring": lambda reg, i: reg.bitstring(i),
+    "basis_state": lambda reg, i: tuple(basis_state(reg, i).amplitudes),
+    "probability": lambda reg, i: probability(uniform_superposition(reg), i),
+    "evaluate": lambda reg, i: evaluate(Predicate(parse_expr("b0"), reg), i),
+    "PhaseMask.from_indices":
+        lambda reg, i: PhaseMask.from_indices(reg, [0, i]).valid_indices(),
+    "Predicate source": lambda reg, i: Predicate(frozenset({0, i}), reg).source,
+    "Predicate exclusions": lambda reg, i: Predicate(
+        parse_expr("b0"), reg, exclusions=frozenset({i})).exclusions,
+    "with_exclusions": lambda reg, i: with_exclusions(
+        Predicate(parse_expr("b0"), reg), [i]).exclusions,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_INDEX_ENTRY_POINTS))
+def test_every_index_entry_point_checks_the_register_range(entry):
+    call = _INDEX_ENTRY_POINTS[entry]
+    reg = Register(3)
+    for bad in (-1, 8):
+        with pytest.raises(IndexOutOfRange) as err:
+            call(reg, bad)
+        assert str(err.value) == f"index {bad} outside [0, 8)"
+    for good in (0, 5, 7):
+        expected = call(reg, good)
+        for kind in (np.int64, np.uint8):
+            got = call(reg, kind(good))
+            assert got == expected
+            if isinstance(got, frozenset):
+                assert all(type(i) is int for i in got)
 
 
 class TestUnboundVariable:

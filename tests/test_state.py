@@ -53,6 +53,15 @@ class TestRegister:
         with pytest.raises(ValueError):
             Register(25, 6)
 
+    def test_max_qubits_is_the_one_limit(self):
+        assert qic.state.MAX_QUBITS == 26
+        assert Register(26).dimension == 1 << 26
+        assert Register(20, 6).total_qubits == 26
+        for data, checksum in ((27, 0), (20, 7)):
+            with pytest.raises(ValueError, match="27 qubits exceeds the "
+                                                 "26-qubit cap"):
+                Register(data, checksum)
+
     def test_bitstring_renders_msb_first(self):
         reg = Register(3)
         assert reg.bitstring(1) == "001"
@@ -398,6 +407,15 @@ class TestDtypeRule:
     @pytest.mark.parametrize("amps", [[1, 0], [0.5, 0.5], np.ones(2, bool)])
     def test_real_input_stores_float64(self, amps):
         assert StateVector(Register(1), amps).amplitudes.dtype == np.float64
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_real_array_is_copied_to_float64(self, dtype):
+        amps = np.array([1, 0], dtype=dtype)
+        psi = StateVector(Register(1), amps)
+        assert psi.amplitudes.dtype == np.float64
+        assert not psi.amplitudes.flags.writeable
+        assert amps.flags.writeable
+        assert not np.shares_memory(psi.amplitudes, amps)
 
     @pytest.mark.parametrize("amps", [[1 + 0j, 0], np.zeros(2, np.complex64)])
     def test_complex_input_stores_complex128(self, amps):
