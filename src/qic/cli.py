@@ -4,9 +4,10 @@ Subcommands: ``demo`` (the 3-qubit worked example), ``solve`` (solution
 enumeration for a predicate), ``sweep`` (leakage-law grid), ``ecc``
 (checksum noise-removal experiment).
 
-Exit codes: 0 success, 1 usage error, 2 input parse error, 3 numerical
-failure.  Identical invocations (including --seed) produce byte-identical
-output; measured wall time is only ever printed to stderr via --timing.
+Exit codes: 0 success, 1 usage error or out of memory, 2 input parse
+error, 3 numerical failure.  Identical invocations (including --seed)
+produce byte-identical output; measured wall time is only ever printed to
+stderr via --timing.
 """
 
 from __future__ import annotations
@@ -334,6 +335,9 @@ def main(argv=None) -> int:
         return 3
     except (ValueError, OSError) as exc:
         print(f"qic: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"qic: out of memory: {exc}", file=sys.stderr)
         return 1
     if args.timing:
         print(f"timing_ms={elapsed_ms:.3f}", file=sys.stderr)

@@ -19,6 +19,7 @@ from .predicate import Predicate, compile_mask
 from .state import (
     DEFAULT_COLLAPSE_TOL,
     StateVector,
+    _blocks,
     _gather_abs,
     _interfere,
     apply_phase_mask,
@@ -84,12 +85,16 @@ def remnant_sweep(pred: Predicate, epsilons, passes,
     Per epsilon, the distinct pass counts run as one chain of passes, which
     gives the bits of a separate multi-pass call for each.  The magnitudes
     are gathered block by block, so a state whose flag-free blocks stayed
-    scalars is never made dense.
+    scalars is never made dense.  When every block holds a valid flag, no
+    block stays a scalar and every chain overwrites one dense buffer.
     """
     valid = compile_mask(pred, pred.register).valid
     if not valid.any():
         raise QicError("predicate has no valid components; ratio undefined")
     all_valid = bool(valid.all())
+    out = (np.empty(len(valid))
+           if all(valid[block].any() for block in _blocks(len(valid)))
+           else None)
     passes = list(passes)
     rows = []
     for eps in epsilons:
@@ -97,7 +102,7 @@ def remnant_sweep(pred: Predicate, epsilons, passes,
         cfgs = {r: InterferenceConfig(eps, r, collapse_tol) for r in passes}
         psi, done, measured = uniform_superposition(pred.register), 0, {}
         for r in sorted(cfgs):
-            psi = _interfere(psi, valid, eps, r - done, collapse_tol)
+            psi = _interfere(psi, valid, eps, r - done, collapse_tol, out=out)
             done = r
             measured[r] = 0.0 if all_valid else float(
                 np.mean(_gather_abs(psi, ~valid))

@@ -105,15 +105,13 @@ class BoolExpr:
     precedence = 4
     children: tuple = ()
 
-    def truth(self, index: int) -> bool:
-        """Evaluate at a single basis index."""
-        raise NotImplementedError
+    def words(self, qubit_words, ones):
+        """Evaluate bitsliced: ``qubit_words(k)`` holds variable k's lanes and
+        ``ones`` has every lane true; the result's lanes hold the truth.
 
-    def words(self, qubit_words) -> np.ndarray:
-        """Evaluate over packed words; ``qubit_words(k)`` packs variable k.
-
-        The result has one word, broadcast over every word of the
-        register, or one word per 64 basis indices.
+        Compiling passes uint64 words, 64 basis indices each, and gets one
+        word, broadcast over the register, or one per 64 indices;
+        ``evaluate`` passes one index as a one-lane int.
         """
         raise NotImplementedError
 
@@ -132,10 +130,7 @@ class BoolExpr:
 class Var(BoolExpr):
     index: int
 
-    def truth(self, index):
-        return (index >> self.index) & 1 == 1
-
-    def words(self, qubit_words):
+    def words(self, qubit_words, ones):
         return qubit_words(self.index)
 
     def max_variable(self):
@@ -149,11 +144,8 @@ class Var(BoolExpr):
 class Const(BoolExpr):
     value: bool
 
-    def truth(self, index):
-        return self.value
-
-    def words(self, qubit_words):
-        return np.array([_ONES if self.value else 0], dtype=_WORD)
+    def words(self, qubit_words, ones):
+        return ones if self.value else ~ones
 
     def to_text(self):
         return "1" if self.value else "0"
@@ -167,13 +159,8 @@ class _Compound(BoolExpr):
     """A node with operands; ``_combine`` maps their values, and ``_text``
     their texts, to its own."""
 
-    def truth(self, index):
-        # numpy bools, so that Not's '~' is a logical not.
-        return bool(_fold(self, lambda leaf: np.bool_(leaf.truth(index)),
-                          _apply))
-
-    def words(self, qubit_words):
-        return _fold(self, lambda leaf: leaf.words(qubit_words), _apply)
+    def words(self, qubit_words, ones):
+        return _fold(self, lambda leaf: leaf.words(qubit_words, ones), _apply)
 
     def max_variable(self):
         return _fold(self, lambda leaf: leaf.max_variable(),
@@ -449,20 +436,11 @@ class CnfFormula:
                     raise ValueError(f"literal {lit} out of range")
         object.__setattr__(self, "clauses", clauses)
 
-    def truth(self, index: int) -> bool:
+    def words(self, qubit_words, ones):
+        """Bitsliced evaluation, as ``BoolExpr.words``."""
+        result = ones
         for clause in self.clauses:
-            if not any(
-                ((index >> (abs(lit) - 1)) & 1) == (1 if lit > 0 else 0)
-                for lit in clause
-            ):
-                return False
-        return True
-
-    def words(self, qubit_words) -> np.ndarray:
-        """Packed evaluation, as ``BoolExpr.words``."""
-        result = np.array([_ONES], dtype=_WORD)
-        for clause in self.clauses:
-            satisfied = np.zeros(1, dtype=_WORD)
+            satisfied = ~ones
             for lit in clause:
                 bit = qubit_words(abs(lit) - 1)
                 satisfied = satisfied | (bit if lit > 0 else ~bit)
@@ -573,7 +551,8 @@ def evaluate(pred: Predicate, index: int, ignore_exclusions: bool = False) -> bo
         return False
     src = pred.source
     if isinstance(src, (BoolExpr, CnfFormula)):
-        return bool(src.truth(index))
+        # The compile's walk on one lane: bit 0 of a Python int.
+        return bool(src.words(lambda k: index >> k & 1, 1) & 1)
     return index in src
 
 
@@ -589,7 +568,8 @@ def _source_flags(source, m: int) -> np.ndarray:
     if isinstance(source, (BoolExpr, CnfFormula)):
         word_count = max(1, dim >> _WORD_QUBITS)
         words = source.words(functools.cache(
-            functools.partial(_qubit_words, word_count=word_count)))
+            functools.partial(_qubit_words, word_count=word_count)),
+            np.array([_ONES], dtype=_WORD))
         words = np.ascontiguousarray(np.broadcast_to(words, (word_count,)),
                                      dtype=_WORD)
         flags = np.unpackbits(words.view(np.uint8), bitorder="little")

@@ -9,7 +9,7 @@ All public transforms are pure: the input state is never mutated and
 outputs own fresh amplitude arrays.  Two private kernels may write over
 their source instead: ``_flip``, so that a chain of noise events runs in
 one owned buffer, and ``_interfere`` given ``out``, so that correction
-runs in that same buffer.
+runs in that same buffer and a sweep's pass chains share one.
 
 A state may hold its aligned blocks privately, each an array or a *fill*
 scalar that every amplitude of the block equals.  This module alone knows
@@ -312,10 +312,10 @@ def _interfere(psi: StateVector, valid: np.ndarray, leakage: float,
     stays a scalar through the same steps; every other block is a row of
     one owned buffer, the output's dense array if no block stayed a scalar.
 
-    For a dense ``psi``, ``out`` may name a writable, contiguous 2^m array
-    of its dtype to serve as that buffer, even psi's own memory: each
-    element is read before it is written.  Whatever else views ``out`` is
-    then overwritten.
+    When no block stays a scalar, ``out`` may name a writable, contiguous
+    2^m array of the output's dtype to serve as that buffer, even psi's own
+    memory: each element is read before it is written.  Whatever else views
+    ``out`` is then overwritten.
     """
     parts = _parts(psi)
     step = parts[0][0].stop
@@ -326,10 +326,10 @@ def _interfere(psi: StateVector, valid: np.ndarray, leakage: float,
     if out is None:
         buf = np.empty((scalar.count(False), step), dtype=dtype)
     else:
-        if (psi._parts is not None or out.dtype != dtype
+        if (any(scalar) or out.dtype != dtype
                 or out.shape != (psi.register.dimension,)):
-            raise ValueError("out must be 2^m amplitudes of a dense input's "
-                             "dtype")
+            raise ValueError("out must be 2^m amplitudes of the output's "
+                             "dtype, for an input that keeps no scalar block")
         buf = out.reshape(-1, step)
     rows = iter(buf)
     segs = [part if keep else next(rows)

@@ -22,7 +22,7 @@ def brute_force_valid(fn, m: int) -> set[int]:
 
 
 def expr_truth_brute(node, bits) -> bool:
-    """Recursive evaluator over raw bit lists, separate from BoolExpr.truth."""
+    """Recursive evaluator over raw bit lists, separate from BoolExpr.words."""
     if isinstance(node, Var):
         return bits[node.index] == 1
     if isinstance(node, Const):

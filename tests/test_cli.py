@@ -463,6 +463,26 @@ class TestInputErrors:
         assert result.stderr.startswith("qic: ")
         assert not target.exists()
 
+    @pytest.mark.parametrize("argv,name", [
+        (["solve", "--qubits", "4", "--expr", "b0"], "enumerate_solutions"),
+        (["ecc", "--data-qubits", "3", "--format", "csv"], "ecc_experiment"),
+    ])
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_out_of_memory_exits_1_with_one_line(self, argv, name, to_file,
+                                                 tmp_path, capsys,
+                                                 monkeypatch):
+        def work(*args, **kwargs):
+            raise MemoryError("Unable to allocate 512. MiB for an array")
+
+        monkeypatch.setattr(qic.cli, name, work)
+        target = tmp_path / "report"
+        assert main(argv + ["--output", str(target)] * to_file) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("qic: out of memory: Unable to allocate 512. MiB for "
+                       "an array\n")
+        assert not target.exists()
+
 
 class TestUsage:
     def test_no_subcommand(self):

@@ -368,19 +368,28 @@ def _kernel_or_collapse(psi, valid, cfg, out=None):
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 12),
        eps=st.floats(0.0, 1.0, exclude_max=True), passes=st.integers(1, 4),
-       kind=st.sampled_from(["real", "complex"]), sparse=st.booleans())
+       kind=st.sampled_from(["uniform", "real", "complex"]),
+       sparse=st.booleans())
 def test_kernel_in_its_own_input_matches_a_fresh_output(seed, m, eps, passes,
                                                         kind, sparse):
     pred = (_sparse_case if sparse else _random_case)(seed, m)
     valid = np.isin(np.arange(1 << m), list(pred.source))
     cfg = InterferenceConfig(leakage=eps, passes=passes)
-    amps = np.array(_state_of_kind(kind, seed + 1, m).amplitudes)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(qic.state, "_BLOCK", 128)
-        fresh = _kernel_or_collapse(
-            StateVector(Register(m), amps, normalized=True), valid, cfg)
-        # The input views amps read-only; out writes amps itself.
-        psi = StateVector._adopt(Register(m), amps.view(), normalized=True)
+        if kind == "uniform":
+            # A flag in every block, so no fill block stays a scalar.
+            valid[::128] = True
+            psi = uniform_superposition(Register(m))
+            amps = np.empty(1 << m)
+            fresh = _kernel_or_collapse(psi, valid, cfg)
+        else:
+            amps = np.array(_state_of_kind(kind, seed + 1, m).amplitudes)
+            fresh = _kernel_or_collapse(
+                StateVector(Register(m), amps, normalized=True), valid, cfg)
+            # The input views amps read-only; out writes amps itself.
+            psi = StateVector._adopt(Register(m), amps.view(),
+                                     normalized=True)
         got = _kernel_or_collapse(psi, valid, cfg, out=amps)
     assert (got is None) == (fresh is None)
     if got is not None:
@@ -390,7 +399,7 @@ def test_kernel_in_its_own_input_matches_a_fresh_output(seed, m, eps, passes,
                               fresh.amplitudes.view(np.uint64))
 
 
-def test_kernel_out_needs_a_dense_input_of_its_dtype():
+def test_kernel_out_needs_no_scalar_block_and_the_output_dtype(monkeypatch):
     valid = np.zeros(1 << 4, dtype=bool)
     valid[3] = True
     out = np.empty(1 << 4, dtype=np.complex128)
@@ -398,6 +407,16 @@ def test_kernel_out_needs_a_dense_input_of_its_dtype():
                 StateVector(Register(4), np.ones(1 << 4))):
         with pytest.raises(ValueError, match="out must be"):
             _interfere(psi, valid, 0.1, 1, 1e-9, out=out)
+    # Two blocks of 8: the uniform input keeps the flag-free one a scalar.
+    monkeypatch.setattr(qic.state, "_BLOCK", 8)
+    out = np.empty(1 << 4)
+    with pytest.raises(ValueError, match="out must be"):
+        _interfere(uniform_superposition(Register(4)), valid, 0.1, 1, 1e-9,
+                   out=out)
+    valid[12] = True
+    psi = _interfere(uniform_superposition(Register(4)), valid, 0.1, 1, 1e-9,
+                     out=out)
+    assert np.shares_memory(psi.amplitudes, out)
 
 
 def _mixed_state(m):
@@ -477,24 +496,29 @@ class TestRemnantSweep:
             self, monkeypatch):
         monkeypatch.setattr(qic.state, "_BLOCK", 1024)
         m = 14
-        # Valid in half the blocks (their rows of the block buffer); the
-        # other half stay scalars.
-        pred = Predicate(parse_expr("b13&b2"), Register(m))
-        buffer_bytes = 8 << (m - 1)
-
-        def run():
-            return remnant_sweep(pred, [0.0, 0.1, 0.2], [1, 2, 3, 4])
-
-        run()  # first calls import and compile
-        tracemalloc.start()
-        try:
-            run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         dense_bytes = 8 << m
-        # Materialising each state and gathering complex copies read 3.05.
-        assert peak < buffer_bytes + dense_bytes, peak / dense_bytes
+        # "b13&b2" is valid in half the blocks (their rows of the block
+        # buffer), and the other half stay scalars.  "b0" is valid in every
+        # block, so each epsilon's chain overwrites one dense buffer; a new
+        # buffer per call beside the previous state's read 2.27 states.
+        for expr, buffer_bytes in (("b13&b2", 8 << (m - 1)),
+                                   ("b0", dense_bytes)):
+            pred = Predicate(parse_expr(expr), Register(m))
+
+            def run():
+                return remnant_sweep(pred, [0.0, 0.1, 0.2], [1, 2, 3, 4])
+
+            run()  # first calls import and compile
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # Materialising each state and gathering complex copies read
+            # 3.05 for "b13&b2".
+            assert peak < buffer_bytes + dense_bytes, (expr,
+                                                       peak / dense_bytes)
 
     def test_no_valid_component_is_an_error(self):
         reg = Register(2)

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,21 +80,31 @@ class TestParseExpr:
             parse_expr(text)
         assert err.value.offset == offset
 
-    @pytest.mark.parametrize("text", [
-        "~" * MAX_EXPR_NESTING + "b1",
-        "(" * MAX_EXPR_NESTING + "b1" + ")" * MAX_EXPR_NESTING,
-        # Every '(' adds two levels to the tree: an Or over an And.
-        "b0 | b1 & (" * MAX_EXPR_NESTING + "b1" + ")" * MAX_EXPR_NESTING,
-        " ^ ".join(["b1"] * 300),
-        " | ".join(["b1 & ~b0"] * 5000),
-        " & ".join(["~b1"] * 5000),
-    ])
+    # Truth over indices 0-3, derived by hand: the recursive brute-force
+    # evaluator cannot walk these trees.
+    DEEP_AND_LONG = {
+        # An even count of '~'.
+        "~" * MAX_EXPR_NESTING + "b1": [False, False, True, True],
+        "(" * MAX_EXPR_NESTING + "b1" + ")" * MAX_EXPR_NESTING:
+            [False, False, True, True],
+        # Every '(' adds two levels to the tree: an Or over an And.  The
+        # innermost b0 | b1 & b1 is b0 | b1, and so is each level around it.
+        "b0 | b1 & (" * MAX_EXPR_NESTING + "b1" + ")" * MAX_EXPR_NESTING:
+            [False, True, True, True],
+        # An even count of b1.
+        " ^ ".join(["b1"] * 300): [False, False, False, False],
+        " | ".join(["b1 & ~b0"] * 5000): [False, False, True, False],
+        " & ".join(["~b1"] * 5000): [True, True, False, False],
+    }
+
+    @pytest.mark.parametrize("text", list(DEEP_AND_LONG))
     def test_deep_and_long_trees_are_usable(self, text):
         node = parse_expr(text)
         reg = Register(2)
         pred = Predicate(node, reg)
         flags = compile_mask(pred, reg).valid
         assert [bool(f) for f in flags] == [evaluate(pred, i) for i in range(4)]
+        assert [bool(f) for f in flags] == self.DEEP_AND_LONG[text]
         assert parse_expr(str(node)) == node
         assert hash(node) == hash(parse_expr(text))
 
@@ -241,6 +252,27 @@ class TestEvaluate:
         with pytest.raises(IndexOutOfRange):
             evaluate(pred, 4)
 
+    def test_point_queries_allocate_no_flags(self):
+        # 2^26 compiled flags would take 64 MiB; one lane takes none.
+        m = 26
+        reg = Register(m)
+        expr = parse_expr("b25 & ~b0 | b13 ^ b7")
+        clauses = random_cnf(np.random.default_rng(26), m)
+        cases = [(Predicate(expr, reg),
+                  lambda bits: expr_truth_brute(expr, bits)),
+                 (Predicate(CnfFormula(m, tuple(clauses)), reg),
+                  lambda bits: cnf_truth_brute(clauses, bits))]
+        indices = [0, 1, 1 << 25, (1 << 26) - 1, 0x2A5A5A5]
+        tracemalloc.start()
+        try:
+            got = [[evaluate(pred, i) for i in indices] for pred, _ in cases]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+        assert got == [[oracle(bits_of(i, m)) for i in indices]
+                       for _, oracle in cases]
+
 
 class TestCompileMask:
     def test_always_true(self):
@@ -355,6 +387,21 @@ class TestUnboundVariable:
 
 
 def test_mask_agrees_with_evaluate_on_random_instances():
+    # Constants, an empty CNF and an all-negative clause first.
+    for m in (1, 3, 7):
+        reg = Register(m)
+        for source in (Const(True), Const(False), Not(Const(True))):
+            oracle = expr_truth_brute(source, bits_of(0, m))
+            flags = compile_mask(Predicate(source, reg), reg).valid
+            assert flags.tolist() == [oracle] * reg.dimension
+            assert [evaluate(Predicate(source, reg), i)
+                    for i in range(reg.dimension)] == [oracle] * reg.dimension
+        for clauses in ((), ((-1, -m),)):
+            pred = Predicate(CnfFormula(m, clauses), reg)
+            flags = compile_mask(pred, reg).valid
+            for i in range(reg.dimension):
+                assert (flags[i] == evaluate(pred, i)
+                        == cnf_truth_brute(clauses, bits_of(i, m)))
     # 100 random sources, exhaustive per-index agreement, m up to 8
     rng = np.random.default_rng(1776)
     for trial in range(100):
@@ -455,6 +502,11 @@ class TestCompileCache:
         assert np.array_equal(flags, compile_mask(second, reg).valid)
         assert [bool(f) for f in flags] == [evaluate(first, i)
                                             for i in range(reg.dimension)]
+        # Valid exactly where the checksum qubits hold the data's checksum.
+        n = scheme.data_bits
+        assert [bool(f) for f in flags] == [
+            i >> n == scheme.checksum_of(i & ((1 << n) - 1))
+            for i in range(reg.dimension)]
 
     @pytest.mark.parametrize("source", [parse_expr("b0 ^ b9"),
                                         frozenset({3, 700})])
