@@ -7,7 +7,7 @@ cancel.  Imperfect cancellation is modeled by a single leakage scalar
 each valid component scales by ``2 - epsilon`` and each invalid one by
 ``epsilon`` before renormalization.  At ``epsilon = 0`` the operation is an
 exact projection onto the valid set.  The pass kernel itself is
-``qic.state._interfere``, beside the block format it works on.
+``qic.state._interfere``, beside the two-level state form it keeps.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from .predicate import Predicate, compile_mask
 from .state import (
     DEFAULT_COLLAPSE_TOL,
     StateVector,
-    _blocks,
-    _gather_abs,
+    _constant_sum,
     _interfere,
     apply_phase_mask,
     check_tolerance,
@@ -83,18 +82,16 @@ def remnant_sweep(pred: Predicate, epsilons, passes,
     invalid / mean valid magnitude from the uniform state (0.0 if all valid).
 
     Per epsilon, the distinct pass counts run as one chain of passes, which
-    gives the bits of a separate multi-pass call for each.  The magnitudes
-    are gathered block by block, so a state whose flag-free blocks stayed
-    scalars is never made dense.  When every block holds a valid flag, no
-    block stays a scalar and every chain overwrites one dense buffer.
+    gives the bits of a separate multi-pass call for each.  Every state of
+    a chain is two-level, so each mean is that of a constant run: np.mean's
+    bits come from ``_constant_sum`` over the flag counts, and no magnitude
+    is gathered.
     """
     valid = compile_mask(pred, pred.register).valid
-    if not valid.any():
+    n_valid = int(np.count_nonzero(valid))
+    if not n_valid:
         raise QicError("predicate has no valid components; ratio undefined")
-    all_valid = bool(valid.all())
-    out = (np.empty(len(valid))
-           if all(valid[block].any() for block in _blocks(len(valid)))
-           else None)
+    n_invalid = len(valid) - n_valid
     passes = list(passes)
     rows = []
     for eps in epsilons:
@@ -102,11 +99,12 @@ def remnant_sweep(pred: Predicate, epsilons, passes,
         cfgs = {r: InterferenceConfig(eps, r, collapse_tol) for r in passes}
         psi, done, measured = uniform_superposition(pred.register), 0, {}
         for r in sorted(cfgs):
-            psi = _interfere(psi, valid, eps, r - done, collapse_tol, out=out)
+            psi = _interfere(psi, valid, eps, r - done, collapse_tol)
             done = r
-            measured[r] = 0.0 if all_valid else float(
-                np.mean(_gather_abs(psi, ~valid))
-                / np.mean(_gather_abs(psi, valid)))
+            invalid, valid_mag = np.abs(psi._values)
+            measured[r] = 0.0 if not n_invalid else float(
+                _constant_sum(invalid, n_invalid) / n_invalid
+                / (_constant_sum(valid_mag, n_valid) / n_valid))
         for r in passes:
             predicted = (eps / (2.0 - eps)) ** r
             rows.append([eps, r, predicted, measured[r],

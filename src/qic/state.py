@@ -9,20 +9,21 @@ All public transforms are pure: the input state is never mutated and
 outputs own fresh amplitude arrays.  Two private kernels may write over
 their source instead: ``_flip``, so that a chain of noise events runs in
 one owned buffer, and ``_interfere`` given ``out``, so that correction
-runs in that same buffer and a sweep's pass chains share one.
+runs in that same buffer.
 
-A state may hold its aligned blocks privately, each an array or a *fill*
-scalar that every amplitude of the block equals.  This module alone knows
-that format, so it also owns the interference pass kernel ``_interfere``.
-The uniform state is all fill, and the kernel keeps a flag-free fill block
-a scalar, so an enumeration run over a sparse solution set stores, squares
-and scans only the blocks that hold a solution.  ``amplitudes``
-materialises the dense array on first access.
+A state holds one of two forms: a read-only dense array, or privately a
+*two-level* form of valid flags, an invalid and a valid value, and per
+aligned block whether its flags are unset, set or mixed.  Interference
+from the uniform state keeps that form, so an enumeration or sweep state
+holds no 2^m amplitudes.  This module alone knows the forms, so it owns
+the pass kernel ``_interfere`` and the one walk (``_masses``) under the
+squared norm, the kernel's surviving mass and ``sample``.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -94,7 +95,8 @@ class StateVector:
     the transforms give a real state the same bits in either dtype.
     """
 
-    __slots__ = ("register", "normalized", "_dense", "_parts")
+    __slots__ = ("register", "normalized", "_dense", "_flags", "_values",
+                 "_kinds")
 
     def __init__(self, register: Register, amplitudes, normalized: bool = False):
         arr = np.asarray(amplitudes)
@@ -105,11 +107,8 @@ class StateVector:
                 f"expected {register.dimension} amplitudes, got {arr.shape}"
             )
         arr.flags.writeable = False
-        self.register = register
-        self.normalized = normalized
-        self._dense = arr
-        # For a state built in blocks: (block, array or float64 fill) pairs.
-        self._parts = None
+        self.register, self.normalized, self._dense = register, normalized, arr
+        self._flags = self._values = self._kinds = None  # see _two_level
 
     @classmethod
     def _adopt(cls, register: Register, amps: np.ndarray,
@@ -117,26 +116,32 @@ class StateVector:
         """Wrap 2^m float64 or complex128 amplitudes that no caller writes
         through: no copy, no checks."""
         amps.flags.writeable = False
-        psi = cls._of_parts(register, None, normalized)
-        psi._dense = amps
+        psi = cls.__new__(cls)
+        psi.register, psi.normalized, psi._dense = register, normalized, amps
+        psi._flags = psi._values = psi._kinds = None
         return psi
 
     @classmethod
-    def _of_parts(cls, register: Register, parts: list,
-                  normalized: bool) -> "StateVector":
-        """Wrap read-only block parts that no caller holds: no checks."""
+    def _two_level(cls, register: Register, flags: np.ndarray | None,
+                   values: np.ndarray, kinds: bytes) -> "StateVector":
+        """A normalized state: amplitude i is ``values[flags[i]]``, or
+        ``values[0]`` if flags is None; ``kinds[b]`` is 0 or 1 if aligned
+        block b holds only that flag, else 2.  No checks."""
         psi = cls.__new__(cls)
-        psi.register = register
-        psi.normalized = normalized
-        psi._dense = None
-        psi._parts = parts
+        psi.register, psi.normalized, psi._dense = register, True, None
+        psi._flags, psi._values, psi._kinds = flags, values, kinds
         return psi
 
     @property
     def amplitudes(self) -> np.ndarray:
-        """The 2^m amplitudes, read-only; built on first access."""
+        """The 2^m amplitudes, read-only; a two-level state builds them on
+        first access, without flags as a zero-stride view."""
         if self._dense is None:
-            self._dense = _materialise(self._parts, self.register.dimension)
+            invalid, valid = self._values
+            self._dense = (np.broadcast_to(invalid, self.register.dimension)
+                           if self._flags is None
+                           else np.where(self._flags, valid, invalid))
+            self._dense.flags.writeable = False
         return self._dense
 
     def __repr__(self):
@@ -186,13 +191,12 @@ class PhaseMask:
 def uniform_superposition(register: Register) -> StateVector:
     """Equal-amplitude state: every component is 2^(-m/2).
 
-    Every block is a fill, so the state allocates no amplitude array.
+    A two-level state without flags, so it allocates no amplitude array.
     """
     dim = register.dimension
-    fill = 1.0 / np.sqrt(dim)
-    return StateVector._of_parts(register, [(block, fill)
-                                            for block in _blocks(dim)],
-                                 normalized=True)
+    return StateVector._two_level(register, None,
+                                  np.full(2, 1.0 / np.sqrt(dim)),
+                                  bytes(dim // min(_BLOCK, dim)))
 
 
 def basis_state(register: Register, index: int) -> StateVector:
@@ -216,33 +220,17 @@ def _blocks(dim: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, dim, step)]
 
 
-def _parts(psi: StateVector) -> list:
-    """psi's aligned blocks, each paired with an array or a fill scalar."""
-    if psi._parts is not None:
-        return psi._parts
-    amps = psi._dense
-    return [(block, amps[block]) for block in _blocks(len(amps))]
+def _step(psi: StateVector) -> int:
+    """psi's block length; a two-level state's is that of its kinds."""
+    dim = psi.register.dimension
+    return dim // len(psi._kinds) if psi._kinds else min(_BLOCK, dim)
 
 
-def _is_fill(part) -> bool:
-    return not isinstance(part, np.ndarray)
-
-
-def _materialise(parts: list, dim: int) -> np.ndarray:
-    """The read-only dense array of block parts.
-
-    One fill throughout becomes a zero-stride view, which allocates nothing.
-    """
-    fill = parts[0][1]
-    if all(_is_fill(part) and part.tobytes() == fill.tobytes()
-           for _, part in parts):
-        return np.broadcast_to(fill, dim)
-    dtypes = {part.dtype for _, part in parts if not _is_fill(part)}
-    amps = np.empty(dim, dtype=np.result_type(np.float64, *dtypes))
-    for block, part in parts:
-        amps[block] = part
-    amps.flags.writeable = False
-    return amps
+def _block_kinds(flags: np.ndarray) -> bytes:
+    """Per aligned block of flags: 0 if none is set, 1 if all are, else 2."""
+    step = min(_BLOCK, len(flags))
+    counts = [np.count_nonzero(flags[block]) for block in _blocks(len(flags))]
+    return bytes(2 if 0 < count < step else int(count > 0) for count in counts)
 
 
 def _mass(amps: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -254,6 +242,29 @@ def _mass(amps: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.square(out, out=out)
 
 
+def _masses(psi: StateVector, buf: np.ndarray, start: int = 0):
+    """Yield |amp|^2 of psi's aligned blocks from block ``start`` on: a
+    float64 for a block of one value, else ``buf`` (block-sized float64,
+    owned by the caller) written with it."""
+    step = len(buf)
+    if psi._values is None:
+        for lo in range(start * step, len(psi._dense), step):
+            yield _mass(psi._dense[lo:lo + step], buf)
+        return
+    squares = np.square(psi._values)
+    for b in range(start, len(psi._kinds)):
+        kind = psi._kinds[b]
+        if kind < 2:
+            yield squares[kind]
+            continue
+        # A mixed block by bit select: flag * (a ^ b) ^ a is a or b.
+        words, bits = squares.view(np.uint64), buf.view(np.uint64)
+        flags = psi._flags[b * step:(b + 1) * step].view(np.uint8)
+        np.multiply(flags, words[:1] ^ words[1:], out=bits)
+        np.bitwise_xor(bits, words[:1], out=bits)
+        yield buf
+
+
 def _pairwise(sums: list) -> float:
     """Combine a power-of-two count of block sums as np.sum's tree does."""
     while len(sums) > 1:
@@ -261,42 +272,49 @@ def _pairwise(sums: list) -> float:
     return float(sums[0])
 
 
-def _block_mass(part, scratch: np.ndarray, fill_sums: dict):
-    """np.sum of |part|^2 in the block-sized float64 ``scratch``.
-
-    A fill's sum is taken once per value and kept in ``fill_sums``.
-    """
-    if not _is_fill(part):
-        return np.sum(_mass(part, scratch))
-    if part not in fill_sums:
-        scratch.fill(part * part)
-        fill_sums[part] = np.sum(scratch)
-    return fill_sums[part]
+@functools.lru_cache
+def _constant_sum(v: float, count: int) -> float:
+    """np.sum of ``count`` copies of v, bit for bit, by numpy's pairwise
+    recursion: a run of at most 128 is summed as such, a longer one split
+    at half its length less that half modulo 8."""
+    if count <= 128:
+        return np.sum(np.full(count, v))
+    half = count // 2 - count // 2 % 8
+    return _constant_sum(v, half) + _constant_sum(v, count - half)
 
 
 def norm_squared(psi: StateVector) -> float:
     # np.sum of |amp|^2, bit for bit, in block-sized scratch.
-    parts = _parts(psi)
-    scratch = np.empty(parts[0][0].stop)
-    fill_sums = {}
-    return _pairwise([_block_mass(part, scratch, fill_sums)
-                      for _, part in parts])
+    buf = np.empty(_step(psi))
+    return _pairwise([np.sum(buf) if mass is buf
+                      else _constant_sum(mass, len(buf))
+                      for mass in _masses(psi, buf)])
 
 
 def _gather_abs(psi: StateVector, flags: np.ndarray) -> np.ndarray:
-    """``np.abs(psi.amplitudes[flags])``, gathered block by block into one
-    float64 array; a fill block contributes its scalar."""
+    """``np.abs(psi.amplitudes[flags])`` as one float64 array, gathered
+    block by block from a dense state."""
+    if psi._values is not None:
+        invalid, valid = np.abs(psi._values)
+        if psi._flags is None:
+            return np.full(np.count_nonzero(flags), invalid)
+        return np.where(psi._flags[flags], valid, invalid)
     out = np.empty(np.count_nonzero(flags))
     start = 0
-    for block, part in _parts(psi):
+    for block in _blocks(len(flags)):
         chosen = flags[block]
         stop = start + np.count_nonzero(chosen)
-        if _is_fill(part):
-            out[start:stop] = abs(part)
-        else:
-            np.abs(part[chosen], out=out[start:stop])
+        np.abs(psi._dense[block][chosen], out=out[start:stop])
         start = stop
     return out
+
+
+def _scale(surviving: float, tol: float):
+    """The factor that renormalises ``surviving`` >= ``tol`` mass."""
+    if surviving < tol:
+        raise NormCollapse(surviving, tol)
+    # As numpy's complex / real does, up to the sign of a zero amplitude.
+    return 1.0 / np.sqrt(surviving)
 
 
 def _interfere(psi: StateVector, valid: np.ndarray, leakage: float,
@@ -308,65 +326,49 @@ def _interfere(psi: StateVector, valid: np.ndarray, leakage: float,
     leakage and renormalises (NormCollapse below ``tol``), with the rounding
     steps of whole-array passes: times the weight, then per later pass
     times the previous 1/sqrt(surviving) and the weight; the last factor
-    comes once the last surviving mass is known.  A flag-free fill block
-    stays a scalar through the same steps; every other block is a row of
-    one owned buffer, the output's dense array if no block stayed a scalar.
+    comes once the last surviving mass is known.
 
-    When no block stays a scalar, ``out`` may name a writable, contiguous
-    2^m array of the output's dtype to serve as that buffer, even psi's own
-    memory: each element is read before it is written.  Whatever else views
-    ``out`` is then overwritten.
+    From the uniform state, or a two-level state over these very flags,
+    the passes run on the two values and return a two-level state.  Any
+    other input is made dense and passed block by block into one buffer:
+    ``out`` if given, a writable, contiguous 2^m array of the input's dtype
+    (psi's own memory too, as each element is read before it is written).
     """
-    parts = _parts(psi)
-    step = parts[0][0].stop
-    scalar = [_is_fill(part) and not valid[block].any()
-              for block, part in parts]
-    dtypes = {part.dtype for _, part in parts if not _is_fill(part)}
-    dtype = np.result_type(np.float64, *dtypes)
-    if out is None:
-        buf = np.empty((scalar.count(False), step), dtype=dtype)
-    else:
-        if (any(scalar) or out.dtype != dtype
-                or out.shape != (psi.register.dimension,)):
-            raise ValueError("out must be 2^m amplitudes of the output's "
-                             "dtype, for an input that keeps no scalar block")
-        buf = out.reshape(-1, step)
-    rows = iter(buf)
-    segs = [part if keep else next(rows)
-            for (_, part), keep in zip(parts, scalar)]
-    weights, mass = np.empty(step), np.empty(step)
     # Indexed by a flag: leakage for invalid, 2 - leakage for valid.
     levels = np.array([leakage, 2.0 - leakage])
-    scale = None
+    if psi._values is not None and (psi._flags is None
+                                     or psi._flags is valid):
+        if out is not None:
+            raise ValueError("out must be None for a two-level input")
+        kinds = psi._kinds if psi._flags is valid else _block_kinds(valid)
+        values, scale = psi._values, None
+        for _ in range(passes):
+            values = (values if scale is None else values * scale) * levels
+            scale = _scale(norm_squared(StateVector._two_level(
+                psi.register, valid, values, kinds)), tol)
+        return StateVector._two_level(psi.register, valid, values * scale,
+                                      kinds)
+    amps = psi.amplitudes
+    step = min(_BLOCK, len(amps))
+    if out is None:
+        out = np.empty(len(amps), dtype=amps.dtype)
+    elif out.dtype != amps.dtype or out.shape != amps.shape:
+        raise ValueError("out must be 2^m amplitudes of the input's dtype")
+    weights, mass, scale = np.empty(step), np.empty(step), None
     for _ in range(passes):
-        sums, fill_sums = [], {}
-        for i, (block, part) in enumerate(parts):
-            seg = segs[i]
-            if _is_fill(seg):
-                seg = segs[i] = (seg if scale is None
-                                 else seg * scale) * levels[0]
-            else:
-                if scale is not None:
-                    seg *= scale
-                levels.take(valid[block].view(np.uint8), out=weights,
-                            mode="clip")
-                np.multiply(part if scale is None else seg, weights, out=seg)
-            sums.append(_block_mass(seg, mass, fill_sums))
-        surviving = _pairwise(sums)
-        if surviving < tol:
-            raise NormCollapse(surviving, tol)
-        # As numpy's complex / real does, up to the sign of a zero amplitude.
-        scale = 1.0 / np.sqrt(surviving)
-    buf *= scale
-    buf.flags.writeable = False
-    if not any(scalar):
-        return StateVector._adopt(psi.register, buf.reshape(-1),
-                                  normalized=True)
-    rows = iter(buf)
-    return StateVector._of_parts(
-        psi.register, [(block, seg * scale if keep else next(rows))
-                       for (block, _), seg, keep in zip(parts, segs, scalar)],
-        normalized=True)
+        sums = []
+        for lo in range(0, len(amps), step):
+            row = out[lo:lo + step]
+            if scale is not None:
+                row *= scale
+            levels.take(valid[lo:lo + step].view(np.uint8), out=weights,
+                        mode="clip")
+            np.multiply(amps[lo:lo + step] if scale is None else row, weights,
+                        out=row)
+            sums.append(np.sum(_mass(row, mass)))
+        scale = _scale(_pairwise(sums), tol)
+    out *= scale
+    return StateVector._adopt(psi.register, out.view(), normalized=True)
 
 
 def check_tolerance(tol: float, name: str = "tol") -> None:
@@ -384,20 +386,16 @@ def check_seed(seed: int) -> None:
 def normalize(psi: StateVector, tol: float = DEFAULT_COLLAPSE_TOL) -> StateVector:
     """Rescale to unit norm. Raises NormCollapse if norm_squared < tol."""
     check_tolerance(tol)
-    n2 = norm_squared(psi)
-    if n2 < tol:
-        raise NormCollapse(n2, tol)
-    # As numpy's complex / real does, up to the sign of a zero amplitude.
-    amps = psi.amplitudes * (1.0 / np.sqrt(n2))
+    amps = psi.amplitudes * _scale(norm_squared(psi), tol)
     return StateVector._adopt(psi.register, amps, normalized=True)
 
 
 def probability(psi: StateVector, index: int) -> float:
     index = psi.register.index(index)
-    parts = _parts(psi)
-    block, part = parts[index // parts[0][0].stop]
-    value = part if _is_fill(part) else part[index - block.start]
-    return float(abs(value) ** 2)
+    if psi._values is None:
+        return float(abs(psi._dense[index]) ** 2)
+    flag = 0 if psi._flags is None else int(psi._flags[index])
+    return float(abs(psi._values[flag]) ** 2)
 
 
 def _constant_run_end(carry: float, v: float, count: int) -> float | None:
@@ -445,49 +443,46 @@ def sample(psi: StateVector, rng: np.random.Generator,
     index always has nonzero probability.
     """
     check_tolerance(tol)
-    parts = _parts(psi)
-    total = None
-    if not psi.normalized:
-        total = norm_squared(psi)
-        if total < tol:
-            raise NormCollapse(total, tol)
-    # Slot 0 carries the running sum into the block, so np.cumsum, which
-    # adds strictly in order, continues the whole state's running sum.
-    step = parts[0][0].stop
-    scan = np.empty(step + 1)
-
-    def fill_mass(fill) -> float:
-        w = fill * fill
-        return w if total is None else w / total
-
-    def running_sum(part, carry: float) -> float:
-        scan[0] = carry
-        if _is_fill(part):
-            scan[1:] = fill_mass(part)
-        else:
-            _mass(part, scan[1:])
-            if total is not None:
-                scan[1:] /= total
-        np.cumsum(scan, out=scan)
-        return float(scan[-1])
-
-    # Only the running sum into each block and at the end is kept; a fill
-    # block's end comes in closed form unless it ties.
+    total = None if psi.normalized else norm_squared(psi)
+    if total is not None and total < tol:
+        raise NormCollapse(total, tol)
+    # Only the running sum into each block and at the end is kept.
+    scan = np.empty(_step(psi) + 1)
+    masses = scan[1:]
     ends = [0.0]
-    for _, part in parts:
-        end = (_constant_run_end(ends[-1], fill_mass(part), step)
-               if _is_fill(part) else None)
-        ends.append(running_sum(part, ends[-1]) if end is None else end)
+    for mass in _masses(psi, masses):
+        ends.append(_block_end(scan, mass, ends[-1], total))
     if not ends[-1] > 0:
         raise NormCollapse(ends[-1], tol)
     # Scaling by the rounded total keeps u below ends[-1], so the first
     # entry above u ends a step of nonzero probability.
     u = rng.random() * ends[-1]
     b = bisect.bisect_right(ends, u) - 1
-    block, part = parts[b]
-    if b < len(parts) - 1 or _is_fill(part):  # else the scan holds it
-        running_sum(part, ends[b])
-    return block.start + int(np.searchsorted(scan[1:], u, side="right"))
+    if b < len(ends) - 2 or mass is not masses:  # else the scan holds it
+        _block_end(scan, next(_masses(psi, masses, b)), ends[b], total,
+                   closed=False)
+    return b * len(masses) + int(np.searchsorted(masses, u, side="right"))
+
+
+def _block_end(scan: np.ndarray, mass, carry: float, total: float | None,
+               closed: bool = True) -> float:
+    """The running sum from ``carry`` to the end of a block whose |amp|^2
+    (over ``total`` unless None) is ``mass``: ``scan[1:]`` itself, or a
+    value the whole block holds, whose end comes in closed form unless it
+    ties or ``closed`` is false.  Else ``scan`` is left holding the run."""
+    if not isinstance(mass, np.ndarray):
+        w = mass if total is None else mass / total
+        end = _constant_run_end(carry, w, len(scan) - 1) if closed else None
+        if end is not None:
+            return end
+        scan[1:] = w
+    elif total is not None:
+        np.divide(mass, total, out=mass)
+    # Slot 0 carries the running sum into the block, so np.cumsum, which
+    # adds strictly in order, continues the whole state's running sum.
+    scan[0] = carry
+    np.cumsum(scan, out=scan)
+    return float(scan[-1])
 
 
 def fidelity(psi: StateVector, phi: StateVector) -> float:

@@ -185,8 +185,8 @@ def test_first_solution_is_uniform_over_solution_set():
 
 
 def test_enumeration_holds_at_most_two_state_arrays(monkeypatch):
-    # The uniform state and one run's output, beside 2^m-byte flags and
-    # block scratch far below a state's size.
+    # Each run's state is two-level: 2^m-byte flags and block scratch, far
+    # below a state's size.
     monkeypatch.setattr(qic.state, "_BLOCK", 1024)
     m = 14
     reg = Register(m)
@@ -207,7 +207,7 @@ def test_enumeration_holds_at_most_two_state_arrays(monkeypatch):
 
 
 def test_sparse_enumeration_peaks_below_one_state_array(monkeypatch):
-    # Flag-free blocks stay scalars: no run allocates a 2^m array.
+    # Each run's state is two-level: no run allocates a 2^m array.
     monkeypatch.setattr(qic.state, "_BLOCK", 1024)
     m = 14
     reg = Register(m)
@@ -225,6 +225,29 @@ def test_sparse_enumeration_peaks_below_one_state_array(monkeypatch):
     assert report.termination == Termination.EXHAUSTED
     assert len(report.found) == 3
     assert peak < np.dtype(np.float64).itemsize << m
+
+
+def test_sparse_enumeration_holds_no_amplitude_array():
+    # Each run's state is its flags and two values, dropped once measured:
+    # the peak is two 2^m-byte flag arrays (the predicate's and the run's)
+    # and a block of sample scratch.  Keeping the last run's state (and its
+    # flags) into the next run read 3.57 x 2^m bytes, a run buffer 9.0.
+    m = 20
+    reg = Register(m)
+    planted = {3, 70000, 300001, 512345, 800000, (1 << m) - 1}
+    pred = Predicate(frozenset(planted), reg)
+    cfg = RunConfig(seed=1, interference=InterferenceConfig(0.05, 3))
+    enumerate_solutions(Predicate(frozenset({1}), Register(3)), Register(3),
+                        cfg)  # first calls import and cache what they need
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        report = enumerate_solutions(pred, reg, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert {int(s, 2) for s in report.found} == planted
+    assert peak < 3 << m, peak / (1 << m)
 
 
 def _dense_enumeration(valid_set, reg, cfg):

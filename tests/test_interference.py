@@ -29,6 +29,12 @@ from qic.state import (
 )
 
 from conftest import random_state
+from test_state import (
+    _FixedDraw,
+    _block_flags,
+    _dense_sample,
+    _draws_on_running_sums,
+)
 
 
 def uniform_pred(m, valid):
@@ -378,18 +384,16 @@ def test_kernel_in_its_own_input_matches_a_fresh_output(seed, m, eps, passes,
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(qic.state, "_BLOCK", 128)
         if kind == "uniform":
-            # A flag in every block, so no fill block stays a scalar.
-            valid[::128] = True
-            psi = uniform_superposition(Register(m))
-            amps = np.empty(1 << m)
-            fresh = _kernel_or_collapse(psi, valid, cfg)
+            # The two-level output against a dense copy of its input.
+            uniform = uniform_superposition(Register(m))
+            fresh = _kernel_or_collapse(uniform, valid, cfg)
+            amps = np.array(uniform.amplitudes)
         else:
             amps = np.array(_state_of_kind(kind, seed + 1, m).amplitudes)
             fresh = _kernel_or_collapse(
                 StateVector(Register(m), amps, normalized=True), valid, cfg)
-            # The input views amps read-only; out writes amps itself.
-            psi = StateVector._adopt(Register(m), amps.view(),
-                                     normalized=True)
+        # The input views amps read-only; out writes amps itself.
+        psi = StateVector._adopt(Register(m), amps.view(), normalized=True)
         got = _kernel_or_collapse(psi, valid, cfg, out=amps)
     assert (got is None) == (fresh is None)
     if got is not None:
@@ -407,20 +411,66 @@ def test_kernel_out_needs_no_scalar_block_and_the_output_dtype(monkeypatch):
                 StateVector(Register(4), np.ones(1 << 4))):
         with pytest.raises(ValueError, match="out must be"):
             _interfere(psi, valid, 0.1, 1, 1e-9, out=out)
-    # Two blocks of 8: the uniform input keeps the flag-free one a scalar.
+    # Two blocks of 8: a two-level input refuses out, with a flag in one
+    # block or in both, and a dense one writes it.
     monkeypatch.setattr(qic.state, "_BLOCK", 8)
     out = np.empty(1 << 4)
     with pytest.raises(ValueError, match="out must be"):
         _interfere(uniform_superposition(Register(4)), valid, 0.1, 1, 1e-9,
                    out=out)
     valid[12] = True
-    psi = _interfere(uniform_superposition(Register(4)), valid, 0.1, 1, 1e-9,
-                     out=out)
+    with pytest.raises(ValueError, match="out must be"):
+        _interfere(uniform_superposition(Register(4)), valid, 0.1, 1, 1e-9,
+                   out=out)
+    psi = _interfere(StateVector(Register(4), np.ones(1 << 4)), valid, 0.1, 1,
+                     1e-9, out=out)
     assert np.shares_memory(psi.amplitudes, out)
 
 
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 12),
+       eps=st.floats(0.0, 1.0, exclude_max=True),
+       chain=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+       reflag=st.booleans())
+def test_two_level_states_match_dense_reference_bitwise(seed, m, eps, chain,
+                                                        reflag):
+    # A chain of kernel calls from the uniform state on the same flags, the
+    # last one on other flags if ``reflag`` (after the first call, the
+    # dense fallback).
+    rng = np.random.default_rng(seed)
+    valid, other = _block_flags(rng, m), _block_flags(rng, m)
+    reg = Register(m)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qic.state, "_BLOCK", 128)
+        psi = uniform_superposition(reg)
+        ref = StateVector(reg, psi.amplitudes, normalized=True)
+        for i, passes in enumerate(chain):
+            flags = other if reflag and i == len(chain) - 1 else valid
+            cfg = InterferenceConfig(eps, passes)
+            expected = _dense_interfere(ref, flags, cfg, passes)
+            psi = _kernel_or_collapse(psi, flags, cfg)
+            assert (psi is None) == (expected is None)
+            if psi is None:
+                return
+            # Two-level unless the input was, over other flags.
+            assert (psi._values is not None) == (i == 0 or flags is valid)
+            ref = StateVector(reg, expected, normalized=True)
+            assert norm_squared(psi).hex() == norm_squared(ref).hex()
+            for index in rng.integers(0, 1 << m, 4):
+                assert probability(psi, index) == probability(ref, index)
+            cumulative = _dense_sample(ref, 0.5)[1]
+            ends = np.arange(min(127, (1 << m) - 1), 1 << m, 128)
+            draws = [*rng.random(4).tolist(),
+                     *_draws_on_running_sums(cumulative, ends)]
+            for u in draws:
+                assert (sample(psi, _FixedDraw(u))
+                        == _dense_sample(ref, u)[0]), u
+            assert np.array_equal(psi.amplitudes.view(np.uint64),
+                                  expected.view(np.uint64))
+
+
 def _mixed_state(m):
-    """Flag-free blocks stay fills and the flagged ones become arrays."""
+    """A two-level state with flag-free blocks and mixed ones."""
     pred = Predicate(frozenset({3, (1 << m) - 2}), Register(m))
     return interfere_repeated(uniform_superposition(Register(m)), pred,
                               InterferenceConfig(0.2, 2))
@@ -434,8 +484,7 @@ def test_gather_abs_matches_dense_gather_bitwise(kind, monkeypatch):
         psi = uniform_superposition(Register(m))
     elif kind == "mixed":
         psi = _mixed_state(m)
-        assert {qic.state._is_fill(part) for _, part in psi._parts} == {
-            True, False}
+        assert set(psi._kinds) == {0, 2}
     else:
         psi = _state_of_kind(kind, 5, m)
     rng = np.random.default_rng(6)
@@ -497,10 +546,8 @@ class TestRemnantSweep:
         monkeypatch.setattr(qic.state, "_BLOCK", 1024)
         m = 14
         dense_bytes = 8 << m
-        # "b13&b2" is valid in half the blocks (their rows of the block
-        # buffer), and the other half stay scalars.  "b0" is valid in every
-        # block, so each epsilon's chain overwrites one dense buffer; a new
-        # buffer per call beside the previous state's read 2.27 states.
+        # Every chained state is two-level: the sweep holds its flags and
+        # block scratch (0.28 and 0.16 dense states), far below the bounds.
         for expr, buffer_bytes in (("b13&b2", 8 << (m - 1)),
                                    ("b0", dense_bytes)):
             pred = Predicate(parse_expr(expr), Register(m))

@@ -22,7 +22,7 @@ from qic.state import (
     sample,
     uniform_superposition,
 )
-from qic.state import _constant_run_end
+from qic.state import _constant_run_end, _constant_sum
 
 from conftest import dense_partial_flip, random_state
 
@@ -480,6 +480,18 @@ def _draws_on_running_sums(cumulative, indices):
                 yield float(u)
 
 
+def _block_flags(rng, m):
+    """2^m read-only flags whose aligned 128-blocks are each flag-free,
+    all valid or mixed at random."""
+    flags = rng.random(1 << m) < rng.random()
+    for start in range(0, 1 << m, 128):
+        kind = rng.integers(3)
+        if kind < 2:
+            flags[start:start + 128] = bool(kind)
+    flags.flags.writeable = False
+    return flags
+
+
 class TestBlockedReductions:
     """The block loops against whole-array numpy, with 128-amplitude blocks
     so that registers from m = 8 up span several blocks."""
@@ -531,21 +543,16 @@ class TestBlockedReductions:
         for seed in range(300):
             rng = np.random.default_rng(seed)
             m = int(rng.integers(1, 13))
-            blocks = qic.state._blocks(1 << m)
-            # A few fill values, some shared, beside random array blocks.
-            values = rng.random(3) * 2.0 ** rng.integers(-8, 3, 3)
+            # Flag-free, all-valid and mixed blocks over two values.
+            flags = _block_flags(rng, m)
+            values = rng.random(2) * 2.0 ** rng.integers(-8, 3, 2)
             if seed % 5 == 0:
                 values[0] = 0.0
-            parts = []
-            for block in blocks:
-                if rng.random() < 0.3:
-                    part = rng.normal(size=block.stop - block.start)
-                    part.flags.writeable = False
-                else:
-                    part = values[rng.integers(3)]
-                parts.append((block, part))
-            psi = StateVector._of_parts(Register(m), parts,
-                                        normalized=bool(seed % 2))
+            if seed % 7 == 0:
+                values[1] = values[0]
+            psi = StateVector._two_level(Register(m), flags, values,
+                                         qic.state._block_kinds(flags))
+            psi.normalized = bool(seed % 2)
             dense = StateVector(psi.register, psi.amplitudes,
                                 normalized=psi.normalized)
             assert psi.amplitudes.dtype == np.float64
@@ -600,6 +607,23 @@ def test_numpy_cumsum_adds_strictly_in_order():
             "float64 array, written in place, no longer adds strictly in "
             "index order, which qic.state.sample (and the closed-form run "
             "ends of _constant_run_end) rely on for unchanged bits")
+
+
+def test_constant_sum_matches_numpy_sum_and_mean_bitwise():
+    rng = np.random.default_rng(13)
+    counts = [*range(1, 1500), *rng.integers(1500, 1 << 21, 40).tolist(),
+              1 << 20, (1 << 20) + 1, (1 << 20) - 1]
+    for v in (0.1, 1 / 3, 2.0**-30 * 7, float(rng.random())):
+        for n in counts:
+            run = np.full(n, v)
+            got = _constant_sum(v, n)
+            assert got.hex() == np.sum(run).hex(), (v, n)
+            assert float(got / n).hex() == float(np.mean(run)).hex(), (
+                f"numpy contract broken for {n} copies of {v!r}: np.sum "
+                "of a contiguous float64 array no longer follows the "
+                "pairwise recursion (leaves of at most 128, halves rounded "
+                "down to a multiple of 8) that qic.state._constant_sum, and "
+                "with it the sweep's measured ratio, relies on")
 
 
 def _cumsum_end(carry, v, count):
@@ -724,9 +748,8 @@ def test_sample_with_tying_fill_blocks_allocates_one_block_scan():
     # The run of fill masses from carry 0 ties, so every block falls back
     # to a real scan, which must reuse sample's own buffer.
     assert _constant_run_end(0.0, fill * fill, step) is None
-    psi = StateVector._of_parts(reg, [(block, np.float64(fill))
-                                      for block in qic.state._blocks(1 << 20)],
-                                normalized=True)
+    psi = StateVector._two_level(reg, None, np.full(2, fill),
+                                 bytes(len(qic.state._blocks(1 << 20))))
     sample(psi, np.random.default_rng(0))  # first calls import what they need
     rng = np.random.default_rng(1)
     tracemalloc.start()
