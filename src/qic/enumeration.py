@@ -69,9 +69,10 @@ class EnumerationReport:
     config: dict
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "found": list(self.found),
+        return {"found": list(self.found),
                 "runs": [r.to_dict() for r in self.runs],
-                "termination": self.termination.value}
+                "termination": self.termination.value,
+                "config": dict(self.config)}
 
 
 def verify(pred: Predicate, index: int) -> bool:
@@ -89,7 +90,7 @@ def enumerate_solutions(pred: Predicate, register: Register,
     max_runs = cfg.max_runs if cfg.max_runs is not None else register.dimension + 8
     rng = np.random.default_rng(cfg.seed)
 
-    found: list[int] = []
+    found: dict[int, None] = {}  # insertion-ordered, so repeats test in O(1)
     records: list[RunRecord] = []
     termination = Termination.MAX_RUNS_REACHED
     for run in range(1, max_runs + 1):
@@ -109,7 +110,7 @@ def enumerate_solutions(pred: Predicate, register: Register,
             RunRecord(run, register.bitstring(index), is_solution, is_new)
         )
         if is_new:
-            found.append(index)
+            found[index] = None
             continue
         termination = (Termination.REPEAT_MEASURED if is_solution
                        else Termination.REMNANT_MEASURED)

@@ -137,10 +137,9 @@ class StateVector:
         """The 2^m amplitudes, read-only; a two-level state builds them on
         first access, without flags as a zero-stride view."""
         if self._dense is None:
-            invalid, valid = self._values
-            self._dense = (np.broadcast_to(invalid, self.register.dimension)
-                           if self._flags is None
-                           else np.where(self._flags, valid, invalid))
+            dim, values = self.register.dimension, self._values
+            self._dense = (np.broadcast_to(values[0], dim) if self._flags is None
+                           else _select(self._flags, values, np.empty(dim)))
             self._dense.flags.writeable = False
         return self._dense
 
@@ -242,6 +241,15 @@ def _mass(amps: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.square(out, out=out)
 
 
+def _select(flags: np.ndarray, pair: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``pair[flags]`` (bool flags, two float64 values) into float64
+    ``out`` and return it, bit for bit: on the words, flag * (a ^ b) ^ a."""
+    words, bits = pair.view(np.uint64), out.view(np.uint64)
+    np.multiply(flags.view(np.uint8), words[:1] ^ words[1:], out=bits)
+    np.bitwise_xor(bits, words[:1], out=bits)
+    return out
+
+
 def _masses(psi: StateVector, buf: np.ndarray, start: int = 0):
     """Yield |amp|^2 of psi's aligned blocks from block ``start`` on: a
     float64 for a block of one value, else ``buf`` (block-sized float64,
@@ -254,15 +262,8 @@ def _masses(psi: StateVector, buf: np.ndarray, start: int = 0):
     squares = np.square(psi._values)
     for b in range(start, len(psi._kinds)):
         kind = psi._kinds[b]
-        if kind < 2:
-            yield squares[kind]
-            continue
-        # A mixed block by bit select: flag * (a ^ b) ^ a is a or b.
-        words, bits = squares.view(np.uint64), buf.view(np.uint64)
-        flags = psi._flags[b * step:(b + 1) * step].view(np.uint8)
-        np.multiply(flags, words[:1] ^ words[1:], out=bits)
-        np.bitwise_xor(bits, words[:1], out=bits)
-        yield buf
+        yield (squares[kind] if kind < 2 else
+               _select(psi._flags[b * step:(b + 1) * step], squares, buf))
 
 
 def _pairwise(sums: list) -> float:
@@ -295,10 +296,11 @@ def _gather_abs(psi: StateVector, flags: np.ndarray) -> np.ndarray:
     """``np.abs(psi.amplitudes[flags])`` as one float64 array, gathered
     block by block from a dense state."""
     if psi._values is not None:
-        invalid, valid = np.abs(psi._values)
+        pair = np.abs(psi._values)
         if psi._flags is None:
-            return np.full(np.count_nonzero(flags), invalid)
-        return np.where(psi._flags[flags], valid, invalid)
+            return np.full(np.count_nonzero(flags), pair[0])
+        chosen = psi._flags[flags]
+        return _select(chosen, pair, np.empty(len(chosen)))
     out = np.empty(np.count_nonzero(flags))
     start = 0
     for block in _blocks(len(flags)):
@@ -330,9 +332,9 @@ def _interfere(psi: StateVector, valid: np.ndarray, leakage: float,
 
     From the uniform state, or a two-level state over these very flags,
     the passes run on the two values and return a two-level state.  Any
-    other input is made dense and passed block by block into one buffer:
-    ``out`` if given, a writable, contiguous 2^m array of the input's dtype
-    (psi's own memory too, as each element is read before it is written).
+    other input, never made dense, is passed block by block into one
+    buffer: ``out`` if given, a writable, contiguous 2^m array of the
+    input's dtype (psi's own memory too, as each element is read first).
     """
     # Indexed by a flag: leakage for invalid, 2 - leakage for valid.
     levels = np.array([leakage, 2.0 - leakage])
@@ -348,22 +350,25 @@ def _interfere(psi: StateVector, valid: np.ndarray, leakage: float,
                 psi.register, valid, values, kinds)), tol)
         return StateVector._two_level(psi.register, valid, values * scale,
                                       kinds)
-    amps = psi.amplitudes
-    step = min(_BLOCK, len(amps))
+    amps, dim = psi._dense, psi.register.dimension
+    dtype = (psi._values if amps is None else amps).dtype
+    step = min(_BLOCK, dim)
     if out is None:
-        out = np.empty(len(amps), dtype=amps.dtype)
-    elif out.dtype != amps.dtype or out.shape != amps.shape:
+        out = np.empty(dim, dtype=dtype)
+    elif out.dtype != dtype or out.shape != (dim,):
         raise ValueError("out must be 2^m amplitudes of the input's dtype")
     weights, mass, scale = np.empty(step), np.empty(step), None
     for _ in range(passes):
         sums = []
-        for lo in range(0, len(amps), step):
+        for lo in range(0, dim, step):
             row = out[lo:lo + step]
             if scale is not None:
-                row *= scale
-            levels.take(valid[lo:lo + step].view(np.uint8), out=weights,
-                        mode="clip")
-            np.multiply(amps[lo:lo + step] if scale is None else row, weights,
+                src = np.multiply(row, scale, out=row)
+            elif amps is None:
+                src = _select(psi._flags[lo:lo + step], psi._values, row)
+            else:
+                src = amps[lo:lo + step]
+            np.multiply(src, _select(valid[lo:lo + step], levels, weights),
                         out=row)
             sums.append(np.sum(_mass(row, mass)))
         scale = _scale(_pairwise(sums), tol)

@@ -363,6 +363,28 @@ def test_dense_input_costs_one_output_array(monkeypatch):
     assert peak < 1.25 * psi.amplitudes.nbytes, peak / psi.amplitudes.nbytes
 
 
+def test_dense_path_reads_a_two_level_input_without_widening_it():
+    # A two-level state over 5000 flags, interfered against other flags:
+    # the dense path reads it block by block into the output.
+    m = 20
+    reg, cfg = Register(m), InterferenceConfig(0.05, 2)
+    chosen = np.random.default_rng(8).choice(1 << m, 5000, replace=False)
+    psi = interfere_repeated(uniform_superposition(reg),
+                             Predicate(frozenset(chosen.tolist()), reg), cfg)
+    pred = Predicate(parse_expr("b0 ^ b7"), reg)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = interfere_repeated(psi, pred, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert psi._dense is None and got._values is None
+    # The output, the compiled flags and block scratch read 1.26 dense
+    # states; a dense copy of the input read 2.31.
+    assert peak < 1.4 * (8 << m), peak / (8 << m)
+
+
 def _kernel_or_collapse(psi, valid, cfg, out=None):
     try:
         return _interfere(psi, valid, cfg.leakage, cfg.passes,

@@ -22,7 +22,7 @@ from qic.state import (
     sample,
     uniform_superposition,
 )
-from qic.state import _constant_run_end, _constant_sum
+from qic.state import _constant_run_end, _constant_sum, _select
 
 from conftest import dense_partial_flip, random_state
 
@@ -576,6 +576,35 @@ class TestBlockedReductions:
         assert amps.strides == (0,) and not amps.flags.writeable
         assert np.array_equal(amps, np.full(1 << 12, 2.0**-6))
         assert psi.amplitudes is amps
+
+
+# Float64 words that a select must copy untouched: +-0.0, the smallest and
+# largest subnormals (and a negative one), +-inf, and NaNs with payloads.
+_SPECIAL_WORDS = (0, 1 << 63, 1, (1 << 52) - 1, (1 << 63) | 3,
+                  0x7FF0 << 48, 0xFFF0 << 48, (0x7FF8 << 48) | 0xBEEF,
+                  (0xFFF4 << 48) | 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(flags=st.lists(st.booleans(), max_size=300),
+       words=st.tuples(*[st.sampled_from(_SPECIAL_WORDS)
+                         | st.integers(0, 2**64 - 1)] * 2))
+def test_select_is_indexing_by_flag_bitwise(flags, words):
+    flags = np.array(flags, dtype=bool)
+    pair = np.array(words, dtype=np.uint64).view(np.float64)
+    out = np.empty(len(flags))
+    assert _select(flags, pair, out) is out
+    assert np.array_equal(out.view(np.uint64),
+                          pair.view(np.uint64)[flags.astype(np.intp)])
+
+
+def test_select_copies_every_pair_of_special_words():
+    flags = np.arange(5) % 2 == 1
+    for a in _SPECIAL_WORDS:
+        for b in _SPECIAL_WORDS:
+            pair = np.array([a, b], dtype=np.uint64).view(np.float64)
+            got = _select(flags, pair, np.empty(5)).view(np.uint64)
+            assert got.tolist() == [a, b, a, b, a]
 
 
 def test_numpy_sum_is_the_pairwise_tree_of_its_128_blocks():
