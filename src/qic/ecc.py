@@ -79,7 +79,7 @@ class ChecksumScheme:
         return len(self.groups)
 
     def register(self) -> Register:
-        return Register(self.data_bits, self.checksum_bits)
+        return Register(self.data_bits + self.checksum_bits)
 
     def checksum_of(self, data_index: int) -> int:
         """Checksum bit pattern for one data-bit assignment."""
@@ -171,7 +171,7 @@ def encode(psi_data: StateVector, scheme: ChecksumScheme) -> StateVector:
     columns = np.arange(blocks[0].stop)
     for block in blocks:
         rows[:, block][checksums[block], columns] = psi_data.amplitudes[block]
-    return StateVector._adopt(full, amps, normalized=psi_data.normalized)
+    return StateVector._adopt(full, amps)
 
 
 @dataclass(frozen=True)
@@ -218,9 +218,7 @@ def _inject_noise(psi: StateVector, model: NoiseModel,
     buf = np.empty(psi.register.dimension, dtype=np.complex128)
     for i, qubit in enumerate(qubits):
         _flip(buf if i else psi.amplitudes, buf, qubit, model.theta)
-    noisy = StateVector._adopt(psi.register, buf.view(),
-                               normalized=psi.normalized)
-    return noisy, buf, events
+    return StateVector._adopt(psi.register, buf.view()), buf, events
 
 
 def inject_noise(psi: StateVector, model: NoiseModel,
@@ -300,8 +298,7 @@ def ecc_experiment(scheme: ChecksumScheme, model: NoiseModel,
     # buffer exists, so the real encoding is gone by then.  The first flip
     # gives the same bits from either dtype.
     psi_ideal = StateVector._adopt(
-        register, psi_ideal.amplitudes.astype(np.complex128, copy=False),
-        normalized=psi_ideal.normalized)
+        register, psi_ideal.amplitudes.astype(np.complex128, copy=False))
     rng = np.random.default_rng(seed)
     psi_noisy, buf, events = _inject_noise(psi_ideal, model, rng)
 

@@ -76,8 +76,8 @@ class EnumerationReport:
 
 
 def verify(pred: Predicate, index: int) -> bool:
-    """Classical check of the original predicate, ignoring exclusions."""
-    return evaluate(pred, index, ignore_exclusions=True)
+    """Classical check of the predicate, exclusions included."""
+    return evaluate(pred, index)
 
 
 def enumerate_solutions(pred: Predicate, register: Register,

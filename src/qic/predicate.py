@@ -544,10 +544,10 @@ class Predicate:
                            self.register.indices(self.exclusions))
 
 
-def evaluate(pred: Predicate, index: int, ignore_exclusions: bool = False) -> bool:
+def evaluate(pred: Predicate, index: int) -> bool:
     """Truth of the predicate at ``index``; excluded indices read invalid."""
     index = pred.register.index(index)
-    if not ignore_exclusions and index in pred.exclusions:
+    if index in pred.exclusions:
         return False
     src = pred.source
     if isinstance(src, (BoolExpr, CnfFormula)):

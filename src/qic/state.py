@@ -25,6 +25,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,27 +41,18 @@ DEFAULT_COLLAPSE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Register:
-    """An m-qubit register split into data and checksum qubits (m = n + k)."""
+    """An m-qubit register; checksum qubits, if any, are its high ones."""
 
-    data_qubits: int
-    checksum_qubits: int = 0
+    total_qubits: int
 
     def __post_init__(self):
-        if self.data_qubits < 1:
-            raise ValueError(f"data_qubits must be >= 1, got {self.data_qubits}")
-        if self.checksum_qubits < 0:
-            raise ValueError(
-                f"checksum_qubits must be >= 0, got {self.checksum_qubits}"
-            )
+        if self.total_qubits < 1:
+            raise ValueError(f"total_qubits must be >= 1, got {self.total_qubits}")
         if self.total_qubits > MAX_QUBITS:
             raise ValueError(
                 f"register of {self.total_qubits} qubits exceeds the "
                 f"{MAX_QUBITS}-qubit cap (2^m amplitudes must fit in memory)"
             )
-
-    @property
-    def total_qubits(self) -> int:
-        return self.data_qubits + self.checksum_qubits
 
     @property
     def dimension(self) -> int:
@@ -69,10 +61,11 @@ class Register:
     def indices(self, values) -> frozenset:
         """``values`` as a frozenset of ints, each a basis index.
 
-        Raises IndexOutOfRange unless every one lies in [0, 2^m); only the
+        Raises TypeError on a value that is not an integer, and
+        IndexOutOfRange unless every one lies in [0, 2^m); only the
         smallest and largest are tested.
         """
-        found = frozenset(map(int, values))
+        found = frozenset(map(operator.index, values))
         for i in (min(found, default=0), max(found, default=0)):
             if not 0 <= i < self.dimension:
                 raise IndexOutOfRange(f"index {i} outside [0, {self.dimension})")
@@ -89,16 +82,15 @@ class Register:
 
 
 class StateVector:
-    """2^m amplitudes over a register, with a normalized flag.
+    """2^m amplitudes over a register.
 
     Amplitudes are float64 for real input and complex128 for complex input;
     the transforms give a real state the same bits in either dtype.
     """
 
-    __slots__ = ("register", "normalized", "_dense", "_flags", "_values",
-                 "_kinds")
+    __slots__ = ("register", "_dense", "_flags", "_values", "_kinds")
 
-    def __init__(self, register: Register, amplitudes, normalized: bool = False):
+    def __init__(self, register: Register, amplitudes):
         arr = np.asarray(amplitudes)
         dtype = np.complex128 if np.iscomplexobj(arr) else np.float64
         arr = np.array(arr, dtype=dtype)
@@ -107,28 +99,27 @@ class StateVector:
                 f"expected {register.dimension} amplitudes, got {arr.shape}"
             )
         arr.flags.writeable = False
-        self.register, self.normalized, self._dense = register, normalized, arr
+        self.register, self._dense = register, arr
         self._flags = self._values = self._kinds = None  # see _two_level
 
     @classmethod
-    def _adopt(cls, register: Register, amps: np.ndarray,
-               normalized: bool) -> "StateVector":
+    def _adopt(cls, register: Register, amps: np.ndarray) -> "StateVector":
         """Wrap 2^m float64 or complex128 amplitudes that no caller writes
         through: no copy, no checks."""
         amps.flags.writeable = False
         psi = cls.__new__(cls)
-        psi.register, psi.normalized, psi._dense = register, normalized, amps
+        psi.register, psi._dense = register, amps
         psi._flags = psi._values = psi._kinds = None
         return psi
 
     @classmethod
     def _two_level(cls, register: Register, flags: np.ndarray | None,
                    values: np.ndarray, kinds: bytes) -> "StateVector":
-        """A normalized state: amplitude i is ``values[flags[i]]``, or
+        """A state whose amplitude i is ``values[flags[i]]``, or
         ``values[0]`` if flags is None; ``kinds[b]`` is 0 or 1 if aligned
         block b holds only that flag, else 2.  No checks."""
         psi = cls.__new__(cls)
-        psi.register, psi.normalized, psi._dense = register, True, None
+        psi.register, psi._dense = register, None
         psi._flags, psi._values, psi._kinds = flags, values, kinds
         return psi
 
@@ -144,8 +135,7 @@ class StateVector:
         return self._dense
 
     def __repr__(self):
-        m = self.register.total_qubits
-        return f"StateVector(m={m}, normalized={self.normalized})"
+        return f"StateVector(m={self.register.total_qubits})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,7 +192,7 @@ def basis_state(register: Register, index: int) -> StateVector:
     """The single basis component |index>."""
     amps = np.zeros(register.dimension)
     amps[register.index(index)] = 1.0
-    return StateVector._adopt(register, amps, normalized=True)
+    return StateVector._adopt(register, amps)
 
 
 # Full-state reductions walk aligned blocks of _BLOCK amplitudes with
@@ -373,7 +363,7 @@ def _interfere(psi: StateVector, valid: np.ndarray, leakage: float,
             sums.append(np.sum(_mass(row, mass)))
         scale = _scale(_pairwise(sums), tol)
     out *= scale
-    return StateVector._adopt(psi.register, out.view(), normalized=True)
+    return StateVector._adopt(psi.register, out.view())
 
 
 def check_tolerance(tol: float, name: str = "tol") -> None:
@@ -392,7 +382,7 @@ def normalize(psi: StateVector, tol: float = DEFAULT_COLLAPSE_TOL) -> StateVecto
     """Rescale to unit norm. Raises NormCollapse if norm_squared < tol."""
     check_tolerance(tol)
     amps = psi.amplitudes * _scale(norm_squared(psi), tol)
-    return StateVector._adopt(psi.register, amps, normalized=True)
+    return StateVector._adopt(psi.register, amps)
 
 
 def probability(psi: StateVector, index: int) -> float:
@@ -444,45 +434,40 @@ def sample(psi: StateVector, rng: np.random.Generator,
 
     Consumes exactly one uniform draw from ``rng``; the outcome is a pure
     function of the draw and the amplitudes (cumulative scan in index
-    order), so identical seeds give identical indices.  The returned
-    index always has nonzero probability.
+    order), so identical seeds give identical indices.  The state need
+    not be normalized: the draw scales by the total of the running sums,
+    and NormCollapse is raised when that total is below ``tol``.  The
+    returned index always has nonzero probability.
     """
     check_tolerance(tol)
-    total = None if psi.normalized else norm_squared(psi)
-    if total is not None and total < tol:
-        raise NormCollapse(total, tol)
     # Only the running sum into each block and at the end is kept.
     scan = np.empty(_step(psi) + 1)
     masses = scan[1:]
     ends = [0.0]
     for mass in _masses(psi, masses):
-        ends.append(_block_end(scan, mass, ends[-1], total))
-    if not ends[-1] > 0:
+        ends.append(_block_end(scan, mass, ends[-1]))
+    if not ends[-1] >= tol:
         raise NormCollapse(ends[-1], tol)
     # Scaling by the rounded total keeps u below ends[-1], so the first
     # entry above u ends a step of nonzero probability.
     u = rng.random() * ends[-1]
     b = bisect.bisect_right(ends, u) - 1
     if b < len(ends) - 2 or mass is not masses:  # else the scan holds it
-        _block_end(scan, next(_masses(psi, masses, b)), ends[b], total,
-                   closed=False)
+        _block_end(scan, next(_masses(psi, masses, b)), ends[b], closed=False)
     return b * len(masses) + int(np.searchsorted(masses, u, side="right"))
 
 
-def _block_end(scan: np.ndarray, mass, carry: float, total: float | None,
+def _block_end(scan: np.ndarray, mass, carry: float,
                closed: bool = True) -> float:
     """The running sum from ``carry`` to the end of a block whose |amp|^2
-    (over ``total`` unless None) is ``mass``: ``scan[1:]`` itself, or a
-    value the whole block holds, whose end comes in closed form unless it
-    ties or ``closed`` is false.  Else ``scan`` is left holding the run."""
+    is ``mass``: ``scan[1:]`` itself, or a value the whole block holds,
+    whose end comes in closed form unless it ties or ``closed`` is false.
+    Else ``scan`` is left holding the run."""
     if not isinstance(mass, np.ndarray):
-        w = mass if total is None else mass / total
-        end = _constant_run_end(carry, w, len(scan) - 1) if closed else None
+        end = _constant_run_end(carry, mass, len(scan) - 1) if closed else None
         if end is not None:
             return end
-        scan[1:] = w
-    elif total is not None:
-        np.divide(mass, total, out=mass)
+        scan[1:] = mass
     # Slot 0 carries the running sum into the block, so np.cumsum, which
     # adds strictly in order, continues the whole state's running sum.
     scan[0] = carry
@@ -509,7 +494,7 @@ def apply_phase_mask(psi: StateVector, mask: PhaseMask) -> StateVector:
             f"registers differ: {psi.register} vs {mask.register}"
         )
     amps = np.where(mask.valid, psi.amplitudes, -psi.amplitudes)
-    return StateVector._adopt(psi.register, amps, normalized=psi.normalized)
+    return StateVector._adopt(psi.register, amps)
 
 
 def _flip(src: np.ndarray, out: np.ndarray, qubit: int, theta: float) -> None:
@@ -547,4 +532,4 @@ def apply_partial_bit_flip(psi: StateVector, qubit: int,
         raise IndexOutOfRange(f"qubit {qubit} outside [0, {m})")
     amps = np.empty(psi.register.dimension, dtype=np.complex128)
     _flip(psi.amplitudes, amps, qubit, theta)
-    return StateVector._adopt(psi.register, amps, normalized=psi.normalized)
+    return StateVector._adopt(psi.register, amps)

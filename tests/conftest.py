@@ -88,7 +88,7 @@ def random_state(rng: np.random.Generator, m: int) -> StateVector:
     dim = 1 << m
     amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     amps /= np.sqrt(np.sum(np.abs(amps) ** 2))
-    return StateVector(Register(m), amps, normalized=True)
+    return StateVector(Register(m), amps)
 
 
 def dense_partial_flip(amps, qubit, theta):

@@ -58,7 +58,7 @@ class TestChecksumScheme:
     def test_global_parity_helper(self):
         scheme = ChecksumScheme.global_parity(3)
         assert scheme.groups == ((0, 1, 2),)
-        assert scheme.register() == Register(3, 1)
+        assert scheme.register() == Register(4)
 
     def test_checksum_of(self):
         scheme = ChecksumScheme(3, ((0, 1), (2,)))
@@ -101,7 +101,7 @@ class TestEncode:
     def test_bell_like_pair(self):
         reg = Register(2)
         r = 1 / math.sqrt(2)
-        psi = StateVector(reg, [r, 0, 0, r], normalized=True)
+        psi = StateVector(reg, [r, 0, 0, r])
         out = encode(psi, ChecksumScheme(2, ((0, 1),)))
         expected = np.zeros(8, dtype=complex)
         expected[0b000] = r
@@ -616,11 +616,10 @@ def test_ecc_report_matches_dense_reference_at_full_block_size():
 
     data = uniform_superposition(Register(16))
     ideal = StateVector(scheme.register(),
-                        _per_index_encode(data.amplitudes, scheme),
-                        normalized=True)
+                        _per_index_encode(data.amplitudes, scheme))
     noisy_amps, qubits = _dense_noise(ideal, model, seed)
     assert max(qubits) >= 16
-    noisy = StateVector(scheme.register(), noisy_amps, normalized=True)
+    noisy = StateVector(scheme.register(), noisy_amps)
     corrected = interfere_repeated(noisy, checksum_predicate(scheme), cfg)
     assert [e.qubit for e in report.events] == qubits
     assert report.valid_mass_before == _dense_mass(noisy_amps, scheme)

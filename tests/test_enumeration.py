@@ -30,10 +30,11 @@ class TestVerify:
         assert verify(pred, 3) is True
         assert verify(pred, 0) is False
 
-    def test_ignores_exclusions(self):
+    def test_respects_exclusions(self):
         pred = Predicate(frozenset({1, 3}), Register(3),
                          exclusions=frozenset({1}))
-        assert verify(pred, 1) is True
+        assert verify(pred, 1) is False
+        assert verify(pred, 3) is True
 
 
 class TestRunConfig:
@@ -133,6 +134,22 @@ class TestEnumerateSolutions:
                 Termination.REMNANT_MEASURED, Termination.MAX_RUNS_REACHED)
         assert Termination.REPEAT_MEASURED in seen
         assert Termination.REMNANT_MEASURED in seen
+
+    def test_excluded_index_is_never_listed(self):
+        # Strong leakage measures the excluded 011 often; it reads invalid.
+        reg = Register(3)
+        pred = Predicate(frozenset({1, 3, 5}), reg, exclusions=frozenset({3}))
+        cfg = InterferenceConfig(leakage=0.9)
+        measured = 0
+        for seed in range(200):
+            report = enumerate_solutions(pred, reg,
+                                         RunConfig(seed=seed, interference=cfg))
+            assert "011" not in report.found, seed
+            for run in report.runs:
+                if run.measured == "011":
+                    measured += 1
+                    assert not run.verified and not run.new, seed
+        assert measured > 0
 
 
 def test_completeness_on_random_instances():

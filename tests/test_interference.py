@@ -413,9 +413,9 @@ def test_kernel_in_its_own_input_matches_a_fresh_output(seed, m, eps, passes,
         else:
             amps = np.array(_state_of_kind(kind, seed + 1, m).amplitudes)
             fresh = _kernel_or_collapse(
-                StateVector(Register(m), amps, normalized=True), valid, cfg)
+                StateVector(Register(m), amps), valid, cfg)
         # The input views amps read-only; out writes amps itself.
-        psi = StateVector._adopt(Register(m), amps.view(), normalized=True)
+        psi = StateVector._adopt(Register(m), amps.view())
         got = _kernel_or_collapse(psi, valid, cfg, out=amps)
     assert (got is None) == (fresh is None)
     if got is not None:
@@ -465,7 +465,7 @@ def test_two_level_states_match_dense_reference_bitwise(seed, m, eps, chain,
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(qic.state, "_BLOCK", 128)
         psi = uniform_superposition(reg)
-        ref = StateVector(reg, psi.amplitudes, normalized=True)
+        ref = StateVector(reg, psi.amplitudes)
         for i, passes in enumerate(chain):
             flags = other if reflag and i == len(chain) - 1 else valid
             cfg = InterferenceConfig(eps, passes)
@@ -476,7 +476,7 @@ def test_two_level_states_match_dense_reference_bitwise(seed, m, eps, chain,
                 return
             # Two-level unless the input was, over other flags.
             assert (psi._values is not None) == (i == 0 or flags is valid)
-            ref = StateVector(reg, expected, normalized=True)
+            ref = StateVector(reg, expected)
             assert norm_squared(psi).hex() == norm_squared(ref).hex()
             for index in rng.integers(0, 1 << m, 4):
                 assert probability(psi, index) == probability(ref, index)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qic.ecc import ChecksumScheme, checksum_predicate
+from qic.enumeration import verify
 from qic.errors import IndexOutOfRange, ParseError, RegisterMismatch, UnboundVariable
 from qic.predicate import (
     MAX_EXPR_NESTING,
@@ -237,7 +238,6 @@ class TestEvaluate:
         pred = Predicate(frozenset({1, 3}), reg, exclusions=frozenset({1}))
         assert evaluate(pred, 1) is False
         assert evaluate(pred, 3) is True
-        assert evaluate(pred, 1, ignore_exclusions=True) is True
 
     def test_cnf_against_clause_oracle(self):
         clauses = ((1, -3), (3, 2))
@@ -349,6 +349,7 @@ _INDEX_ENTRY_POINTS = {
     "basis_state": lambda reg, i: tuple(basis_state(reg, i).amplitudes),
     "probability": lambda reg, i: probability(uniform_superposition(reg), i),
     "evaluate": lambda reg, i: evaluate(Predicate(parse_expr("b0"), reg), i),
+    "verify": lambda reg, i: verify(Predicate(parse_expr("b0"), reg), i),
     "PhaseMask.from_indices":
         lambda reg, i: PhaseMask.from_indices(reg, [0, i]).valid_indices(),
     "Predicate source": lambda reg, i: Predicate(frozenset({0, i}), reg).source,
@@ -374,6 +375,14 @@ def test_every_index_entry_point_checks_the_register_range(entry):
             assert got == expected
             if isinstance(got, frozenset):
                 assert all(type(i) is int for i in got)
+
+
+@pytest.mark.parametrize("entry", sorted(_INDEX_ENTRY_POINTS))
+def test_every_index_entry_point_refuses_non_integers(entry):
+    call = _INDEX_ENTRY_POINTS[entry]
+    for bad in (1.0, 1.7, "5", np.float64(1.0)):
+        with pytest.raises(TypeError):
+            call(Register(3), bad)
 
 
 class TestUnboundVariable:

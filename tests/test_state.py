@@ -39,7 +39,7 @@ class _FixedDraw:
 
 class TestRegister:
     def test_total_and_dimension(self):
-        reg = Register(3, 2)
+        reg = Register(5)
         assert reg.total_qubits == 5
         assert reg.dimension == 32
 
@@ -48,19 +48,17 @@ class TestRegister:
             Register(0)
 
     def test_rejects_oversized_register(self):
-        with pytest.raises(ValueError):
-            Register(31)
-        with pytest.raises(ValueError):
-            Register(25, 6)
+        for total in (27, 31):
+            with pytest.raises(ValueError):
+                Register(total)
 
     def test_max_qubits_is_the_one_limit(self):
         assert qic.state.MAX_QUBITS == 26
         assert Register(26).dimension == 1 << 26
-        assert Register(20, 6).total_qubits == 26
-        for data, checksum in ((27, 0), (20, 7)):
-            with pytest.raises(ValueError, match="27 qubits exceeds the "
-                                                 "26-qubit cap"):
-                Register(data, checksum)
+        assert Register(26).total_qubits == 26
+        with pytest.raises(ValueError, match="27 qubits exceeds the "
+                                             "26-qubit cap"):
+            Register(27)
 
     def test_bitstring_renders_msb_first(self):
         reg = Register(3)
@@ -74,7 +72,7 @@ class TestUniformSuperposition:
     def test_three_qubits(self):
         psi = uniform_superposition(Register(3))
         expected = 1.0 / math.sqrt(8)
-        assert psi.normalized
+        assert abs(norm_squared(psi) - 1.0) < 1e-15
         assert np.all(psi.amplitudes == expected + 0j)
 
     def test_single_qubit(self):
@@ -106,7 +104,7 @@ class TestNormalize:
         psi = StateVector(Register(1), [2, 0])
         out = normalize(psi)
         assert np.all(out.amplitudes == np.array([1, 0], dtype=complex))
-        assert out.normalized
+        assert norm_squared(out) == 1.0
 
     def test_zero_vector_collapses(self):
         psi = StateVector(Register(2), np.zeros(4))
@@ -138,8 +136,7 @@ class TestNormalize:
 class TestProbability:
     def test_two_component_state(self):
         r = 1 / math.sqrt(2)
-        psi = StateVector(Register(3), [0, r, 0, r, 0, 0, 0, 0],
-                          normalized=True)
+        psi = StateVector(Register(3), [0, r, 0, r, 0, 0, 0, 0])
         assert abs(probability(psi, 1) - 0.5) < 1e-15
         assert probability(psi, 0) == 0.0
 
@@ -160,8 +157,7 @@ class TestSample:
 
     def test_two_component_frequencies(self):
         r = 1 / math.sqrt(2)
-        psi = StateVector(Register(3), [0, r, 0, r, 0, 0, 0, 0],
-                          normalized=True)
+        psi = StateVector(Register(3), [0, r, 0, r, 0, 0, 0, 0])
         rng = np.random.default_rng(7)
         draws = [sample(psi, rng) for _ in range(10_000)]
         assert set(draws) <= {1, 3}
@@ -190,10 +186,24 @@ class TestSample:
         with pytest.raises(NormCollapse):
             sample(psi, np.random.default_rng(0))
 
-    def test_zero_state_flagged_normalized_rejected(self):
-        psi = StateVector(Register(2), np.zeros(4), normalized=True)
+    def test_tol_bounds_the_unnormalized_total(self):
+        psi = StateVector(Register(2), [1e-6, 0, 0, 0])
         with pytest.raises(NormCollapse):
             sample(psi, np.random.default_rng(0))
+        assert sample(psi, np.random.default_rng(0), tol=1e-13) == 0
+
+    def test_ignores_overall_scale(self):
+        rng = np.random.default_rng(5)
+        for seed in range(40):
+            m = 1 + seed % 6
+            amps = random_state(rng, m).amplitudes
+            k = int(rng.integers(-20, 21))
+            scaled = StateVector(Register(m), amps * 2.0**k)
+            for u in rng.random(8):
+                # A tol below every scaled total: only the scale differs.
+                assert (sample(scaled, _FixedDraw(u), tol=1e-300)
+                        == sample(StateVector(Register(m), amps),
+                                  _FixedDraw(u))), (seed, k, u)
 
     @pytest.mark.parametrize("u,amps,expected", [
         # The cumulative sum rounds to 1 - 1e-12, below the largest draw.
@@ -201,7 +211,7 @@ class TestSample:
         (0.0, [0, 1, 0, 0], 1),
     ])
     def test_never_returns_zero_probability_index(self, u, amps, expected):
-        psi = StateVector(Register(2), amps, normalized=True)
+        psi = StateVector(Register(2), amps)
         assert sample(psi, _FixedDraw(u)) == expected
 
     @pytest.mark.parametrize("tol", [0.0, math.nan, math.inf])
@@ -463,8 +473,6 @@ def _dense_sample(psi, u):
     """The whole-array sampler the blocked one replaced, kept as reference:
     a 2^m running sum searched for u times its last entry."""
     probs = np.abs(psi.amplitudes) ** 2
-    if not psi.normalized:
-        probs /= float(np.sum(probs))
     cumulative = np.cumsum(probs)
     index = int(np.searchsorted(cumulative, u * cumulative[-1], side="right"))
     return index, cumulative
@@ -511,7 +519,7 @@ class TestBlockedReductions:
             amps[rng.random(1 << m) < 0.2] = 0.0
             if not amps.any():
                 continue
-            psi = StateVector(Register(m), amps, normalized=bool(seed % 2))
+            psi = StateVector(Register(m), amps)
             u = float(rng.random())
             expected, cumulative = _dense_sample(psi, u)
             assert sample(psi, _FixedDraw(u)) == expected, seed
@@ -552,15 +560,14 @@ class TestBlockedReductions:
                 values[1] = values[0]
             psi = StateVector._two_level(Register(m), flags, values,
                                          qic.state._block_kinds(flags))
-            psi.normalized = bool(seed % 2)
-            dense = StateVector(psi.register, psi.amplitudes,
-                                normalized=psi.normalized)
+            dense = StateVector(psi.register, psi.amplitudes)
             assert psi.amplitudes.dtype == np.float64
             assert not psi.amplitudes.flags.writeable
             assert norm_squared(psi) == norm_squared(dense)
             for index in rng.integers(0, 1 << m, 5):
                 assert probability(psi, index) == probability(dense, index)
-            if not norm_squared(dense) > 0:
+            total = _dense_sample(dense, 0.5)[1][-1]
+            if not total >= qic.state.DEFAULT_COLLAPSE_TOL:
                 with pytest.raises(NormCollapse):
                     sample(psi, _FixedDraw(0.5))
                 continue
@@ -763,8 +770,7 @@ def test_sample_on_a_uniform_state_allocates_only_block_scratch():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert draws == [sample(StateVector(psi.register, psi.amplitudes,
-                                        normalized=True),
+    assert draws == [sample(StateVector(psi.register, psi.amplitudes),
                             np.random.default_rng(seed)) for seed in range(5)]
     # One scan of a block plus its carry slot, and small change.
     assert peak < 8 * (qic.state._BLOCK + 1) + 4096
@@ -788,7 +794,7 @@ def test_sample_with_tying_fill_blocks_allocates_one_block_scan():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    dense = StateVector(reg, psi.amplitudes, normalized=True)
+    dense = StateVector(reg, psi.amplitudes)
     rng = np.random.default_rng(1)
     assert draws == [sample(dense, rng) for _ in range(5)]
     assert peak < 8 * (step + 1) + 4096
