@@ -186,6 +186,13 @@ class TestSample:
         with pytest.raises(NormCollapse):
             sample(psi, np.random.default_rng(0))
 
+    def test_zero_state_flagged_normalized_rejected(self):
+        # The unchecked two-level constructor: sample sums constant blocks
+        # rather than scanning amplitudes, and must still see the collapse.
+        psi = StateVector._two_level(Register(2), None, np.zeros(2), bytes(1))
+        with pytest.raises(NormCollapse):
+            sample(psi, np.random.default_rng(0))
+
     def test_tol_bounds_the_unnormalized_total(self):
         psi = StateVector(Register(2), [1e-6, 0, 0, 0])
         with pytest.raises(NormCollapse):
