@@ -12,6 +12,7 @@ never decoded back.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -54,7 +55,7 @@ class ChecksumScheme:
     def __post_init__(self):
         if self.data_bits < 1:
             raise SchemeInvalid(f"data_bits must be >= 1, got {self.data_bits}")
-        groups = tuple(tuple(sorted(set(int(b) for b in g))) for g in self.groups)
+        groups = tuple(tuple(sorted(set(map(operator.index, g)))) for g in self.groups)
         if not groups:
             raise SchemeInvalid("at least one parity group is required")
         for group in groups:
@@ -164,7 +165,7 @@ def encode(psi_data: StateVector, scheme: ChecksumScheme) -> StateVector:
     for bit, column in enumerate(scheme.columns):
         np.bitwise_xor(checksums[:1 << bit], column,
                        out=checksums[1 << bit:2 << bit])
-    amps = np.zeros(full.dimension, dtype=psi_data.amplitudes.dtype)
+    amps = np.zeros(full.dimension, np.complex128)
     # Row checksum, column data index; scattered a block of columns at a time.
     rows = amps.reshape(-1, 1 << n)
     blocks = _blocks(1 << n)
@@ -281,8 +282,8 @@ def ecc_experiment(scheme: ChecksumScheme, model: NoiseModel,
     data qubits by default).  Masses and fidelities are taken against the
     ideal encoded state before and after the correction pass.
 
-    Two 2^m complex128 arrays are live at the peak: the ideal state, made
-    complex before the noise runs, and one buffer that this function owns.
+    Two 2^m complex128 arrays are live at the peak: the ideal state and
+    one buffer that this function owns.
     The noise flips run in that buffer and the correction passes then
     overwrite it, so the corrected state is the buffer.  With no noise
     events there is no buffer, and correction writes a fresh array rather
@@ -294,11 +295,6 @@ def ecc_experiment(scheme: ChecksumScheme, model: NoiseModel,
     if data_state is None:
         data_state = uniform_superposition(Register(scheme.data_bits))
     psi_ideal = encode(data_state, scheme)
-    # fidelity takes complex128 overlaps: convert once, and before the noise
-    # buffer exists, so the real encoding is gone by then.  The first flip
-    # gives the same bits from either dtype.
-    psi_ideal = StateVector._adopt(
-        register, psi_ideal.amplitudes.astype(np.complex128, copy=False))
     rng = np.random.default_rng(seed)
     psi_noisy, buf, events = _inject_noise(psi_ideal, model, rng)
 

@@ -11,9 +11,10 @@ their source instead: ``_flip``, so that a chain of noise events runs in
 one owned buffer, and ``_interfere`` given ``out``, so that correction
 runs in that same buffer.
 
-A state holds one of two forms: a read-only dense array, or privately a
-*two-level* form of valid flags, an invalid and a valid value, and per
-aligned block whether its flags are unset, set or mixed.  Interference
+A state holds one of two forms: a read-only dense array of complex128
+amplitudes, or privately a *two-level* form of valid flags, an invalid and
+a valid float64 value, and per aligned block whether its flags are unset,
+set or mixed.  The two-level form is the only real one.  Interference
 from the uniform state keeps that form, so an enumeration or sweep state
 holds no 2^m amplitudes.  This module alone knows the forms, so it owns
 the pass kernel ``_interfere`` and the one walk (``_masses``) under the
@@ -82,18 +83,12 @@ class Register:
 
 
 class StateVector:
-    """2^m amplitudes over a register.
-
-    Amplitudes are float64 for real input and complex128 for complex input;
-    the transforms give a real state the same bits in either dtype.
-    """
+    """2^m complex128 amplitudes over a register, copied from the input."""
 
     __slots__ = ("register", "_dense", "_flags", "_values", "_kinds")
 
     def __init__(self, register: Register, amplitudes):
-        arr = np.asarray(amplitudes)
-        dtype = np.complex128 if np.iscomplexobj(arr) else np.float64
-        arr = np.array(arr, dtype=dtype)
+        arr = np.array(amplitudes, dtype=np.complex128)
         if arr.shape != (register.dimension,):
             raise ValueError(
                 f"expected {register.dimension} amplitudes, got {arr.shape}"
@@ -104,8 +99,8 @@ class StateVector:
 
     @classmethod
     def _adopt(cls, register: Register, amps: np.ndarray) -> "StateVector":
-        """Wrap 2^m float64 or complex128 amplitudes that no caller writes
-        through: no copy, no checks."""
+        """Wrap 2^m complex128 amplitudes that no caller writes through:
+        no copy, no checks."""
         amps.flags.writeable = False
         psi = cls.__new__(cls)
         psi.register, psi._dense = register, amps
@@ -125,13 +120,16 @@ class StateVector:
 
     @property
     def amplitudes(self) -> np.ndarray:
-        """The 2^m amplitudes, read-only; a two-level state builds them on
-        first access, without flags as a zero-stride view."""
+        """The 2^m complex128 amplitudes, read-only; a two-level state builds
+        them on first access, without flags as a zero-stride view."""
         if self._dense is None:
             dim, values = self.register.dimension, self._values
-            self._dense = (np.broadcast_to(values[0], dim) if self._flags is None
-                           else _select(self._flags, values, np.empty(dim)))
-            self._dense.flags.writeable = False
+            if self._flags is None:
+                self._dense = np.broadcast_to(np.complex128(values[0]), dim)
+            else:
+                self._dense = np.zeros(dim, np.complex128)
+                _select(self._flags, values, self._dense.real)
+                self._dense.flags.writeable = False
         return self._dense
 
     def __repr__(self):
@@ -190,7 +188,7 @@ def uniform_superposition(register: Register) -> StateVector:
 
 def basis_state(register: Register, index: int) -> StateVector:
     """The single basis component |index>."""
-    amps = np.zeros(register.dimension)
+    amps = np.zeros(register.dimension, np.complex128)
     amps[register.index(index)] = 1.0
     return StateVector._adopt(register, amps)
 
@@ -224,11 +222,7 @@ def _block_kinds(flags: np.ndarray) -> bytes:
 
 def _mass(amps: np.ndarray, out: np.ndarray) -> np.ndarray:
     """|amps|^2 into the float64 array ``out``, which is returned."""
-    if amps.dtype == np.float64:
-        # Equal to squaring np.abs(amps), bit for bit.
-        return np.square(amps, out=out)
-    np.abs(amps, out=out)
-    return np.square(out, out=out)
+    return np.square(np.abs(amps, out=out), out=out)
 
 
 def _select(flags: np.ndarray, pair: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -323,8 +317,8 @@ def _interfere(psi: StateVector, valid: np.ndarray, leakage: float,
     From the uniform state, or a two-level state over these very flags,
     the passes run on the two values and return a two-level state.  Any
     other input, never made dense, is passed block by block into one
-    buffer: ``out`` if given, a writable, contiguous 2^m array of the
-    input's dtype (psi's own memory too, as each element is read first).
+    buffer: ``out`` if given, a writable, contiguous 2^m complex128 array
+    (psi's own memory too, as each element is read first).
     """
     # Indexed by a flag: leakage for invalid, 2 - leakage for valid.
     levels = np.array([leakage, 2.0 - leakage])
@@ -341,12 +335,11 @@ def _interfere(psi: StateVector, valid: np.ndarray, leakage: float,
         return StateVector._two_level(psi.register, valid, values * scale,
                                       kinds)
     amps, dim = psi._dense, psi.register.dimension
-    dtype = (psi._values if amps is None else amps).dtype
     step = min(_BLOCK, dim)
     if out is None:
-        out = np.empty(dim, dtype=dtype)
-    elif out.dtype != dtype or out.shape != (dim,):
-        raise ValueError("out must be 2^m amplitudes of the input's dtype")
+        out = np.empty(dim, np.complex128)
+    elif out.dtype != np.complex128 or out.shape != (dim,):
+        raise ValueError("out must be 2^m complex128 amplitudes")
     weights, mass, scale = np.empty(step), np.empty(step), None
     for _ in range(passes):
         sums = []
@@ -355,7 +348,7 @@ def _interfere(psi: StateVector, valid: np.ndarray, leakage: float,
             if scale is not None:
                 src = np.multiply(row, scale, out=row)
             elif amps is None:
-                src = _select(psi._flags[lo:lo + step], psi._values, row)
+                src = _select(psi._flags[lo:lo + step], psi._values, mass)
             else:
                 src = amps[lo:lo + step]
             np.multiply(src, _select(valid[lo:lo + step], levels, weights),
@@ -481,9 +474,7 @@ def fidelity(psi: StateVector, phi: StateVector) -> float:
         raise RegisterMismatch(
             f"registers differ: {psi.register} vs {phi.register}"
         )
-    # A real vdot sums in another order; complex keeps bits dtype-independent.
-    overlap = np.vdot(psi.amplitudes.astype(np.complex128, copy=False),
-                      phi.amplitudes)
+    overlap = np.vdot(psi.amplitudes, phi.amplitudes)
     return float(abs(overlap) ** 2)
 
 
@@ -530,6 +521,8 @@ def apply_partial_bit_flip(psi: StateVector, qubit: int,
     m = psi.register.total_qubits
     if not 0 <= qubit < m:
         raise IndexOutOfRange(f"qubit {qubit} outside [0, {m})")
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
     amps = np.empty(psi.register.dimension, dtype=np.complex128)
     _flip(psi.amplitudes, amps, qubit, theta)
     return StateVector._adopt(psi.register, amps)

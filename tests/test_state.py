@@ -337,6 +337,11 @@ class TestPartialBitFlip:
         with pytest.raises(IndexOutOfRange):
             apply_partial_bit_flip(basis_state(Register(2), 0), 2, 0.3)
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_is_refused(self, theta):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            apply_partial_bit_flip(basis_state(Register(2), 0), 1, theta)
+
 
 @settings(max_examples=100, deadline=None)
 @given(
@@ -420,16 +425,25 @@ def test_sampling_matches_distribution_within_tv_bound():
     assert tv <= 0.02
 
 
+def _bits(amps):
+    return amps.view(np.uint64)
+
+
 class TestDtypeRule:
     @pytest.mark.parametrize("amps", [[1, 0], [0.5, 0.5], np.ones(2, bool)])
-    def test_real_input_stores_float64(self, amps):
-        assert StateVector(Register(1), amps).amplitudes.dtype == np.float64
+    def test_real_input_stores_complex128(self, amps):
+        stored = StateVector(Register(1), amps).amplitudes
+        assert stored.dtype == np.complex128
+        assert np.array_equal(stored.real, np.asarray(amps, dtype=float))
+        assert np.array_equal(_bits(stored.imag), [0, 0])  # +0.0
 
     @pytest.mark.parametrize("dtype", [np.int64, np.float64])
-    def test_real_array_is_copied_to_float64(self, dtype):
-        amps = np.array([1, 0], dtype=dtype)
+    def test_real_array_is_copied_to_complex128(self, dtype):
+        amps = np.array([-1, 0], dtype=dtype)
         psi = StateVector(Register(1), amps)
-        assert psi.amplitudes.dtype == np.float64
+        assert psi.amplitudes.dtype == np.complex128
+        assert np.array_equal(psi.amplitudes.real, amps)
+        assert np.array_equal(_bits(psi.amplitudes.imag), [0, 0])
         assert not psi.amplitudes.flags.writeable
         assert amps.flags.writeable
         assert not np.shares_memory(psi.amplitudes, amps)
@@ -440,8 +454,11 @@ class TestDtypeRule:
         assert psi.amplitudes.dtype == np.complex128
 
     def test_prepared_states_are_real(self):
-        assert uniform_superposition(Register(3)).amplitudes.dtype == np.float64
-        assert basis_state(Register(3), 5).amplitudes.dtype == np.float64
+        uniform = uniform_superposition(Register(3))
+        assert uniform._values.dtype == np.float64
+        for psi in (uniform, basis_state(Register(3), 5)):
+            assert psi.amplitudes.dtype == np.complex128
+            assert not np.any(psi.amplitudes.imag)
 
     def test_partial_flip_promotes_to_complex(self):
         out = apply_partial_bit_flip(uniform_superposition(Register(3)), 1, 0.4)
@@ -450,8 +467,9 @@ class TestDtypeRule:
     def test_real_transforms_stay_real(self, rng):
         psi = uniform_superposition(Register(4))
         mask = PhaseMask.from_indices(psi.register, [1, 9])
-        assert apply_phase_mask(psi, mask).amplitudes.dtype == np.float64
-        assert normalize(psi).amplitudes.dtype == np.float64
+        for out in (apply_phase_mask(psi, mask), normalize(psi)):
+            assert out.amplitudes.dtype == np.complex128
+            assert not np.any(out.amplitudes.imag)
 
     def test_transforms_match_complex_copy_bitwise(self, rng):
         amps = rng.normal(size=64)
@@ -463,10 +481,8 @@ class TestDtypeRule:
             (apply_partial_bit_flip(real, 2, 0.3),
              apply_partial_bit_flip(cplx, 2, 0.3)),
         ]:
-            a = out_real.amplitudes.astype(np.complex128)
-            b = out_cplx.amplitudes
-            assert np.array_equal(a.real.view(np.uint64), b.real.view(np.uint64))
-            assert np.array_equal(a.imag.view(np.uint64), b.imag.view(np.uint64))
+            assert np.array_equal(_bits(out_real.amplitudes),
+                                  _bits(out_cplx.amplitudes))
         unit_real, unit_cplx = normalize(real), normalize(cplx)
         assert fidelity(unit_real, unit_real) == fidelity(unit_cplx, unit_cplx)
         assert fidelity(unit_real, other) == fidelity(unit_cplx, other)
@@ -568,7 +584,10 @@ class TestBlockedReductions:
             psi = StateVector._two_level(Register(m), flags, values,
                                          qic.state._block_kinds(flags))
             dense = StateVector(psi.register, psi.amplitudes)
-            assert psi.amplitudes.dtype == np.float64
+            assert psi.amplitudes.dtype == np.complex128
+            assert np.array_equal(_bits(psi.amplitudes.real),
+                                  _bits(values)[flags.astype(np.intp)])
+            assert not _bits(psi.amplitudes.imag).any()
             assert not psi.amplitudes.flags.writeable
             assert norm_squared(psi) == norm_squared(dense)
             for index in rng.integers(0, 1 << m, 5):
@@ -619,6 +638,19 @@ def test_select_copies_every_pair_of_special_words():
             pair = np.array([a, b], dtype=np.uint64).view(np.float64)
             got = _select(flags, pair, np.empty(5)).view(np.uint64)
             assert got.tolist() == [a, b, a, b, a]
+
+
+def test_two_level_amplitudes_hold_the_values_bits_in_real():
+    flags = np.arange(8) % 2 == 1
+    for a in _SPECIAL_WORDS:
+        for b in _SPECIAL_WORDS:
+            values = np.array([a, b], dtype=np.uint64).view(np.float64)
+            for f, expected in ((flags, [a, b] * 4), (None, [a] * 8)):
+                amps = StateVector._two_level(Register(3), f, values,
+                                              bytes(1)).amplitudes
+                assert amps.dtype == np.complex128
+                assert _bits(amps.real).tolist() == expected
+                assert not _bits(amps.imag).any()
 
 
 def test_numpy_sum_is_the_pairwise_tree_of_its_128_blocks():
