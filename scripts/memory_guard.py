@@ -1,0 +1,75 @@
+"""Memory guard: sparse solve at m = 26, ecc and sweeps at m = 22, refusals
+above 26 qubits, runs under an address-space limit.
+
+One dense 2^26 complex128 state is 1 GiB; an enumeration state is its flags
+and two values, so a sparse solve holds one 64 MiB flags array (about
+106 MiB in all) and must peak below 160 MiB, which a second such array
+would reach.  The ecc run holds two 2^22 complex128 arrays (64 MiB each),
+the ideal state and the noise buffer that correction overwrites, and must
+peak below three; without events there is no buffer and correction writes
+one fresh array instead, under the same limit.  A sweep holds no amplitude
+buffer: every state of its pass chains is two-level and each mean comes in
+closed form, so it holds the 4 MiB of flags and block scratch and must peak
+below 64 MiB.  A register above 26 qubits is refused when it is built:
+exit 1, nothing allocated.  Under a 400 MiB address-space limit (set in
+that child only; one BLAS thread keeps numpy's import inside it) a solve of
+b0 (half of all indices valid) and a sweep, both at m = 26, run to exit 0
+on their flags, and an ecc run at m = 24, which needs two 256 MiB complex
+arrays, exits 1 with one "qic: out of memory" line.
+
+Each check runs ``python -m qic`` in a child process and prints its exit
+and peak RSS; the script exits 1 if any check fails.  Run it from the repo
+root:
+
+    PYTHONPATH=src python scripts/memory_guard.py
+"""
+import os, resource, subprocess, sys
+groups = "groups:" + ",".join(map(str, range(10))) + ";" + ",".join(map(str, range(10, 20)))
+sweep = ["sweep", "--qubits", "22", "--epsilon", "0:0.2:0.1", "--passes", "1:4"]
+# (name, peak RSS limit in MiB, expected exit, argv, address-space limit in MiB)
+checks = [
+    ("solve at m = 26", 160, 0, ["solve", "--qubits", "26",
+                                 "--valid", "5,40000000,60000001,67000000",
+                                 "--epsilon", "0.05", "--passes", "3", "--seed", "3"], None),
+    ("ecc at m = 22", 192, 0, ["ecc", "--data-qubits", "20", "--parity", groups,
+                               "--events", "6", "--passes", "2", "--epsilon", "0.05",
+                               "--seed", "3"], None),
+    ("ecc without events at m = 22", 192, 0, ["ecc", "--data-qubits", "20",
+                                              "--parity", groups, "--events", "0",
+                                              "--passes", "2", "--epsilon", "0.05",
+                                              "--seed", "3"], None),
+    ("sweep b21&b2 at m = 22", 64, 0, [*sweep, "--expr", "b21&b2"], None),
+    ("sweep b0 at m = 22", 64, 0, [*sweep, "--expr", "b0"], None),
+    ("solve refused at m = 27", 64, 1, ["solve", "--qubits", "27", "--valid", "1"], None),
+    ("ecc refused at m = 27", 64, 1, ["ecc", "--data-qubits", "26",
+                                      "--parity", "global"], None),
+    ("solve b0 at m = 26", 160, 0, ["solve", "--qubits", "26", "--expr", "b0",
+                                    "--max-runs", "1"], 400),
+    ("sweep at m = 26", 64, 0, ["sweep", "--qubits", "26", "--valid", "1,2",
+                                "--epsilon", "0.1", "--passes", "1"], 400),
+    ("ecc out of memory at m = 24", 400, 1, ["ecc", "--data-qubits", "23",
+                                            "--parity", "global"], 400),
+]
+failed = False
+for name, limit, code, args, address_mib in checks:
+    env, preexec = None, None
+    if address_mib is not None:
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        cap = address_mib << 20
+        preexec = lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+    proc = subprocess.Popen([sys.executable, "-m", "qic", *args],
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                            env=env, preexec_fn=preexec)
+    err = proc.stderr.read().decode()
+    _, status, usage = os.wait4(proc.pid, 0)
+    # Negative when a signal ended the run.
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    peak = usage.ru_maxrss / 1024
+    print(f"{name}: exit {proc.returncode} (expected {code}), "
+          f"peak RSS {peak:.1f} MiB (limit {limit} MiB)")
+    sys.stdout.write(err)
+    failed |= proc.returncode != code or peak >= limit
+    if address_mib is not None and code:
+        lines = err.splitlines()
+        failed |= len(lines) != 1 or not lines[0].startswith("qic: out of memory")
+sys.exit(failed)

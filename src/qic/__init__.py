@@ -24,7 +24,6 @@ from .state import (
     basis_state,
     fidelity,
     norm_squared,
-    normalize,
     probability,
     sample,
     uniform_superposition,
@@ -43,7 +42,6 @@ from .interference import (
     InterferenceConfig,
     interfere,
     interfere_repeated,
-    mark_invalid,
 )
 from .enumeration import (
     EnumerationReport,
@@ -64,7 +62,6 @@ from .ecc import (
     encode,
     inject_noise,
     parse_scheme,
-    search_predicate,
 )
 
 __version__ = "0.1.0"

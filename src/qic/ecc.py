@@ -82,14 +82,6 @@ class ChecksumScheme:
     def register(self) -> Register:
         return Register(self.data_bits + self.checksum_bits)
 
-    def checksum_of(self, data_index: int) -> int:
-        """Checksum bit pattern for one data-bit assignment."""
-        value = 0
-        for bit, column in enumerate(self.columns):
-            if data_index >> bit & 1:
-                value ^= column
-        return value
-
     @classmethod
     def global_parity(cls, data_bits: int) -> "ChecksumScheme":
         """One checksum qubit holding the parity of every data bit."""
@@ -130,26 +122,6 @@ def checksum_predicate(scheme: ChecksumScheme) -> Predicate:
     return Predicate(expr, scheme.register())
 
 
-def search_predicate(data_pred: Predicate,
-                     scheme: ChecksumScheme) -> Predicate:
-    """Conjunction of a data-bit solution predicate with checksum validity.
-
-    The result classifies full-register indices: valid iff the checksum
-    relation holds and the data bits satisfy ``data_pred``.  Lets the
-    enumeration loop search an encoded register end to end.
-    """
-    if data_pred.register != Register(scheme.data_bits):
-        raise RegisterMismatch(
-            f"data predicate bound to {data_pred.register}, scheme expects "
-            f"{Register(scheme.data_bits)}"
-        )
-    full = scheme.register()
-    check_flags = compile_mask(checksum_predicate(scheme), full).valid
-    data_flags = compile_mask(data_pred, data_pred.register).valid
-    combined = check_flags & np.tile(data_flags, 1 << scheme.checksum_bits)
-    return Predicate(frozenset(int(i) for i in np.flatnonzero(combined)), full)
-
-
 def encode(psi_data: StateVector, scheme: ChecksumScheme) -> StateVector:
     """Attach checksum qubits: data index x moves to (checksum(x) << n) | x."""
     n = scheme.data_bits
@@ -183,6 +155,7 @@ class NoiseModel:
     theta: float = 0.5
 
     def __post_init__(self):
+        object.__setattr__(self, "events", operator.index(self.events))
         if self.events < 0:
             raise ValueError(f"events must be >= 0, got {self.events}")
         if not 0.0 < self.theta <= np.pi / 2:
@@ -291,7 +264,7 @@ def ecc_experiment(scheme: ChecksumScheme, model: NoiseModel,
     """
     # Refuses an oversized register, and a bad seed, before any state exists.
     register = scheme.register()
-    check_seed(seed)
+    seed = check_seed(seed)
     if data_state is None:
         data_state = uniform_superposition(Register(scheme.data_bits))
     psi_ideal = encode(data_state, scheme)

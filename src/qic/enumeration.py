@@ -10,6 +10,7 @@ or an already-found solution is measured, or at the run cap.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 
@@ -40,9 +41,11 @@ class RunConfig:
     max_runs: int | None = None
 
     def __post_init__(self):
-        check_seed(self.seed)
-        if self.max_runs is not None and self.max_runs < 1:
-            raise ValueError(f"max_runs must be >= 1, got {self.max_runs}")
+        object.__setattr__(self, "seed", check_seed(self.seed))
+        if self.max_runs is not None:
+            object.__setattr__(self, "max_runs", operator.index(self.max_runs))
+            if self.max_runs < 1:
+                raise ValueError(f"max_runs must be >= 1, got {self.max_runs}")
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ exact projection onto the valid set.  The pass kernel itself is
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import QicError
@@ -21,7 +22,6 @@ from .state import (
     StateVector,
     _constant_sum,
     _interfere,
-    apply_phase_mask,
     check_tolerance,
     uniform_superposition,
 )
@@ -38,16 +38,12 @@ class InterferenceConfig:
     collapse_tol: float = DEFAULT_COLLAPSE_TOL
 
     def __post_init__(self):
+        object.__setattr__(self, "passes", operator.index(self.passes))
         if not 0.0 <= self.leakage < 1.0:
             raise ValueError(f"leakage must be in [0, 1), got {self.leakage}")
         if self.passes < 1:
             raise ValueError(f"passes must be >= 1, got {self.passes}")
         check_tolerance(self.collapse_tol, "collapse_tol")
-
-
-def mark_invalid(psi: StateVector, pred: Predicate) -> StateVector:
-    """Negate the amplitude of every component the predicate rejects."""
-    return apply_phase_mask(psi, compile_mask(pred, psi.register))
 
 
 def interfere(psi: StateVector, pred: Predicate,

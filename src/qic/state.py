@@ -47,6 +47,7 @@ class Register:
     total_qubits: int
 
     def __post_init__(self):
+        object.__setattr__(self, "total_qubits", operator.index(self.total_qubits))
         if self.total_qubits < 1:
             raise ValueError(f"total_qubits must be >= 1, got {self.total_qubits}")
         if self.total_qubits > MAX_QUBITS:
@@ -170,9 +171,6 @@ class PhaseMask:
         flags = np.zeros(register.dimension, dtype=bool)
         flags[list(register.indices(indices))] = True
         return cls._adopt(register, flags)
-
-    def valid_indices(self) -> list[int]:
-        return [int(i) for i in np.flatnonzero(self.valid)]
 
 
 def uniform_superposition(register: Register) -> StateVector:
@@ -365,17 +363,12 @@ def check_tolerance(tol: float, name: str = "tol") -> None:
         raise ValueError(f"{name} must be a finite number > 0, got {tol}")
 
 
-def check_seed(seed: int) -> None:
-    """Reject a seed outside [0, 2^64), the range every run accepts."""
+def check_seed(seed: int) -> int:
+    """``seed`` as an int in [0, 2^64), the range every run accepts."""
+    seed = operator.index(seed)
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be a 64-bit integer, got {seed}")
-
-
-def normalize(psi: StateVector, tol: float = DEFAULT_COLLAPSE_TOL) -> StateVector:
-    """Rescale to unit norm. Raises NormCollapse if norm_squared < tol."""
-    check_tolerance(tol)
-    amps = psi.amplitudes * _scale(norm_squared(psi), tol)
-    return StateVector._adopt(psi.register, amps)
+    return seed
 
 
 def probability(psi: StateVector, index: int) -> float:

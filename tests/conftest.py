@@ -91,13 +91,6 @@ def random_state(rng: np.random.Generator, m: int) -> StateVector:
     return StateVector(Register(m), amps)
 
 
-def dense_partial_flip(amps, qubit, theta):
-    """The whole-array partial flip that the blocked kernel replaced."""
-    paired = amps.reshape(-1, 2, 1 << qubit)
-    flipped = np.cos(theta) * paired + 1j * np.sin(theta) * paired[:, ::-1, :]
-    return flipped.reshape(-1)
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -241,6 +241,75 @@ class TestGoldenSchemas:
         assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
+CORPUS = GOLDEN / "corpus"
+_ECC_GROUPS = "groups:0,1,2,3,4,5,6,7,8,9;10,11,12,13,14,15,16,17,18,19"
+_SWEEP = ("sweep", "--qubits", "22", "--epsilon", "0:0.2:0.1",
+          "--passes", "1:4")
+
+
+def _valid(seed: int) -> str:
+    return (CORPUS / f"solve_wide_seed{seed}.valid").read_text().strip()
+
+
+# Report file -> argv.  The solve and ecc-noise entries are seeds 1-3 of the
+# benchmark workloads, with their generated CNF files and --valid lists
+# committed beside the reports; a CNF path is relative to the corpus
+# directory, as the report records it.
+REPORT_CORPUS = {
+    "solve_cnf_seed1.json": ("solve", "--qubits", "18", "--cnf",
+                             "solve_cnf_seed1.cnf",
+                             "--seed", "6936466275862759407"),
+    "solve_cnf_seed2.json": ("solve", "--qubits", "18", "--cnf",
+                             "solve_cnf_seed2.cnf",
+                             "--seed", "829414533535271749"),
+    "solve_cnf_seed3.json": ("solve", "--qubits", "18", "--cnf",
+                             "solve_cnf_seed3.cnf",
+                             "--seed", "1179262533205312429"),
+    "solve_wide_seed1.json": ("solve", "--qubits", "23", "--valid", _valid(1),
+                              "--epsilon", "0.05", "--passes", "3",
+                              "--seed", "7634208958675629714"),
+    "solve_wide_seed2.json": ("solve", "--qubits", "23", "--valid", _valid(2),
+                              "--epsilon", "0.05", "--passes", "3",
+                              "--seed", "1733081505784528264"),
+    "solve_wide_seed3.json": ("solve", "--qubits", "23", "--valid", _valid(3),
+                              "--epsilon", "0.05", "--passes", "3",
+                              "--seed", "4418468347491149041"),
+    "ecc_noise_seed1.json": ("ecc", "--data-qubits", "20",
+                             "--parity", _ECC_GROUPS, "--events", "6",
+                             "--passes", "2", "--epsilon", "0.05",
+                             "--seed", "4720721261117928063"),
+    "ecc_noise_seed2.json": ("ecc", "--data-qubits", "20",
+                             "--parity", _ECC_GROUPS, "--events", "6",
+                             "--passes", "2", "--epsilon", "0.05",
+                             "--seed", "2412946043537042528"),
+    "ecc_noise_seed3.json": ("ecc", "--data-qubits", "20",
+                             "--parity", _ECC_GROUPS, "--events", "6",
+                             "--passes", "2", "--epsilon", "0.05",
+                             "--seed", "789974133212406140"),
+    "demo_eps02.txt": ("demo", "--epsilon", "0.2"),
+    "demo_eps02.json": ("demo", "--epsilon", "0.2", "--format", "json"),
+    "sweep_b0_m22.csv": (*_SWEEP, "--expr", "b0"),
+    "sweep_b21_and_b2_m22.csv": (*_SWEEP, "--expr", "b21&b2"),
+    "ecc_m22_events0.json": ("ecc", "--data-qubits", "20",
+                             "--parity", _ECC_GROUPS, "--events", "0",
+                             "--passes", "2", "--epsilon", "0.05",
+                             "--seed", "3"),
+    "ecc_m22_events3.json": ("ecc", "--data-qubits", "20",
+                             "--parity", _ECC_GROUPS, "--events", "3",
+                             "--passes", "2", "--epsilon", "0.05",
+                             "--seed", "3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_CORPUS))
+def test_report_corpus_is_byte_identical(name, tmp_path, monkeypatch):
+    """Workload-sized reports keep their bytes: one in-process run each."""
+    monkeypatch.chdir(CORPUS)
+    out = tmp_path / name
+    assert main([*REPORT_CORPUS[name], "--output", str(out)]) == 0
+    assert out.read_bytes() == (CORPUS / name).read_bytes()
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("args", [
         ("demo", "--epsilon", "0.13", "--seed", "5"),

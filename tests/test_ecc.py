@@ -17,15 +17,13 @@ from qic.ecc import (
     encode,
     inject_noise,
     parse_scheme,
-    search_predicate,
 )
 from qic.errors import NormCollapse, ParseError, RegisterMismatch, SchemeInvalid
-from qic.interference import InterferenceConfig, interfere_repeated
-from qic.predicate import Predicate, compile_mask
+from qic.interference import InterferenceConfig
+from qic.predicate import compile_mask
 from qic.state import (
     Register,
     StateVector,
-    _flip,
     _interfere,
     apply_partial_bit_flip,
     basis_state,
@@ -34,12 +32,13 @@ from qic.state import (
     uniform_superposition,
 )
 
-from conftest import dense_partial_flip
+import reference
 
 
 def valid_set(scheme):
     pred = checksum_predicate(scheme)
-    return set(compile_mask(pred, scheme.register()).valid_indices())
+    return set(reference.valid_indices(
+        compile_mask(pred, scheme.register()).valid))
 
 
 class TestChecksumScheme:
@@ -59,12 +58,6 @@ class TestChecksumScheme:
         scheme = ChecksumScheme.global_parity(3)
         assert scheme.groups == ((0, 1, 2),)
         assert scheme.register() == Register(4)
-
-    def test_checksum_of(self):
-        scheme = ChecksumScheme(3, ((0, 1), (2,)))
-        assert scheme.checksum_of(0b011) == 0b00
-        assert scheme.checksum_of(0b001) == 0b01
-        assert scheme.checksum_of(0b100) == 0b10
 
     @pytest.mark.parametrize("data_bits,groups", [
         (2, ()),                  # no groups
@@ -350,39 +343,6 @@ class TestEccExperiment:
         assert report.config["theta"] == 0.4
 
 
-class TestSearchPredicate:
-    def test_conjunction_over_encoded_register(self):
-        scheme = ChecksumScheme.global_parity(3)
-        data_pred = Predicate(frozenset({1, 3}), Register(3))
-        combined = search_predicate(data_pred, scheme)
-        # 001 carries parity 1, 011 carries parity 0
-        assert set(compile_mask(combined, scheme.register())
-                   .valid_indices()) == {0b1001, 0b0011}
-
-    def test_end_to_end_enumeration_on_encoded_register(self):
-        from qic.enumeration import RunConfig, Termination, enumerate_solutions
-
-        scheme = ChecksumScheme.global_parity(3)
-        data_pred = Predicate(frozenset({1, 3}), Register(3))
-        combined = search_predicate(data_pred, scheme)
-        report = enumerate_solutions(combined, scheme.register(),
-                                     RunConfig(seed=21))
-        assert set(report.found) == {"1001", "0011"}
-        assert report.termination is Termination.EXHAUSTED
-
-    def test_register_mismatch(self):
-        scheme = ChecksumScheme.global_parity(3)
-        with pytest.raises(RegisterMismatch):
-            search_predicate(Predicate(frozenset({0}), Register(2)), scheme)
-
-    def test_exclusions_lift_to_encoded_indices(self):
-        scheme = ChecksumScheme.global_parity(2)
-        data_pred = Predicate(frozenset({0, 1}), Register(2),
-                              exclusions=frozenset({1}))
-        combined = search_predicate(data_pred, scheme)
-        assert compile_mask(combined, scheme.register()).valid_indices() == [0]
-
-
 def _random_full_coverage_scheme(rng, data_bits):
     groups = []
     remaining = set(range(data_bits))
@@ -436,36 +396,6 @@ def test_correction_never_decreases_fidelity_or_mass():
     assert collapsed < 50
 
 
-# Dense references for the streamed ecc path: the whole-array expressions
-# that the blocked kernels replaced.
-
-
-def _dense_noise(psi, model, seed):
-    rng = np.random.default_rng(seed)
-    amps, qubits = psi.amplitudes, []
-    for _ in range(model.events):
-        qubits.append(int(rng.integers(0, psi.register.total_qubits)))
-        amps = dense_partial_flip(amps, qubits[-1], model.theta)
-    return amps, qubits
-
-
-def _dense_mass(amps, scheme):
-    valid = compile_mask(checksum_predicate(scheme), scheme.register()).valid
-    return float(np.sum((np.abs(amps) ** 2)[valid]))
-
-
-def _per_index_encode(amps, scheme):
-    n = scheme.data_bits
-    out = np.zeros(scheme.register().dimension, dtype=amps.dtype)
-    for x in range(1 << n):
-        out[(scheme.checksum_of(x) << n) | x] = amps[x]
-    return out
-
-
-def _bits(amps):
-    return np.asarray(amps).view(np.uint64)
-
-
 def _random_data(rng, n, complex_state):
     amps = rng.normal(size=1 << n)
     if complex_state:
@@ -481,16 +411,6 @@ def small_blocks(monkeypatch):
 
 
 class TestStreamedEcc:
-    def test_checksum_of_is_the_parity_of_each_group(self):
-        rng = np.random.default_rng(2)
-        for _ in range(40):
-            scheme = _random_full_coverage_scheme(rng, int(rng.integers(1, 9)))
-            for x in range(1 << scheme.data_bits):
-                expected = sum(
-                    (sum(x >> bit & 1 for bit in group) & 1) << g
-                    for g, group in enumerate(scheme.groups))
-                assert scheme.checksum_of(x) == expected
-
     def test_columns_do_not_enter_equality(self):
         assert ChecksumScheme(2, ((1, 0),)) == ChecksumScheme(2, ((0, 1),))
         assert ChecksumScheme(3, ((0, 1), (1, 2))).columns == (1, 3, 2)
@@ -507,9 +427,10 @@ class TestStreamedEcc:
             overlapping += len(members) > len(set(members))
             psi = _random_data(rng, n, bool(trial % 2))
             out = encode(psi, scheme).amplitudes
-            expected = _per_index_encode(psi.amplitudes, scheme)
+            expected = reference.encode(psi.amplitudes, scheme)
             assert out.dtype == expected.dtype
-            assert np.array_equal(_bits(out), _bits(expected))
+            assert np.array_equal(reference.bits(out),
+                                  reference.bits(expected))
         assert overlapping > 10
 
     def test_encode_with_many_checksum_bits(self):
@@ -518,8 +439,8 @@ class TestStreamedEcc:
                                     (0, 2), (0, 1, 2), (0,), (1,)))
         psi = _random_data(np.random.default_rng(4), 3, True)
         assert np.array_equal(
-            _bits(encode(psi, scheme).amplitudes),
-            _bits(_per_index_encode(psi.amplitudes, scheme)))
+            reference.bits(encode(psi, scheme).amplitudes),
+            reference.bits(reference.encode(psi.amplitudes, scheme)))
 
     def test_inject_noise_matches_chained_dense_flips(self, small_blocks):
         rng = np.random.default_rng(5)
@@ -534,11 +455,13 @@ class TestStreamedEcc:
                                theta=float(rng.uniform(0.01, math.pi / 2)))
             seed = int(rng.integers(2**32))
             noisy, log = inject_noise(psi, model, np.random.default_rng(seed))
-            expected, qubits = _dense_noise(psi, model, seed)
+            expected, qubits = reference.noise(psi.amplitudes, model, seed)
             assert [e.qubit for e in log] == qubits
-            assert np.array_equal(_bits(noisy.amplitudes), _bits(expected))
+            assert np.array_equal(reference.bits(noisy.amplitudes),
+                                  reference.bits(expected))
             assert not noisy.amplitudes.flags.writeable
-            assert np.array_equal(_bits(psi.amplitudes), _bits(before))
+            assert np.array_equal(reference.bits(psi.amplitudes),
+                                  reference.bits(before))
 
     def test_checksum_valid_mass_matches_dense_sum(self, small_blocks):
         rng = np.random.default_rng(6)
@@ -551,7 +474,7 @@ class TestStreamedEcc:
             psi = _random_data(rng, m, bool(trial % 2))
             psi = StateVector(scheme.register(), psi.amplitudes)
             assert (checksum_valid_mass(psi, scheme)
-                    == _dense_mass(psi.amplitudes, scheme))
+                    == reference.mass(psi.amplitudes, scheme))
 
     def test_correct_leaves_its_input_unchanged(self, small_blocks):
         scheme = ChecksumScheme(8, ((0, 1, 2, 3), (4, 5, 6, 7)))
@@ -561,24 +484,8 @@ class TestStreamedEcc:
         before = noisy.amplitudes.copy()
         out = correct(noisy, scheme, InterferenceConfig(0.05, 2))
         assert not np.shares_memory(out.amplitudes, noisy.amplitudes)
-        assert np.array_equal(_bits(noisy.amplitudes), _bits(before))
-
-    @pytest.mark.parametrize("theta", [1e-3, 0.5, 1.0, math.pi / 2])
-    def test_flip_of_real_source_matches_its_complex_copy(self, theta,
-                                                          small_blocks):
-        # ecc_experiment makes the ideal state complex before the first flip.
-        rng = np.random.default_rng(10)
-        m = 9
-        src = rng.normal(size=1 << m)
-        src[rng.random(1 << m) < 0.2] = 0.0
-        src[rng.random(1 << m) < 0.2] = -0.0
-        as_complex = src.astype(np.complex128)
-        for qubit in range(m):
-            real_out = np.empty(1 << m, dtype=np.complex128)
-            _flip(src, real_out, qubit, theta)
-            complex_out = as_complex.copy()
-            _flip(complex_out, complex_out, qubit, theta)
-            assert np.array_equal(_bits(real_out), _bits(complex_out)), qubit
+        assert np.array_equal(reference.bits(noisy.amplitudes),
+                              reference.bits(before))
 
 
 def test_ecc_experiment_without_events_keeps_report_and_ideal_state(
@@ -590,8 +497,8 @@ def test_ecc_experiment_without_events_keeps_report_and_ideal_state(
     def spy(psi, valid, leakage, passes, tol, out=None):
         before = psi.amplitudes.copy()
         result = _interfere(psi, valid, leakage, passes, tol, out=out)
-        calls.append((out, np.array_equal(_bits(psi.amplitudes),
-                                          _bits(before))))
+        calls.append((out, np.array_equal(reference.bits(psi.amplitudes),
+                                          reference.bits(before))))
         return result
 
     monkeypatch.setattr(qic.ecc, "_interfere", spy)
@@ -620,17 +527,16 @@ def test_ecc_report_matches_dense_reference_at_full_block_size():
     report = ecc_experiment(scheme, model, cfg, seed)
 
     data = uniform_superposition(Register(16))
-    ideal = StateVector(scheme.register(),
-                        _per_index_encode(data.amplitudes, scheme))
-    noisy_amps, qubits = _dense_noise(ideal, model, seed)
+    ideal = reference.encode(data.amplitudes, scheme)
+    noisy, qubits = reference.noise(ideal, model, seed)
     assert max(qubits) >= 16
-    noisy = StateVector(scheme.register(), noisy_amps)
-    corrected = interfere_repeated(noisy, checksum_predicate(scheme), cfg)
+    valid = compile_mask(checksum_predicate(scheme), scheme.register()).valid
+    corrected = reference.interfere(noisy, valid, cfg)
     assert [e.qubit for e in report.events] == qubits
-    assert report.valid_mass_before == _dense_mass(noisy_amps, scheme)
-    assert report.fidelity_before == fidelity(noisy, ideal)
-    assert report.valid_mass_after == _dense_mass(corrected.amplitudes, scheme)
-    assert report.fidelity_after == fidelity(corrected, ideal)
+    assert report.valid_mass_before == reference.mass(noisy, scheme)
+    assert report.fidelity_before == reference.fidelity(noisy, ideal)
+    assert report.valid_mass_after == reference.mass(corrected, scheme)
+    assert report.fidelity_after == reference.fidelity(corrected, ideal)
 
 
 def test_ecc_experiment_peak_memory(monkeypatch):

@@ -19,6 +19,7 @@ from qic.predicate import CnfFormula, Predicate, parse_expr
 from qic.reports import render_json
 from qic.state import Register
 
+import reference
 from conftest import bits_of, cnf_truth_brute, expr_truth_brute, random_cnf, random_expr
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -267,45 +268,6 @@ def test_sparse_enumeration_holds_no_amplitude_array():
     assert peak < 3 << m, peak / (1 << m)
 
 
-def _dense_enumeration(valid_set, reg, cfg):
-    """The enumeration loop on whole arrays, kept as reference: each run
-    interferes a dense uniform state and draws from a 2^m running sum."""
-    dim = reg.dimension
-    eps = cfg.interference.leakage
-    rng = np.random.default_rng(cfg.seed)
-    found, runs = [], []
-    termination = Termination.MAX_RUNS_REACHED
-    for run in range(1, cfg.max_runs + 1):
-        flags = np.isin(np.arange(dim), sorted(valid_set - set(found)))
-        weights = np.where(flags, 2.0 - eps, eps)
-        out = np.full(dim, 1.0 / np.sqrt(dim)) * weights
-        for done in range(cfg.interference.passes):
-            if done:
-                out *= weights
-            surviving = float(np.sum(np.square(out)))
-            if surviving < cfg.interference.collapse_tol:
-                out = None
-                break
-            out *= 1.0 / np.sqrt(surviving)
-        if out is None:
-            runs.append((run, None, False, False))
-            termination = Termination.EXHAUSTED
-            break
-        cumulative = np.cumsum(np.square(out))
-        index = int(np.searchsorted(cumulative, rng.random() * cumulative[-1],
-                                    side="right"))
-        is_solution = index in valid_set
-        is_new = is_solution and index not in found
-        runs.append((run, reg.bitstring(index), is_solution, is_new))
-        if is_new:
-            found.append(index)
-            continue
-        termination = (Termination.REPEAT_MEASURED if is_solution
-                       else Termination.REMNANT_MEASURED)
-        break
-    return [reg.bitstring(i) for i in found], runs, termination
-
-
 def _valid_set(kind, rng, m):
     dim = 1 << m
     if kind == "all":
@@ -333,7 +295,7 @@ def test_enumeration_reports_match_dense_reference(seed, m, kind, eps, passes):
         patch.setattr(qic.state, "_BLOCK", 128)
         report = enumerate_solutions(Predicate(frozenset(valid), reg), reg,
                                      cfg)
-    found, runs, termination = _dense_enumeration(valid, reg, cfg)
+    found, runs, termination = reference.enumerate(valid, reg, cfg)
     assert list(report.found) == found
     assert [(r.run, r.measured, r.verified, r.new) for r in report.runs] == runs
     assert report.termination is termination

@@ -13,7 +13,6 @@ from qic.interference import (
     InterferenceConfig,
     interfere,
     interfere_repeated,
-    mark_invalid,
     remnant_sweep,
 )
 from qic.predicate import Predicate, compile_mask, parse_expr
@@ -28,13 +27,9 @@ from qic.state import (
     uniform_superposition,
 )
 
+import reference
 from conftest import random_state
-from test_state import (
-    _FixedDraw,
-    _block_flags,
-    _dense_sample,
-    _draws_on_running_sums,
-)
+from test_state import _FixedDraw, _block_flags, _draws_on_running_sums
 
 
 def uniform_pred(m, valid):
@@ -60,25 +55,6 @@ class TestConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             InterferenceConfig(**kwargs)
-
-
-class TestMarkInvalid:
-    def test_sign_pattern_on_uniform(self):
-        reg, pred = uniform_pred(3, {1, 3})
-        out = mark_invalid(uniform_superposition(reg), pred)
-        signs = np.sign(out.amplitudes.real)
-        assert list(signs) == [-1, 1, -1, 1, -1, -1, -1, -1]
-
-    def test_all_valid_is_identity(self, rng):
-        psi = random_state(rng, 3)
-        pred = Predicate(frozenset(range(8)), psi.register)
-        assert np.all(mark_invalid(psi, pred).amplitudes == psi.amplitudes)
-
-    def test_involution(self, rng):
-        psi = random_state(rng, 4)
-        pred = Predicate(frozenset({0, 7, 9}), psi.register)
-        twice = mark_invalid(mark_invalid(psi, pred), pred)
-        assert np.all(twice.amplitudes == psi.amplitudes)
 
 
 class TestInterfere:
@@ -120,8 +96,10 @@ class TestInterfere:
 
     def test_marking_arm_equivalence(self, rng):
         psi = random_state(rng, 5)
-        pred = Predicate(frozenset({2, 3, 17, 30}), psi.register)
-        arm_sum = psi.amplitudes + mark_invalid(psi, pred).amplitudes
+        valid = [2, 3, 17, 30]
+        pred = Predicate(frozenset(valid), psi.register)
+        arm_sum = psi.amplitudes + reference.mark(psi.amplitudes,
+                                                  np.isin(np.arange(32), valid))
         arm_sum = arm_sum / np.sqrt(np.sum(np.abs(arm_sum) ** 2))
         out = interfere(psi, pred)
         assert np.max(np.abs(out.amplitudes - arm_sum)) < 1e-12
@@ -297,24 +275,6 @@ def test_normalisation_matches_complex_division_up_to_zero_signs():
     assert negative.any() and not np.signbit(divided.real[~nonzero]).any()
 
 
-def _dense_interfere(psi, valid, cfg, passes):
-    """The whole-array kernel the blocked one replaced, kept as reference:
-    a 2^m weights array, and a 2^m |out|^2 array summed by np.sum."""
-    weights = np.where(valid, 2.0 - cfg.leakage, cfg.leakage)
-    out = psi.amplitudes * weights
-    probs = np.empty(out.shape)
-    for done in range(passes):
-        if done:
-            out *= weights
-        np.abs(out, out=probs)
-        np.square(probs, out=probs)
-        surviving = float(np.sum(probs))
-        if surviving < cfg.collapse_tol:
-            return None
-        out *= 1.0 / np.sqrt(surviving)
-    return out
-
-
 def _state_of_kind(kind, seed, m):
     rng = np.random.default_rng(seed)
     if kind == "uniform":
@@ -336,7 +296,7 @@ def test_blocked_kernel_matches_dense_reference_bitwise(seed, m, eps, passes,
     pred = (_sparse_case if sparse else _random_case)(seed, m)
     cfg = InterferenceConfig(leakage=eps, passes=passes)
     valid = np.isin(np.arange(1 << m), list(pred.source))
-    expected = _dense_interfere(psi, valid, cfg, passes)
+    expected = reference.interfere(psi.amplitudes, valid, cfg)
     # 128-amplitude blocks, so that registers from m = 8 up span several.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(qic.state, "_BLOCK", 128)
@@ -471,7 +431,7 @@ def test_two_level_states_match_dense_reference_bitwise(seed, m, eps, chain,
         for i, passes in enumerate(chain):
             flags = other if reflag and i == len(chain) - 1 else valid
             cfg = InterferenceConfig(eps, passes)
-            expected = _dense_interfere(ref, flags, cfg, passes)
+            expected = reference.interfere(ref.amplitudes, flags, cfg)
             psi = _kernel_or_collapse(psi, flags, cfg)
             assert (psi is None) == (expected is None)
             if psi is None:
@@ -482,13 +442,13 @@ def test_two_level_states_match_dense_reference_bitwise(seed, m, eps, chain,
             assert norm_squared(psi).hex() == norm_squared(ref).hex()
             for index in rng.integers(0, 1 << m, 4):
                 assert probability(psi, index) == probability(ref, index)
-            cumulative = _dense_sample(ref, 0.5)[1]
+            cumulative = reference.sample(ref.amplitudes, 0.5)[1]
             ends = np.arange(min(127, (1 << m) - 1), 1 << m, 128)
             draws = [*rng.random(4).tolist(),
                      *_draws_on_running_sums(cumulative, ends)]
             for u in draws:
                 assert (sample(psi, _FixedDraw(u))
-                        == _dense_sample(ref, u)[0]), u
+                        == reference.sample(ref.amplitudes, u)[0]), u
             assert np.array_equal(psi.amplitudes.view(np.uint64),
                                   expected.view(np.uint64))
 
@@ -553,10 +513,9 @@ class TestRemnantSweep:
             expected = []
             for eps in epsilons:
                 for r in passes:
-                    cfg = InterferenceConfig(eps, r)
-                    mags = np.abs(interfere_repeated(
-                        uniform_superposition(pred.register), pred,
-                        cfg).amplitudes)
+                    mags = np.abs(reference.interfere(
+                        uniform_superposition(pred.register).amplitudes,
+                        valid, InterferenceConfig(eps, r)))
                     measured = float(np.mean(mags[~valid])
                                      / np.mean(mags[valid]))
                     predicted = (eps / (2.0 - eps)) ** r

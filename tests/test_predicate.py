@@ -34,6 +34,7 @@ from qic.state import (
     uniform_superposition,
 )
 
+import reference
 from conftest import (
     bits_of,
     brute_force_valid,
@@ -278,17 +279,17 @@ class TestCompileMask:
     def test_always_true(self):
         reg = Register(3)
         mask = compile_mask(Predicate(parse_expr("1"), reg), reg)
-        assert mask.valid_indices() == list(range(8))
+        assert reference.valid_indices(mask.valid) == list(range(8))
 
     def test_worked_example(self):
         reg = Register(3)
         mask = compile_mask(Predicate(parse_expr("b0 & ~b2"), reg), reg)
-        assert mask.valid_indices() == [1, 3]
+        assert reference.valid_indices(mask.valid) == [1, 3]
 
     def test_always_false(self):
         reg = Register(2)
         mask = compile_mask(Predicate(parse_expr("0"), reg), reg)
-        assert mask.valid_indices() == []
+        assert reference.valid_indices(mask.valid) == []
 
     def test_register_mismatch(self):
         pred = Predicate(parse_expr("b0"), Register(2))
@@ -313,7 +314,7 @@ class TestCompileMask:
     def test_exclusions_cleared_from_mask(self):
         reg = Register(3)
         pred = Predicate(frozenset({1, 3, 5}), reg, exclusions=frozenset({3}))
-        assert compile_mask(pred, reg).valid_indices() == [1, 5]
+        assert reference.valid_indices(compile_mask(pred, reg).valid) == [1, 5]
 
 
 class TestWithExclusions:
@@ -321,19 +322,19 @@ class TestWithExclusions:
         reg = Register(3)
         pred = Predicate(frozenset({1, 3}), reg)
         narrowed = with_exclusions(pred, {1})
-        assert compile_mask(narrowed, reg).valid_indices() == [3]
+        assert reference.valid_indices(compile_mask(narrowed, reg).valid) == [3]
 
     def test_empty_found_keeps_semantics(self):
         reg = Register(3)
         pred = Predicate(frozenset({1, 3}), reg)
         same = with_exclusions(pred, set())
-        assert compile_mask(same, reg).valid_indices() == [1, 3]
+        assert reference.valid_indices(compile_mask(same, reg).valid) == [1, 3]
 
     def test_everything_removed(self):
         reg = Register(3)
         pred = Predicate(frozenset({1, 3}), reg)
         empty = with_exclusions(pred, {1, 3})
-        assert compile_mask(empty, reg).valid_indices() == []
+        assert reference.valid_indices(compile_mask(empty, reg).valid) == []
 
     def test_original_unchanged(self):
         reg = Register(3)
@@ -351,7 +352,8 @@ _INDEX_ENTRY_POINTS = {
     "evaluate": lambda reg, i: evaluate(Predicate(parse_expr("b0"), reg), i),
     "verify": lambda reg, i: verify(Predicate(parse_expr("b0"), reg), i),
     "PhaseMask.from_indices":
-        lambda reg, i: PhaseMask.from_indices(reg, [0, i]).valid_indices(),
+        lambda reg, i: reference.valid_indices(
+            PhaseMask.from_indices(reg, [0, i]).valid),
     "Predicate source": lambda reg, i: Predicate(frozenset({0, i}), reg).source,
     "Predicate exclusions": lambda reg, i: Predicate(
         parse_expr("b0"), reg, exclusions=frozenset({i})).exclusions,
@@ -455,9 +457,9 @@ def test_exclusion_monotonicity(seed, m):
     size = int(rng.integers(0, reg.dimension + 1))
     removed = {int(i) for i in rng.choice(reg.dimension, size=size,
                                           replace=False)}
-    base = set(compile_mask(pred, reg).valid_indices())
-    narrowed = set(compile_mask(with_exclusions(pred, removed), reg)
-                   .valid_indices())
+    base = set(reference.valid_indices(compile_mask(pred, reg).valid))
+    narrowed = set(reference.valid_indices(
+        compile_mask(with_exclusions(pred, removed), reg).valid))
     assert narrowed == base - removed
 
 
@@ -488,10 +490,13 @@ class TestCompileCache:
     def test_exclusions_do_not_leak_into_cache(self):
         reg = Register(7)
         source = parse_expr("b0 | b6")
-        full = compile_mask(Predicate(source, reg), reg).valid_indices()
+        def indices(pred):
+            return reference.valid_indices(compile_mask(pred, reg).valid)
+
+        full = indices(Predicate(source, reg))
         excluded = Predicate(source, reg, exclusions=frozenset(full[:5]))
-        assert compile_mask(excluded, reg).valid_indices() == full[5:]
-        assert compile_mask(Predicate(source, reg), reg).valid_indices() == full
+        assert indices(excluded) == full[5:]
+        assert indices(Predicate(source, reg)) == full
 
     def test_alternating_sources(self):
         reg = Register(8)
@@ -514,7 +519,7 @@ class TestCompileCache:
         # Valid exactly where the checksum qubits hold the data's checksum.
         n = scheme.data_bits
         assert [bool(f) for f in flags] == [
-            i >> n == scheme.checksum_of(i & ((1 << n) - 1))
+            i >> n == reference.checksum(scheme, i & ((1 << n) - 1))
             for i in range(reg.dimension)]
 
     @pytest.mark.parametrize("source", [parse_expr("b0 ^ b9"),

@@ -7,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qic.state
+from qic.ecc import NoiseModel
+from qic.enumeration import RunConfig
 from qic.errors import IndexOutOfRange, NormCollapse, RegisterMismatch
+from qic.interference import InterferenceConfig
 from qic.state import (
     PhaseMask,
     Register,
@@ -17,14 +20,14 @@ from qic.state import (
     basis_state,
     fidelity,
     norm_squared,
-    normalize,
     probability,
     sample,
     uniform_superposition,
 )
 from qic.state import _constant_run_end, _constant_sum, _select
 
-from conftest import dense_partial_flip, random_state
+import reference
+from conftest import random_state
 
 
 class _FixedDraw:
@@ -68,6 +71,22 @@ class TestRegister:
             reg.bitstring(8)
 
 
+@pytest.mark.parametrize("build,field", [
+    (Register, "total_qubits"),
+    (lambda n: InterferenceConfig(passes=n), "passes"),
+    (lambda n: NoiseModel(events=n), "events"),
+    (lambda n: RunConfig(seed=n), "seed"),
+    (lambda n: RunConfig(seed=1, max_runs=n), "max_runs"),
+], ids=["qubits", "passes", "events", "seed", "max_runs"])
+def test_counts_are_refused_unless_integers(build, field):
+    # At construction, not later inside a shift, a range or numpy's seeding.
+    for value in (1.5, 2.0, "2", np.float64(2.0)):
+        with pytest.raises(TypeError):
+            build(value)
+    stored = getattr(build(np.int64(2)), field)
+    assert stored == 2 and type(stored) is int
+
+
 class TestUniformSuperposition:
     def test_three_qubits(self):
         psi = uniform_superposition(Register(3))
@@ -97,40 +116,6 @@ class TestNormSquared:
     def test_unnormalized_vector(self):
         psi = StateVector(Register(2), [2, 0, 0, 0])
         assert norm_squared(psi) == 4.0
-
-
-class TestNormalize:
-    def test_rescales(self):
-        psi = StateVector(Register(1), [2, 0])
-        out = normalize(psi)
-        assert np.all(out.amplitudes == np.array([1, 0], dtype=complex))
-        assert norm_squared(out) == 1.0
-
-    def test_zero_vector_collapses(self):
-        psi = StateVector(Register(2), np.zeros(4))
-        with pytest.raises(NormCollapse):
-            normalize(psi, tol=1e-18)
-
-    def test_bell_like_pair(self):
-        psi = StateVector(Register(2), [1, 0, 0, 1])
-        out = normalize(psi)
-        r = 1 / math.sqrt(2)
-        assert np.allclose(out.amplitudes, [r, 0, 0, r], atol=1e-15)
-
-    def test_input_unchanged(self):
-        amps = np.array([2.0, 0.0], dtype=complex)
-        psi = StateVector(Register(1), amps)
-        normalize(psi)
-        assert np.all(psi.amplitudes == np.array([2, 0], dtype=complex))
-
-    def test_rejects_nonpositive_tol(self):
-        with pytest.raises(ValueError):
-            normalize(uniform_superposition(Register(1)), tol=0.0)
-
-    @pytest.mark.parametrize("tol", [math.nan, math.inf])
-    def test_rejects_non_finite_tol(self, tol):
-        with pytest.raises(ValueError):
-            normalize(uniform_superposition(Register(1)), tol=tol)
 
 
 class TestProbability:
@@ -283,7 +268,7 @@ class TestPhaseMask:
         flags = np.array([True, False, False, True])
         mask = PhaseMask(Register(2), flags)
         flags[1] = True
-        assert mask.valid_indices() == [0, 3]
+        assert reference.valid_indices(mask.valid) == [0, 3]
         assert flags.flags.writeable and not mask.valid.flags.writeable
 
     def test_read_only_caller_array_is_copied(self):
@@ -293,7 +278,7 @@ class TestPhaseMask:
         assert mask.valid is not flags
         flags.flags.writeable = True
         flags[1] = True
-        assert mask.valid_indices() == [0, 3]
+        assert reference.valid_indices(mask.valid) == [0, 3]
 
 
 class TestPartialBitFlip:
@@ -324,11 +309,7 @@ class TestPartialBitFlip:
         psi = (random_state(rng, m) if complex_state
                else StateVector(Register(m), rng.normal(size=1 << m)))
         for qubit in range(m):
-            # The reference materialises the partners in index order.
-            paired = psi.amplitudes.reshape(-1, 2, 1 << qubit)
-            flipped = paired[:, ::-1, :].reshape(-1)
-            expected = (np.cos(0.5) * psi.amplitudes
-                        + 1j * np.sin(0.5) * flipped)
+            expected = reference.flip(psi.amplitudes, qubit, 0.5)
             got = apply_partial_bit_flip(psi, qubit, 0.5).amplitudes
             assert np.array_equal(got.view(np.uint64),
                                   expected.view(np.uint64))
@@ -379,10 +360,6 @@ def test_partial_flip_inverts_with_negated_angle(seed, m, theta, qubit_pick):
     assert np.max(np.abs(back.amplitudes - psi.amplitudes)) < 1e-10
 
 
-def _bits(amps):
-    return amps.view(np.uint64)
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -403,16 +380,16 @@ def test_blocked_flip_matches_dense_reference_bitwise(seed, m, complex_state,
     amps[rng.random(1 << m) < 0.2] = -0.0
     psi = StateVector(Register(m), amps)
     before = psi.amplitudes.copy()
-    expected = dense_partial_flip(psi.amplitudes, qubit, theta)
+    expected = reference.flip(psi.amplitudes, qubit, theta)
     in_place = psi.amplitudes.astype(np.complex128)
-    expected_in_place = dense_partial_flip(in_place, qubit, theta)
+    expected_in_place = reference.flip(in_place, qubit, theta)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(qic.state, "_BLOCK", 128)
         got = apply_partial_bit_flip(psi, qubit, theta).amplitudes
         qic.state._flip(in_place, in_place, qubit, theta)
-    assert np.array_equal(_bits(got), _bits(expected))
-    assert np.array_equal(_bits(in_place), _bits(expected_in_place))
-    assert np.array_equal(_bits(psi.amplitudes), _bits(before))
+    assert np.array_equal(reference.bits(got), reference.bits(expected))
+    assert np.array_equal(reference.bits(in_place), reference.bits(expected_in_place))
+    assert np.array_equal(reference.bits(psi.amplitudes), reference.bits(before))
 
 
 def test_sampling_matches_distribution_within_tv_bound():
@@ -425,17 +402,13 @@ def test_sampling_matches_distribution_within_tv_bound():
     assert tv <= 0.02
 
 
-def _bits(amps):
-    return amps.view(np.uint64)
-
-
 class TestDtypeRule:
     @pytest.mark.parametrize("amps", [[1, 0], [0.5, 0.5], np.ones(2, bool)])
     def test_real_input_stores_complex128(self, amps):
         stored = StateVector(Register(1), amps).amplitudes
         assert stored.dtype == np.complex128
         assert np.array_equal(stored.real, np.asarray(amps, dtype=float))
-        assert np.array_equal(_bits(stored.imag), [0, 0])  # +0.0
+        assert np.array_equal(reference.bits(stored.imag), [0, 0])  # +0.0
 
     @pytest.mark.parametrize("dtype", [np.int64, np.float64])
     def test_real_array_is_copied_to_complex128(self, dtype):
@@ -443,7 +416,7 @@ class TestDtypeRule:
         psi = StateVector(Register(1), amps)
         assert psi.amplitudes.dtype == np.complex128
         assert np.array_equal(psi.amplitudes.real, amps)
-        assert np.array_equal(_bits(psi.amplitudes.imag), [0, 0])
+        assert np.array_equal(reference.bits(psi.amplitudes.imag), [0, 0])
         assert not psi.amplitudes.flags.writeable
         assert amps.flags.writeable
         assert not np.shares_memory(psi.amplitudes, amps)
@@ -464,41 +437,12 @@ class TestDtypeRule:
         out = apply_partial_bit_flip(uniform_superposition(Register(3)), 1, 0.4)
         assert out.amplitudes.dtype == np.complex128
 
-    def test_real_transforms_stay_real(self, rng):
+    def test_real_transforms_stay_real(self):
         psi = uniform_superposition(Register(4))
         mask = PhaseMask.from_indices(psi.register, [1, 9])
-        for out in (apply_phase_mask(psi, mask), normalize(psi)):
-            assert out.amplitudes.dtype == np.complex128
-            assert not np.any(out.amplitudes.imag)
-
-    def test_transforms_match_complex_copy_bitwise(self, rng):
-        amps = rng.normal(size=64)
-        real = StateVector(Register(6), amps)
-        cplx = StateVector(Register(6), amps.astype(np.complex128))
-        other = random_state(rng, 6)
-        for out_real, out_cplx in [
-            (normalize(real), normalize(cplx)),
-            (apply_partial_bit_flip(real, 2, 0.3),
-             apply_partial_bit_flip(cplx, 2, 0.3)),
-        ]:
-            assert np.array_equal(_bits(out_real.amplitudes),
-                                  _bits(out_cplx.amplitudes))
-        unit_real, unit_cplx = normalize(real), normalize(cplx)
-        assert fidelity(unit_real, unit_real) == fidelity(unit_cplx, unit_cplx)
-        assert fidelity(unit_real, other) == fidelity(unit_cplx, other)
-        assert fidelity(other, unit_real) == fidelity(other, unit_cplx)
-        assert norm_squared(real) == norm_squared(cplx)
-        assert (sample(real, np.random.default_rng(3))
-                == sample(cplx, np.random.default_rng(3)))
-
-
-def _dense_sample(psi, u):
-    """The whole-array sampler the blocked one replaced, kept as reference:
-    a 2^m running sum searched for u times its last entry."""
-    probs = np.abs(psi.amplitudes) ** 2
-    cumulative = np.cumsum(probs)
-    index = int(np.searchsorted(cumulative, u * cumulative[-1], side="right"))
-    return index, cumulative
+        out = apply_phase_mask(psi, mask)
+        assert out.amplitudes.dtype == np.complex128
+        assert not np.any(out.amplitudes.imag)
 
 
 def _draws_on_running_sums(cumulative, indices):
@@ -544,7 +488,7 @@ class TestBlockedReductions:
                 continue
             psi = StateVector(Register(m), amps)
             u = float(rng.random())
-            expected, cumulative = _dense_sample(psi, u)
+            expected, cumulative = reference.sample(psi.amplitudes, u)
             assert sample(psi, _FixedDraw(u)) == expected, seed
             # Every block end, and entries inside blocks.
             ends = np.arange(127, 1 << m, 128)
@@ -552,7 +496,8 @@ class TestBlockedReductions:
             for u in _draws_on_running_sums(cumulative,
                                             np.concatenate([ends, inside])):
                 landed += 1
-                assert sample(psi, _FixedDraw(u)) == _dense_sample(psi, u)[0]
+                assert (sample(psi, _FixedDraw(u))
+                        == reference.sample(psi.amplitudes, u)[0])
         assert landed > 1000
 
     @pytest.mark.parametrize("m", [8, 10, 12])
@@ -562,7 +507,7 @@ class TestBlockedReductions:
         for end in range(128, 1 << m, 128):
             u = end / (1 << m)
             assert sample(psi, _FixedDraw(u)) == end
-            assert _dense_sample(psi, u)[0] == end
+            assert reference.sample(psi.amplitudes, u)[0] == end
 
     @pytest.mark.parametrize("m", [1, 7, 8, 12])
     def test_norm_squared_matches_np_sum(self, m, rng):
@@ -585,14 +530,14 @@ class TestBlockedReductions:
                                          qic.state._block_kinds(flags))
             dense = StateVector(psi.register, psi.amplitudes)
             assert psi.amplitudes.dtype == np.complex128
-            assert np.array_equal(_bits(psi.amplitudes.real),
-                                  _bits(values)[flags.astype(np.intp)])
-            assert not _bits(psi.amplitudes.imag).any()
+            assert np.array_equal(reference.bits(psi.amplitudes.real),
+                                  reference.bits(values)[flags.astype(np.intp)])
+            assert not reference.bits(psi.amplitudes.imag).any()
             assert not psi.amplitudes.flags.writeable
             assert norm_squared(psi) == norm_squared(dense)
             for index in rng.integers(0, 1 << m, 5):
                 assert probability(psi, index) == probability(dense, index)
-            total = _dense_sample(dense, 0.5)[1][-1]
+            total = reference.sample(dense.amplitudes, 0.5)[1][-1]
             if not total >= qic.state.DEFAULT_COLLAPSE_TOL:
                 with pytest.raises(NormCollapse):
                     sample(psi, _FixedDraw(0.5))
@@ -601,7 +546,7 @@ class TestBlockedReductions:
                 u = float(rng.random())
                 assert (sample(psi, _FixedDraw(u))
                         == sample(dense, _FixedDraw(u))
-                        == _dense_sample(dense, u)[0]), (seed, u)
+                        == reference.sample(dense.amplitudes, u)[0]), (seed, u)
 
     def test_one_fill_throughout_materialises_as_a_view(self):
         psi = uniform_superposition(Register(12))
@@ -649,8 +594,8 @@ def test_two_level_amplitudes_hold_the_values_bits_in_real():
                 amps = StateVector._two_level(Register(3), f, values,
                                               bytes(1)).amplitudes
                 assert amps.dtype == np.complex128
-                assert _bits(amps.real).tolist() == expected
-                assert not _bits(amps.imag).any()
+                assert reference.bits(amps.real).tolist() == expected
+                assert not reference.bits(amps.imag).any()
 
 
 def test_numpy_sum_is_the_pairwise_tree_of_its_128_blocks():
