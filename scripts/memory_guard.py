@@ -7,15 +7,17 @@ and two values, so a sparse solve holds one 64 MiB flags array (about
 would reach.  The ecc run holds two 2^22 complex128 arrays (64 MiB each),
 the ideal state and the noise buffer that correction overwrites, and must
 peak below three; without events there is no buffer and correction writes
-one fresh array instead, under the same limit.  A sweep holds no amplitude
-buffer: every state of its pass chains is two-level and each mean comes in
-closed form, so it holds the 4 MiB of flags and block scratch and must peak
-below 64 MiB.  A register above 26 qubits is refused when it is built:
-exit 1, nothing allocated.  Under a 400 MiB address-space limit (set in
-that child only; one BLAS thread keeps numpy's import inside it) a solve of
-b0 (half of all indices valid) and a sweep, both at m = 26, run to exit 0
-on their flags, and an ecc run at m = 24, which needs two 256 MiB complex
-arrays, exits 1 with one "qic: out of memory" line.
+one fresh array instead, under the same limit.  With 40 events, which the
+fused flip pass splits into several segments, the flips add only two
+256 KiB tiles of scratch to the buffer, under the same limit.  A sweep
+holds no amplitude buffer: every state of its pass chains is two-level and
+each mean comes in closed form, so it holds the 4 MiB of flags and block
+scratch and must peak below 64 MiB.  A register above 26 qubits is refused
+when it is built: exit 1, nothing allocated.  Under a 400 MiB address-space
+limit (set in that child only; one BLAS thread keeps numpy's import inside
+it) a solve of b0 (half of all indices valid) and a sweep, both at m = 26,
+run to exit 0 on their flags, and an ecc run at m = 24, which needs two
+256 MiB complex arrays, exits 1 with one "qic: out of memory" line.
 
 Each check runs ``python -m qic`` in a child process and prints its exit
 and peak RSS; the script exits 1 if any check fails.  Run it from the repo
@@ -34,6 +36,10 @@ checks = [
     ("ecc at m = 22", 192, 0, ["ecc", "--data-qubits", "20", "--parity", groups,
                                "--events", "6", "--passes", "2", "--epsilon", "0.05",
                                "--seed", "3"], None),
+    ("ecc with 40 events at m = 22", 192, 0, ["ecc", "--data-qubits", "20",
+                                             "--parity", groups, "--events", "40",
+                                             "--passes", "2", "--epsilon", "0.05",
+                                             "--seed", "3"], None),
     ("ecc without events at m = 22", 192, 0, ["ecc", "--data-qubits", "20",
                                               "--parity", groups, "--events", "0",
                                               "--passes", "2", "--epsilon", "0.05",

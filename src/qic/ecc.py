@@ -32,7 +32,7 @@ from .state import (
     Register,
     StateVector,
     _blocks,
-    _flip,
+    _flips,
     _gather_abs,
     _interfere,
     apply_partial_bit_flip,  # noqa: F401  (tracers wrap qic.ecc's binding)
@@ -179,6 +179,11 @@ def _inject_noise(psi: StateVector, model: NoiseModel,
                              tuple[NoiseEvent, ...]]:
     """``inject_noise`` that also returns the buffer the flips ran in.
 
+    All the flips run in one fused pass of ``qic.state._flips``: tile by
+    tile, each tile read once, taking every flip of its segment of events
+    in order with the per-element steps of a single flip, and written once.
+    Many distinct qubits split the events into segments, one pass each.
+
     The state views that buffer read-only while the buffer stays writable,
     so the caller owns the state's memory and may overwrite it, as
     correction does.  With no events the buffer is None and the state is
@@ -190,8 +195,7 @@ def _inject_noise(psi: StateVector, model: NoiseModel,
     if not qubits:
         return psi, None, events
     buf = np.empty(psi.register.dimension, dtype=np.complex128)
-    for i, qubit in enumerate(qubits):
-        _flip(buf if i else psi.amplitudes, buf, qubit, model.theta)
+    _flips(psi.amplitudes, buf, qubits, model.theta)
     return StateVector._adopt(psi.register, buf.view()), buf, events
 
 

@@ -7,7 +7,7 @@ Checksum qubits, when present, occupy the high indices ``n .. m-1``.
 
 All public transforms are pure: the input state is never mutated and
 outputs own fresh amplitude arrays.  Two private kernels may write over
-their source instead: ``_flip``, so that a chain of noise events runs in
+their source instead: ``_flips``, which runs a chain of noise events in
 one owned buffer, and ``_interfere`` given ``out``, so that correction
 runs in that same buffer.
 
@@ -481,27 +481,77 @@ def apply_phase_mask(psi: StateVector, mask: PhaseMask) -> StateVector:
     return StateVector._adopt(psi.register, amps)
 
 
-def _flip(src: np.ndarray, out: np.ndarray, qubit: int, theta: float) -> None:
-    """Partial flip of ``src`` into complex128 ``out``, which may be ``src``.
+def _segments(qubits, width: int) -> list[list[int]]:
+    """``qubits`` split, in order, into consecutive runs of at most
+    ``width`` distinct qubits."""
+    runs = [[]]
+    for qubit in qubits:
+        if qubit not in runs[-1] and len(set(runs[-1])) == width:
+            runs.append([])
+        runs[-1].append(qubit)
+    return runs
 
-    out_i = cos(theta) src_i + i sin(theta) src_{i xor 2^qubit}, by the
-    whole-array expression's ufunc steps.  As (high bits, flipped bit, low
-    bits), reversing the middle axis pairs partners; each unit is a block of
-    rows, or of low bits when a row is longer than a block.
+
+def _flips(src: np.ndarray, out: np.ndarray, qubits, theta: float) -> None:
+    """Partial flips on ``qubits``, in order, of 2^m complex128 ``src`` into
+    complex128 ``out``, which may be ``src``.
+
+    Each flip maps x_i to cos(theta) x_i + i sin(theta) x_{i xor 2^qubit}
+    by the whole-array expression's three ufunc steps (times cos, times
+    i sin, add), so the bits are those of chained single flips.
+
+    The state is worked in tiles of 2^t = _BLOCK // 4 amplitudes (the whole
+    state if smaller), and the flips in consecutive segments of at most t
+    distinct qubits.  A segment's tiles vary its qubits plus the lowest
+    other bits, so each tile is closed under every flip of the segment: it
+    is read once into a scratch, takes those flips in order there, and is
+    written once.  The scratch holds the flipped bits as its outermost
+    axes, so the partner products (``x[..., 1, ...]`` into ``b[..., 0,
+    ...]`` and back) run over long runs of positive strides for any qubit.
     """
+    m = len(src).bit_length() - 1
+    t = min(_BLOCK // 4, len(src)).bit_length() - 1
     c, s = np.cos(theta), 1j * np.sin(theta)
-    half = 1 << qubit
-    pairs, outs = src.reshape(-1, 2, half), out.reshape(-1, 2, half)
-    step = min(_BLOCK, len(src))
-    rows, width = max(1, step // (2 * half)), min(half, step)
-    a = np.empty((rows, 2, width), dtype=np.complex128)
-    b = np.empty_like(a)
-    for i in range(0, len(pairs), rows):
-        for j in range(0, half, width):
-            unit = pairs[i:i + rows, :, j:j + width]
-            np.multiply(c, unit, out=a)
-            np.multiply(s, unit[:, ::-1, :], out=b)
-            np.add(a, b, out=outs[i:i + rows, :, j:j + width])
+    tile, b = (np.empty((2,) * t, np.complex128) for _ in range(2))
+    # A partner view is one run only for the outermost axis.  numpy would
+    # copy the others through ufunc buffers of its default 8192 elements
+    # (about a fifth of the flip time at m = 22); with a buffer this small
+    # it iterates them in place.  Bits are unchanged.
+    bufsize = np.setbufsize(16)
+    try:
+        for segment in _segments(qubits, t):
+            held = list(dict.fromkeys(segment))
+            rest = [k for k in range(m) if k not in held]
+            fill, outer = rest[:t - len(held)], rest[t - len(held):]
+            # The scratch's axes, outermost first; bit k is the state's
+            # axis m-1-k.  The longest run of consecutive fill bits goes
+            # innermost, so that the copies in and out move long runs even
+            # when a low qubit such as 1 is flipped.
+            runs = [[]]
+            for k in fill:
+                if runs[-1] and k != runs[-1][-1] + 1:
+                    runs.append([])
+                runs[-1].append(k)
+            inner = max(runs, key=len)
+            order = (held + [k for k in fill[::-1] if k not in inner]
+                     + inner[::-1])
+            perm = [m - 1 - k for k in outer[::-1] + order]
+            srcs = src.reshape((2,) * m).transpose(perm)
+            outs = out.reshape((2,) * m).transpose(perm)
+            halves = [((slice(None),) * a + (0, ...),
+                       (slice(None),) * a + (1, ...))
+                      for a in map(order.index, segment)]
+            for idx in np.ndindex(*srcs.shape[:m - t]):
+                np.copyto(tile, srcs[idx])
+                for lo, hi in halves:
+                    np.multiply(s, tile[hi], out=b[lo])
+                    np.multiply(s, tile[lo], out=b[hi])
+                    np.multiply(c, tile, out=tile)
+                    np.add(tile, b, out=tile)
+                np.copyto(outs[idx], tile)
+            src = out  # a later segment continues from this one's result
+    finally:
+        np.setbufsize(bufsize)
 
 
 def apply_partial_bit_flip(psi: StateVector, qubit: int,
@@ -517,5 +567,5 @@ def apply_partial_bit_flip(psi: StateVector, qubit: int,
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
     amps = np.empty(psi.register.dimension, dtype=np.complex128)
-    _flip(psi.amplitudes, amps, qubit, theta)
+    _flips(psi.amplitudes, amps, [qubit], theta)
     return StateVector._adopt(psi.register, amps)

@@ -10,6 +10,7 @@ import qic.state
 from qic.ecc import (
     ChecksumScheme,
     NoiseModel,
+    _inject_noise,
     checksum_predicate,
     checksum_valid_mass,
     correct,
@@ -463,6 +464,48 @@ class TestStreamedEcc:
             assert np.array_equal(reference.bits(psi.amplitudes),
                                   reference.bits(before))
 
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_fused_flips_match_chained_dense_flips(self, m, small_blocks):
+        # Tiles of 32 amplitudes hold 5 bits (all m below 6), so the event
+        # list, which flips every qubit, needs segments from m = 6 on.
+        rng = np.random.default_rng(40 + m)
+        theta = float(rng.uniform(0.01, math.pi / 2))
+        amps = rng.normal(size=1 << m) + 1j * rng.normal(size=1 << m)
+        words = amps.view(np.float64)
+        pick = rng.random(words.size)
+        words[pick < 0.15] = 0.0
+        words[(0.15 <= pick) & (pick < 0.3)] = -0.0
+        tiny = (0.3 <= pick) & (pick < 0.45)
+        words[tiny] = np.ldexp(rng.uniform(-1, 1, np.count_nonzero(tiny)),
+                               -1030)  # subnormal
+        qubits = [0, m - 1, 0, *rng.permutation(m).tolist(),
+                  *rng.integers(0, m, 6).tolist(), m - 1]
+        assert (len(qic.state._segments(qubits, min(m, 5))) > 1) == (m > 5)
+        before = amps.copy()
+        expected = amps
+        for qubit in qubits:
+            expected = reference.flip(expected, qubit, theta)
+
+        out = np.empty_like(amps)
+        qic.state._flips(amps, out, qubits, theta)
+        in_place = amps.copy()
+        qic.state._flips(in_place, in_place, qubits, theta)
+        chained = StateVector(Register(m), amps)
+        for qubit in qubits:
+            chained = apply_partial_bit_flip(chained, qubit, theta)
+        for got in (out, in_place, chained.amplitudes):
+            assert np.array_equal(reference.bits(got),
+                                  reference.bits(expected))
+        assert np.array_equal(reference.bits(amps), reference.bits(before))
+
+        model = NoiseModel(events=40, theta=theta)
+        noisy, log = inject_noise(StateVector(Register(m), amps), model,
+                                  np.random.default_rng(m))
+        expected, drawn = reference.noise(amps, model, m)
+        assert [e.qubit for e in log] == drawn
+        assert np.array_equal(reference.bits(noisy.amplitudes),
+                              reference.bits(expected))
+
     def test_checksum_valid_mass_matches_dense_sum(self, small_blocks):
         rng = np.random.default_rng(6)
         for trial in range(40):
@@ -559,3 +602,25 @@ def test_ecc_experiment_peak_memory(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * state_bytes, peak / state_bytes
+
+
+def test_inject_noise_peaks_below_one_state_and_one_block(monkeypatch):
+    # 40 events on 14 qubits need several segments, each one pass of tiles
+    # through a scratch of half a block: the noise buffer is the only
+    # state-sized allocation, and block-sized scratch per flip would fail.
+    block = 8192
+    monkeypatch.setattr(qic.state, "_BLOCK", block)
+    m = 14
+    rng = np.random.default_rng(9)
+    psi = StateVector(Register(m), rng.normal(size=1 << m)
+                      + 1j * rng.normal(size=1 << m))
+    model, draws = NoiseModel(events=40, theta=0.5), np.random.default_rng(3)
+    tracemalloc.start()
+    try:
+        _, buf, events = _inject_noise(psi, model, draws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tile_bits = (block // 4).bit_length() - 1
+    assert len({e.qubit for e in events}) > tile_bits
+    assert peak < buf.nbytes + 16 * block, (peak - buf.nbytes) / (16 * block)

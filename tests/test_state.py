@@ -369,8 +369,8 @@ def test_partial_flip_inverts_with_negated_angle(seed, m, theta, qubit_pick):
 )
 def test_blocked_flip_matches_dense_reference_bitwise(seed, m, complex_state,
                                                       data):
-    # 128-amplitude blocks: qubits 0-6 pair inside a block, qubits 7 and up
-    # pair a block with the one 2^qubit above it.
+    # 128-amplitude blocks make 32-amplitude tiles: from m = 6 on a tile is
+    # a strided part of the state, which holds a qubit's partners.
     qubit = data.draw(st.integers(0, m - 1))
     theta = data.draw(st.floats(0.0, math.pi / 2, exclude_min=True))
     rng = np.random.default_rng(seed)
@@ -386,7 +386,7 @@ def test_blocked_flip_matches_dense_reference_bitwise(seed, m, complex_state,
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(qic.state, "_BLOCK", 128)
         got = apply_partial_bit_flip(psi, qubit, theta).amplitudes
-        qic.state._flip(in_place, in_place, qubit, theta)
+        qic.state._flips(in_place, in_place, [qubit], theta)
     assert np.array_equal(reference.bits(got), reference.bits(expected))
     assert np.array_equal(reference.bits(in_place), reference.bits(expected_in_place))
     assert np.array_equal(reference.bits(psi.amplitudes), reference.bits(before))
