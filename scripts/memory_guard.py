@@ -5,11 +5,11 @@ One dense 2^26 complex128 state is 1 GiB; an enumeration state is its flags
 and two values, so a sparse solve holds one 64 MiB flags array (about
 106 MiB in all) and must peak below 160 MiB, which a second such array
 would reach.  The ecc run holds two 2^22 complex128 arrays (64 MiB each),
-the ideal state and the noise buffer that correction overwrites, and must
-peak below three; without events there is no buffer and correction writes
-one fresh array instead, under the same limit.  With 40 events, which the
-fused flip pass splits into several segments, the flips add only two
-256 KiB tiles of scratch to the buffer, under the same limit.  A sweep
+the ideal state and the noisy state that correction overwrites, and must
+peak below three; without events there is no noisy copy and correction
+writes one fresh array instead, under the same limit.  With 40 events,
+which the fused flip pass splits into several segments, the flips add only
+two 256 KiB tiles of scratch to the noisy state, under the same limit.  A sweep
 holds no amplitude buffer: every state of its pass chains is two-level and
 each mean comes in closed form, so it holds the 4 MiB of flags and block
 scratch and must peak below 64 MiB.  A register above 26 qubits is refused

@@ -32,10 +32,9 @@ from .state import (
     Register,
     StateVector,
     _blocks,
-    _flips,
     _gather_abs,
     _interfere,
-    apply_partial_bit_flip,  # noqa: F401  (tracers wrap qic.ecc's binding)
+    apply_partial_bit_flip,
     check_seed,
     fidelity,
     uniform_superposition,
@@ -173,43 +172,20 @@ class NoiseEvent:
         return asdict(self)
 
 
-def _inject_noise(psi: StateVector, model: NoiseModel,
-                  rng: np.random.Generator
-                  ) -> tuple[StateVector, np.ndarray | None,
-                             tuple[NoiseEvent, ...]]:
-    """``inject_noise`` that also returns the buffer the flips ran in.
-
-    All the flips run in one fused pass of ``qic.state._flips``: tile by
-    tile, each tile read once, taking every flip of its segment of events
-    in order with the per-element steps of a single flip, and written once.
-    Many distinct qubits split the events into segments, one pass each.
-
-    The state views that buffer read-only while the buffer stays writable,
-    so the caller owns the state's memory and may overwrite it, as
-    correction does.  With no events the buffer is None and the state is
-    ``psi``.
-    """
-    m = psi.register.total_qubits
-    qubits = [int(rng.integers(0, m)) for _ in range(model.events)]
-    events = tuple(NoiseEvent(qubit, model.theta) for qubit in qubits)
-    if not qubits:
-        return psi, None, events
-    buf = np.empty(psi.register.dimension, dtype=np.complex128)
-    _flips(psi.amplitudes, buf, qubits, model.theta)
-    return StateVector._adopt(psi.register, buf.view()), buf, events
-
-
 def inject_noise(psi: StateVector, model: NoiseModel,
                  rng: np.random.Generator
                  ) -> tuple[StateVector, tuple[NoiseEvent, ...]]:
     """Apply the model's partial flips on qubits drawn from ``rng``.
 
     Returns the evolved state and the event log; ``psi`` is not changed.
-    The flips run in one fresh buffer, with the bits of chained
-    ``apply_partial_bit_flip`` calls.
+    All the flips are one ``apply_partial_bit_flip`` call, so they run in
+    one fresh array; with no events the state is ``psi`` itself.
     """
-    noisy, _, events = _inject_noise(psi, model, rng)
-    return noisy, events
+    m = psi.register.total_qubits
+    qubits = [int(rng.integers(0, m)) for _ in range(model.events)]
+    if qubits:
+        psi = apply_partial_bit_flip(psi, qubits, model.theta)
+    return psi, tuple(NoiseEvent(qubit, model.theta) for qubit in qubits)
 
 
 def checksum_valid_mass(psi: StateVector, scheme: ChecksumScheme) -> float:
@@ -225,7 +201,7 @@ def correct(psi: StateVector, scheme: ChecksumScheme,
     """Remove checksum-violating components by interference.
 
     Pure: the result owns a fresh array.  ``ecc_experiment`` runs the same
-    passes in its noise buffer instead.
+    passes in place over its noisy state instead.
     """
     return interfere_repeated(psi, checksum_predicate(scheme), cfg)
 
@@ -260,11 +236,9 @@ def ecc_experiment(scheme: ChecksumScheme, model: NoiseModel,
     ideal encoded state before and after the correction pass.
 
     Two 2^m complex128 arrays are live at the peak: the ideal state and
-    one buffer that this function owns.
-    The noise flips run in that buffer and the correction passes then
-    overwrite it, so the corrected state is the buffer.  With no noise
-    events there is no buffer, and correction writes a fresh array rather
-    than the ideal state.
+    the noisy state, which no one else holds, so the correction passes
+    overwrite it.  With no noise events the noisy state is the ideal one,
+    and correction writes a fresh array instead.
     """
     # Refuses an oversized register, and a bad seed, before any state exists.
     register = scheme.register()
@@ -273,17 +247,18 @@ def ecc_experiment(scheme: ChecksumScheme, model: NoiseModel,
         data_state = uniform_superposition(Register(scheme.data_bits))
     psi_ideal = encode(data_state, scheme)
     rng = np.random.default_rng(seed)
-    psi_noisy, buf, events = _inject_noise(psi_ideal, model, rng)
+    psi_noisy, events = inject_noise(psi_ideal, model, rng)
 
     mass_before = checksum_valid_mass(psi_noisy, scheme)
     fid_before = fidelity(psi_noisy, psi_ideal)
     try:
-        # In place in the noise buffer (fresh without one), which also
-        # overwrites psi_noisy: it is not read again.
+        # In place over psi_noisy, which is not read again; without events
+        # it is psi_ideal, which must stay.
         mask = compile_mask(checksum_predicate(scheme), register)
         psi_corrected = _interfere(psi_noisy, mask.valid, cfg.leakage,
-                                   cfg.passes, cfg.collapse_tol, out=buf)
-        del psi_noisy, buf
+                                   cfg.passes, cfg.collapse_tol,
+                                   in_place=bool(events))
+        del psi_noisy
         status = "ok"
         mass_after = checksum_valid_mass(psi_corrected, scheme)
         fid_after = fidelity(psi_corrected, psi_ideal)

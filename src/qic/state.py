@@ -6,10 +6,10 @@ significant qubit first, so index 1 on a 3-qubit register is ``"001"``.
 Checksum qubits, when present, occupy the high indices ``n .. m-1``.
 
 All public transforms are pure: the input state is never mutated and
-outputs own fresh amplitude arrays.  Two private kernels may write over
-their source instead: ``_flips``, which runs a chain of noise events in
-one owned buffer, and ``_interfere`` given ``out``, so that correction
-runs in that same buffer.
+outputs own fresh amplitude arrays.  One private kernel writes over its
+input instead: ``_interfere`` given ``in_place``, with which ecc's
+correction overwrites the noisy state that ``apply_partial_bit_flip``
+returned to it, so that no state-sized buffer leaves this module.
 
 A state holds one of two forms: a read-only dense array of complex128
 amplitudes, or privately a *two-level* form of valid flags, an invalid and
@@ -302,7 +302,7 @@ def _scale(surviving: float, tol: float):
 
 
 def _interfere(psi: StateVector, valid: np.ndarray, leakage: float,
-               passes: int, tol: float, out: np.ndarray | None = None
+               passes: int, tol: float, in_place: bool = False
                ) -> StateVector:
     """``passes`` interference passes against 2^m bool ``valid`` flags.
 
@@ -314,16 +314,17 @@ def _interfere(psi: StateVector, valid: np.ndarray, leakage: float,
 
     From the uniform state, or a two-level state over these very flags,
     the passes run on the two values and return a two-level state.  Any
-    other input, never made dense, is passed block by block into one
-    buffer: ``out`` if given, a writable, contiguous 2^m complex128 array
-    (psi's own memory too, as each element is read first).
+    other input, never made dense, is passed block by block into one fresh
+    2^m complex128 buffer.  ``in_place`` takes a dense ``psi``'s own
+    amplitudes as that buffer (each element is read before it is written):
+    the result shares them, so the caller must not read ``psi`` again.
     """
+    if in_place and psi._values is not None:
+        raise ValueError("in_place needs a dense input")
     # Indexed by a flag: leakage for invalid, 2 - leakage for valid.
     levels = np.array([leakage, 2.0 - leakage])
     if psi._values is not None and (psi._flags is None
                                      or psi._flags is valid):
-        if out is not None:
-            raise ValueError("out must be None for a two-level input")
         kinds = psi._kinds if psi._flags is valid else _block_kinds(valid)
         values, scale = psi._values, None
         for _ in range(passes):
@@ -334,10 +335,8 @@ def _interfere(psi: StateVector, valid: np.ndarray, leakage: float,
                                       kinds)
     amps, dim = psi._dense, psi.register.dimension
     step = min(_BLOCK, dim)
-    if out is None:
-        out = np.empty(dim, np.complex128)
-    elif out.dtype != np.complex128 or out.shape != (dim,):
-        raise ValueError("out must be 2^m complex128 amplitudes")
+    out = amps if in_place else np.empty(dim, np.complex128)
+    out.flags.writeable = True  # psi's own amplitudes are read-only
     weights, mass, scale = np.empty(step), np.empty(step), None
     for _ in range(passes):
         sums = []
@@ -354,7 +353,7 @@ def _interfere(psi: StateVector, valid: np.ndarray, leakage: float,
             sums.append(np.sum(_mass(row, mass)))
         scale = _scale(_pairwise(sums), tol)
     out *= scale
-    return StateVector._adopt(psi.register, out.view())
+    return StateVector._adopt(psi.register, out)
 
 
 def check_tolerance(tol: float, name: str = "tol") -> None:
@@ -554,18 +553,24 @@ def _flips(src: np.ndarray, out: np.ndarray, qubits, theta: float) -> None:
         np.setbufsize(bufsize)
 
 
-def apply_partial_bit_flip(psi: StateVector, qubit: int,
+def apply_partial_bit_flip(psi: StateVector, qubit,
                            theta: float) -> StateVector:
     """Apply the unitary cos(theta) I + i sin(theta) X_qubit.
 
     Mixes each amplitude with its bit-flipped partner:
     amp_i' = cos(theta) amp_i + i sin(theta) amp_{i xor 2^qubit}.
+    ``qubit`` may also be a sequence of qubits, flipped in that order in
+    one fused ``_flips`` run, with the bits of chained single calls.  Every
+    qubit must be an integer in range and theta finite; both are checked
+    before anything is allocated.
     """
     m = psi.register.total_qubits
-    if not 0 <= qubit < m:
-        raise IndexOutOfRange(f"qubit {qubit} outside [0, {m})")
+    qubits = list(map(operator.index, qubit if np.ndim(qubit) else [qubit]))
+    for q in qubits:
+        if not 0 <= q < m:
+            raise IndexOutOfRange(f"qubit {q} outside [0, {m})")
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
     amps = np.empty(psi.register.dimension, dtype=np.complex128)
-    _flips(psi.amplitudes, amps, [qubit], theta)
+    _flips(psi.amplitudes, amps, qubits, theta)
     return StateVector._adopt(psi.register, amps)

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qic.ecc
 import qic.state
@@ -10,7 +12,6 @@ import qic.state
 from qic.ecc import (
     ChecksumScheme,
     NoiseModel,
-    _inject_noise,
     checksum_predicate,
     checksum_valid_mass,
     correct,
@@ -22,6 +23,7 @@ from qic.ecc import (
 from qic.errors import NormCollapse, ParseError, RegisterMismatch, SchemeInvalid
 from qic.interference import InterferenceConfig
 from qic.predicate import compile_mask
+from qic.reports import render_json
 from qic.state import (
     Register,
     StateVector,
@@ -493,7 +495,9 @@ class TestStreamedEcc:
         chained = StateVector(Register(m), amps)
         for qubit in qubits:
             chained = apply_partial_bit_flip(chained, qubit, theta)
-        for got in (out, in_place, chained.amplitudes):
+        sequence = apply_partial_bit_flip(StateVector(Register(m), amps),
+                                          np.array(qubits), theta)
+        for got in (out, in_place, chained.amplitudes, sequence.amplitudes):
             assert np.array_equal(reference.bits(got),
                                   reference.bits(expected))
         assert np.array_equal(reference.bits(amps), reference.bits(before))
@@ -537,16 +541,17 @@ def test_ecc_experiment_without_events_keeps_report_and_ideal_state(
     cfg = InterferenceConfig(0.05, 2)
     calls = []
 
-    def spy(psi, valid, leakage, passes, tol, out=None):
+    def spy(psi, valid, leakage, passes, tol, in_place=False):
         before = psi.amplitudes.copy()
-        result = _interfere(psi, valid, leakage, passes, tol, out=out)
-        calls.append((out, np.array_equal(reference.bits(psi.amplitudes),
-                                          reference.bits(before))))
+        result = _interfere(psi, valid, leakage, passes, tol,
+                            in_place=in_place)
+        calls.append((in_place, np.array_equal(reference.bits(psi.amplitudes),
+                                               reference.bits(before))))
         return result
 
     monkeypatch.setattr(qic.ecc, "_interfere", spy)
     report = ecc_experiment(scheme, NoiseModel(events=0), cfg, seed=3)
-    assert calls == [(None, True)]
+    assert calls == [(False, True)]
 
     # The ideal state, corrected as a fresh state.
     ideal = encode(uniform_superposition(Register(10)), scheme)
@@ -582,9 +587,65 @@ def test_ecc_report_matches_dense_reference_at_full_block_size():
     assert report.fidelity_after == reference.fidelity(corrected, ideal)
 
 
+@st.composite
+def _schemes(draw):
+    """1-3 parity groups over at most 12 qubits in all."""
+    n = draw(st.integers(1, 9))
+    k = draw(st.integers(1, min(3, 12 - n)))
+    columns = draw(st.lists(st.integers(1, (1 << k) - 1), min_size=n,
+                            max_size=n))
+    return ChecksumScheme(n, tuple(
+        tuple(b for b in range(n) if columns[b] >> g & 1 or b == g % n)
+        for g in range(k)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(scheme=_schemes(), events=st.integers(0, 8),
+       theta=st.one_of(st.just(math.pi / 2),
+                       st.floats(0.0, math.pi / 2, exclude_min=True)),
+       eps=st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)),
+       passes=st.integers(1, 3), seed=st.integers(0, 2**64 - 1))
+# One full flip leaves no valid mass: at eps 0 correction collapses.
+@example(scheme=ChecksumScheme(3, ((0, 1, 2),)), events=1,
+         theta=math.pi / 2, eps=0.0, passes=1, seed=0)
+# Six distinct qubits of twelve: the flips run in two segments of tiles.
+@example(scheme=ChecksumScheme(9, ((0, 1, 2), (3, 4, 5), (6, 7, 8))),
+         events=8, theta=0.5, eps=0.05, passes=2, seed=1)
+def test_ecc_report_matches_the_dense_reference_bytewise(scheme, events, theta,
+                                                         eps, passes, seed):
+    model = NoiseModel(events, theta)
+    cfg = InterferenceConfig(eps, passes)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qic.state, "_BLOCK", 128)
+        got = render_json(ecc_experiment(scheme, model, cfg, seed).to_dict())
+
+    n = scheme.data_bits
+    ideal = reference.encode(np.full(1 << n, 1 / np.sqrt(1 << n), complex),
+                             scheme)
+    noisy, qubits = reference.noise(ideal, model, seed)
+    # Uniform data is nonzero everywhere, so the ideal state's support is
+    # the checksum-valid set.
+    corrected = reference.interfere(noisy, ideal != 0, cfg)
+    after = (None, None) if corrected is None else (
+        reference.mass(corrected, scheme), reference.fidelity(corrected, ideal))
+    expected = {
+        "status": "norm_collapse" if corrected is None else "ok",
+        "valid_mass_before": reference.mass(noisy, scheme),
+        "fidelity_before": reference.fidelity(noisy, ideal),
+        "valid_mass_after": after[0],
+        "fidelity_after": after[1],
+        "events": [{"qubit": qubit, "theta": theta} for qubit in qubits],
+        "config": {"data_bits": n, "groups": [list(g) for g in scheme.groups],
+                   "events": events, "theta": theta, "epsilon": eps,
+                   "passes": passes, "collapse_tol": cfg.collapse_tol,
+                   "seed": seed},
+    }
+    assert got == render_json(expected)
+
+
 def test_ecc_experiment_peak_memory(monkeypatch):
     # Two complex arrays coexist: the ideal state (complex for fidelity)
-    # and the noise buffer, which correction overwrites; nothing else is
+    # and the noisy state, which correction overwrites; nothing else is
     # state-sized.
     monkeypatch.setattr(qic.state, "_BLOCK", 1024)
     scheme = ChecksumScheme(12, (tuple(range(6)), tuple(range(6, 12))))
@@ -606,7 +667,7 @@ def test_ecc_experiment_peak_memory(monkeypatch):
 
 def test_inject_noise_peaks_below_one_state_and_one_block(monkeypatch):
     # 40 events on 14 qubits need several segments, each one pass of tiles
-    # through a scratch of half a block: the noise buffer is the only
+    # through a scratch of half a block: the noisy state is the only
     # state-sized allocation, and block-sized scratch per flip would fail.
     block = 8192
     monkeypatch.setattr(qic.state, "_BLOCK", block)
@@ -617,10 +678,11 @@ def test_inject_noise_peaks_below_one_state_and_one_block(monkeypatch):
     model, draws = NoiseModel(events=40, theta=0.5), np.random.default_rng(3)
     tracemalloc.start()
     try:
-        _, buf, events = _inject_noise(psi, model, draws)
+        noisy, events = inject_noise(psi, model, draws)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     tile_bits = (block // 4).bit_length() - 1
     assert len({e.qubit for e in events}) > tile_bits
-    assert peak < buf.nbytes + 16 * block, (peak - buf.nbytes) / (16 * block)
+    state = noisy.amplitudes.nbytes
+    assert peak < state + 16 * block, (peak - state) / (16 * block)

@@ -348,10 +348,10 @@ def test_dense_path_reads_a_two_level_input_without_widening_it():
     assert peak < 1.4 * (16 << m), peak / (16 << m)
 
 
-def _kernel_or_collapse(psi, valid, cfg, out=None):
+def _kernel_or_collapse(psi, valid, cfg, in_place=False):
     try:
         return _interfere(psi, valid, cfg.leakage, cfg.passes,
-                          cfg.collapse_tol, out=out)
+                          cfg.collapse_tol, in_place=in_place)
     except NormCollapse:
         return None
 
@@ -377,9 +377,9 @@ def test_kernel_in_its_own_input_matches_a_fresh_output(seed, m, eps, passes,
             amps = np.array(_state_of_kind(kind, seed + 1, m).amplitudes)
             fresh = _kernel_or_collapse(
                 StateVector(Register(m), amps), valid, cfg)
-        # The input views amps read-only; out writes amps itself.
-        psi = StateVector._adopt(Register(m), amps.view())
-        got = _kernel_or_collapse(psi, valid, cfg, out=amps)
+        # The input holds amps read-only; in place writes amps itself.
+        psi = StateVector._adopt(Register(m), amps)
+        got = _kernel_or_collapse(psi, valid, cfg, in_place=True)
     assert (got is None) == (fresh is None)
     if got is not None:
         assert np.shares_memory(got.amplitudes, amps)
@@ -388,27 +388,26 @@ def test_kernel_in_its_own_input_matches_a_fresh_output(seed, m, eps, passes,
                               fresh.amplitudes.view(np.uint64))
 
 
-def test_kernel_out_needs_no_scalar_block_and_the_output_dtype(monkeypatch):
+def test_kernel_in_place_shares_its_dense_input_and_refuses_two_level(
+        monkeypatch):
     valid = np.zeros(1 << 4, dtype=bool)
-    valid[3] = True
-    for out in (np.empty(1 << 4), np.empty(1 << 3, dtype=np.complex128)):
-        with pytest.raises(ValueError, match="out must be 2\\^m complex128"):
-            _interfere(StateVector(Register(4), np.ones(1 << 4)), valid,
-                       0.1, 1, 1e-9, out=out)
-    # Two blocks of 8: a two-level input refuses out, with a flag in one
-    # block or in both, and a dense one writes it.
+    valid[[3, 12]] = True
+    # Two blocks of 8: a two-level input refuses in_place, without flags
+    # or over these very ones, and a dense one is written over.
     monkeypatch.setattr(qic.state, "_BLOCK", 8)
-    out = np.empty(1 << 4, dtype=np.complex128)
-    with pytest.raises(ValueError, match="out must be"):
-        _interfere(uniform_superposition(Register(4)), valid, 0.1, 1, 1e-9,
-                   out=out)
-    valid[12] = True
-    with pytest.raises(ValueError, match="out must be"):
-        _interfere(uniform_superposition(Register(4)), valid, 0.1, 1, 1e-9,
-                   out=out)
-    psi = _interfere(StateVector(Register(4), np.ones(1 << 4)), valid, 0.1, 1,
-                     1e-9, out=out)
-    assert np.shares_memory(psi.amplitudes, out)
+    for psi in (uniform_superposition(Register(4)),
+                _interfere(uniform_superposition(Register(4)), valid, 0.1, 1,
+                           1e-9)):
+        with pytest.raises(ValueError, match="in_place needs a dense input"):
+            _interfere(psi, valid, 0.1, 1, 1e-9, in_place=True)
+    psi = StateVector(Register(4), np.ones(1 << 4))
+    got = _interfere(psi, valid, 0.1, 1, 1e-9, in_place=True)
+    fresh = _interfere(StateVector(Register(4), np.ones(1 << 4)), valid, 0.1,
+                       1, 1e-9)
+    assert np.shares_memory(got.amplitudes, psi.amplitudes)
+    assert not got.amplitudes.flags.writeable
+    assert np.array_equal(got.amplitudes.view(np.uint64),
+                          fresh.amplitudes.view(np.uint64))
 
 
 @settings(max_examples=150, deadline=None)

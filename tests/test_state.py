@@ -323,6 +323,23 @@ class TestPartialBitFlip:
         with pytest.raises(ValueError, match="theta must be finite"):
             apply_partial_bit_flip(basis_state(Register(2), 0), 1, theta)
 
+    @pytest.mark.parametrize("qubit,error", [
+        (1.0, TypeError), (np.float64(2.0), TypeError),
+        ([0, 1, 20], IndexOutOfRange)])
+    def test_bad_qubit_is_refused_before_the_output_exists(self, qubit,
+                                                           error):
+        # The uniform state holds no amplitude array, so the only
+        # state-sized allocation would be the output.
+        psi = uniform_superposition(Register(20))
+        tracemalloc.start()
+        try:
+            with pytest.raises(error):
+                apply_partial_bit_flip(psi, qubit, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20, peak / (16 << 20)
+
 
 @settings(max_examples=100, deadline=None)
 @given(
