@@ -6,8 +6,8 @@ and two values, so a sparse solve holds one 64 MiB flags array (about
 106 MiB in all) and must peak below 160 MiB, which a second such array
 would reach.  The ecc run holds two 2^22 complex128 arrays (64 MiB each),
 the ideal state and the noisy state that correction overwrites, and must
-peak below three; without events there is no noisy copy and correction
-writes one fresh array instead, under the same limit.  With 40 events,
+peak below three; without events the noise step's copy of the ideal state
+is the buffer correction overwrites, under the same limit.  With 40 events,
 which the fused flip pass splits into several segments, the flips add only
 two 256 KiB tiles of scratch to the noisy state, under the same limit.  A sweep
 holds no amplitude buffer: every state of its pass chains is two-level and
@@ -17,7 +17,9 @@ when it is built: exit 1, nothing allocated.  Under a 400 MiB address-space
 limit (set in that child only; one BLAS thread keeps numpy's import inside
 it) a solve of b0 (half of all indices valid) and a sweep, both at m = 26,
 run to exit 0 on their flags, and an ecc run at m = 24, which needs two
-256 MiB complex arrays, exits 1 with one "qic: out of memory" line.
+256 MiB complex arrays, exits 1 with one "qic: out of memory" line (once
+the zeroed ideal state is reserved, encode's 64 MiB scatter index does not
+fit).
 
 Each check runs ``python -m qic`` in a child process and prints its exit
 and peak RSS; the script exits 1 if any check fails.  Run it from the repo

@@ -40,7 +40,6 @@ from .predicate import (
 )
 from .interference import (
     InterferenceConfig,
-    interfere,
     interfere_repeated,
 )
 from .enumeration import (

@@ -31,7 +31,8 @@ from .interference import InterferenceConfig, interfere_repeated
 from .interference import SWEEP_COLUMNS, remnant_sweep
 from .predicate import Predicate, parse_dimacs, parse_expr, parse_int
 from .reports import envelope, format_float, render_csv, render_json
-from .state import Register, probability, uniform_superposition
+from .state import (DEFAULT_COLLAPSE_TOL, Register, probability,
+                    uniform_superposition)
 
 DEMO_QUBITS = 3
 DEMO_VALID = (1, 3)
@@ -58,7 +59,8 @@ def _add_interference_flags(parser, epsilon_as_range=False):
                             help="cancellation leakage in [0, 1) (default 0)")
         parser.add_argument("--passes", type=int, default=1,
                             help="interference passes per preparation (default 1)")
-    parser.add_argument("--collapse-tol", type=float, default=1e-9,
+    parser.add_argument("--collapse-tol", type=float,
+                        default=DEFAULT_COLLAPSE_TOL,
                         help="norm-collapse threshold on squared mass")
 
 

@@ -31,7 +31,6 @@ from .predicate import (
 from .state import (
     Register,
     StateVector,
-    _blocks,
     _gather_abs,
     _interfere,
     apply_partial_bit_flip,
@@ -137,12 +136,9 @@ def encode(psi_data: StateVector, scheme: ChecksumScheme) -> StateVector:
         np.bitwise_xor(checksums[:1 << bit], column,
                        out=checksums[1 << bit:2 << bit])
     amps = np.zeros(full.dimension, np.complex128)
-    # Row checksum, column data index; scattered a block of columns at a time.
+    # Row checksum, column data index: one scatter of every data amplitude.
     rows = amps.reshape(-1, 1 << n)
-    blocks = _blocks(1 << n)
-    columns = np.arange(blocks[0].stop)
-    for block in blocks:
-        rows[:, block][checksums[block], columns] = psi_data.amplitudes[block]
+    rows[checksums, np.arange(1 << n)] = psi_data.amplitudes
     return StateVector._adopt(full, amps)
 
 
@@ -179,13 +175,12 @@ def inject_noise(psi: StateVector, model: NoiseModel,
 
     Returns the evolved state and the event log; ``psi`` is not changed.
     All the flips are one ``apply_partial_bit_flip`` call, so they run in
-    one fresh array; with no events the state is ``psi`` itself.
+    one fresh array, which with no events is a copy of ``psi``.
     """
     m = psi.register.total_qubits
     qubits = [int(rng.integers(0, m)) for _ in range(model.events)]
-    if qubits:
-        psi = apply_partial_bit_flip(psi, qubits, model.theta)
-    return psi, tuple(NoiseEvent(qubit, model.theta) for qubit in qubits)
+    return (apply_partial_bit_flip(psi, qubits, model.theta),
+            tuple(NoiseEvent(qubit, model.theta) for qubit in qubits))
 
 
 def checksum_valid_mass(psi: StateVector, scheme: ChecksumScheme) -> float:
@@ -236,9 +231,7 @@ def ecc_experiment(scheme: ChecksumScheme, model: NoiseModel,
     ideal encoded state before and after the correction pass.
 
     Two 2^m complex128 arrays are live at the peak: the ideal state and
-    the noisy state, which no one else holds, so the correction passes
-    overwrite it.  With no noise events the noisy state is the ideal one,
-    and correction writes a fresh array instead.
+    the noisy one, always a fresh array, which correction overwrites.
     """
     # Refuses an oversized register, and a bad seed, before any state exists.
     register = scheme.register()
@@ -252,12 +245,11 @@ def ecc_experiment(scheme: ChecksumScheme, model: NoiseModel,
     mass_before = checksum_valid_mass(psi_noisy, scheme)
     fid_before = fidelity(psi_noisy, psi_ideal)
     try:
-        # In place over psi_noisy, which is not read again; without events
-        # it is psi_ideal, which must stay.
+        # In place over psi_noisy, which is not read again.
         mask = compile_mask(checksum_predicate(scheme), register)
         psi_corrected = _interfere(psi_noisy, mask.valid, cfg.leakage,
                                    cfg.passes, cfg.collapse_tol,
-                                   in_place=bool(events))
+                                   in_place=True)
         del psi_noisy
         status = "ok"
         mass_after = checksum_valid_mass(psi_corrected, scheme)

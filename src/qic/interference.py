@@ -46,23 +46,11 @@ class InterferenceConfig:
         check_tolerance(self.collapse_tol, "collapse_tol")
 
 
-def interfere(psi: StateVector, pred: Predicate,
-              cfg: InterferenceConfig = InterferenceConfig()) -> StateVector:
-    """One interference pass: mark, overlap the arms, renormalize.
-
-    Runs exactly one pass whatever ``cfg.passes`` says.  Raises NormCollapse
-    when the surviving squared mass falls below ``cfg.collapse_tol`` (with
-    perfect cancellation this means the predicate has no valid support in
-    ``psi``).
-    """
-    valid = compile_mask(pred, psi.register).valid
-    return _interfere(psi, valid, cfg.leakage, 1, cfg.collapse_tol)
-
-
 def interfere_repeated(psi: StateVector, pred: Predicate,
                        cfg: InterferenceConfig = InterferenceConfig()
                        ) -> StateVector:
-    """Apply ``cfg.passes`` interference passes, renormalizing after each."""
+    """Apply ``cfg.passes`` interference passes, renormalizing after each;
+    NormCollapse if a surviving squared mass is below ``cfg.collapse_tol``."""
     valid = compile_mask(pred, psi.register).valid
     return _interfere(psi, valid, cfg.leakage, cfg.passes, cfg.collapse_tol)
 

@@ -8,6 +8,8 @@ the kernel it mirrors.  Amplitudes are numpy arrays.  Apart from the
 checksum-validity flags that ``mass`` compiles, nothing here runs qic code.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from qic.ecc import checksum_predicate
@@ -87,6 +89,27 @@ def enumerate(valid_set, reg, cfg):
                        else Termination.REMNANT_MEASURED)
         break
     return [reg.bitstring(i) for i in found], runs, termination
+
+
+def sweep(valid, epsilons, passes, collapse_tol):
+    """The remnant sweep's rows, epsilon-major: per (epsilon, passes) the
+    closed form (epsilon / (2 - epsilon))^passes and the np.mean invalid /
+    np.mean valid magnitude after that many dense passes from the uniform
+    state (0.0 if every component is valid)."""
+    dim = len(valid)
+    rows = []
+    for eps in epsilons:
+        for r in passes:
+            cfg = SimpleNamespace(leakage=eps, passes=r,
+                                  collapse_tol=collapse_tol)
+            mags = np.abs(interfere(np.full(dim, 1.0 / np.sqrt(dim)), valid,
+                                    cfg))
+            measured = 0.0 if valid.all() else float(
+                np.mean(mags[~valid]) / np.mean(mags[valid]))
+            predicted = (eps / (2.0 - eps)) ** r
+            rows.append([eps, r, predicted, measured,
+                         abs(measured - predicted)])
+    return rows
 
 
 def flip(amps, qubit, theta):

@@ -14,7 +14,7 @@ import numpy as np
 
 from qic.ecc import ChecksumScheme, NoiseModel, ecc_experiment, encode
 from qic.enumeration import RunConfig, Termination, enumerate_solutions
-from qic.interference import InterferenceConfig, interfere, interfere_repeated
+from qic.interference import InterferenceConfig, interfere_repeated
 from qic.predicate import CnfFormula, Predicate, compile_mask, evaluate
 from qic.state import (
     PhaseMask,
@@ -54,8 +54,8 @@ def test_criterion_1_worked_example_reproduction():
         pred = Predicate(frozenset({1, 3}), reg)
 
         def pipeline():
-            return interfere(uniform_superposition(reg), pred,
-                             InterferenceConfig(leakage=0.0))
+            return interfere_repeated(uniform_superposition(reg), pred,
+                                      InterferenceConfig(leakage=0.0))
 
         out = pipeline()
         assert abs(probability(out, 1) - 0.5) < 1e-12
@@ -182,10 +182,10 @@ def test_criterion_6_property_suite():
                           rng.choice(dim, size=size, replace=False)),
                 psi.register)
             try:
-                once = interfere(psi, pred)
+                once = interfere_repeated(psi, pred)
             except Exception:
                 continue
-            twice = interfere(once, pred)
+            twice = interfere_repeated(once, pred)
             assert np.max(np.abs(once.amplitudes - twice.amplitudes)) < 1e-12
 
         # norm preservation of mask, flip, and encode, 1e-12
@@ -250,12 +250,12 @@ def test_criterion_8_desk_scale_interference_speed():
         reg = Register(22)
         pred = Predicate(frozenset({1, 12345, 4_000_000}), reg)
         psi = uniform_superposition(reg)
-        out = interfere(psi, pred)  # warm-up
+        out = interfere_repeated(psi, pred)  # warm-up
         assert abs(norm_squared(out) - 1.0) < 1e-9
         timings = []
         for _ in range(3):
             start = time.perf_counter()
-            interfere(psi, pred)
+            interfere_repeated(psi, pred)
             timings.append(time.perf_counter() - start)
         best = min(timings)
         assert best < 1.0, f"interference pass took {best:.3f} s"

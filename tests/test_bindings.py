@@ -87,3 +87,15 @@ def test_each_phase_reaches_its_binding_once_per_step(monkeypatch, capsys):
         "qic.enumeration.uniform_superposition": runs,
         "qic.enumeration.sample": measured,
         "qic.enumeration.verify": measured}
+
+
+def test_ecc_without_events_still_flips_once(monkeypatch):
+    # The noise step makes its one flip call whatever the event count, so
+    # a zero-event run records the same spans as a noisy one.
+    counts = _count_calls(monkeypatch)
+    assert qic.cli.main(["ecc", "--data-qubits", "6",
+                         "--parity", "groups:0,1,2;3,4,5",
+                         "--events", "0"]) == 0
+    assert {key: counts[key] for key in (
+        "qic.ecc.inject_noise", "qic.ecc.apply_partial_bit_flip")} == {
+        "qic.ecc.inject_noise": 1, "qic.ecc.apply_partial_bit_flip": 1}

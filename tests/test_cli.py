@@ -1,16 +1,30 @@
 """End-to-end CLI tests driven through subprocess."""
 
+import contextlib
+import io
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qic.cli
+import qic.state
 from qic.cli import MAX_RANGE_POINTS, main, parse_range
+from qic.enumeration import RunConfig
 from qic.errors import QicError
+from qic.interference import InterferenceConfig
+from qic.reports import render_csv, render_json
+from qic.state import Register
+
+import reference
+from conftest import brute_force_valid, expr_truth_brute, random_expr
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -308,6 +322,110 @@ def test_report_corpus_is_byte_identical(name, tmp_path, monkeypatch):
     out = tmp_path / name
     assert main([*REPORT_CORPUS[name], "--output", str(out)]) == 0
     assert out.read_bytes() == (CORPUS / name).read_bytes()
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 3: fidelity's np.vdot sums in the "
+                          "order of OpenBLAS's dot kernel and thread count")
+@pytest.mark.parametrize("blas_env", [{"OPENBLAS_NUM_THREADS": "1"},
+                                      {"OPENBLAS_CORETYPE": "Prescott"}],
+                         ids=["one_thread", "prescott"])
+def test_ecc_corpus_bytes_do_not_depend_on_blas(blas_env, tmp_path):
+    """An ecc corpus report keeps its bytes under another OpenBLAS thread
+    count or dot kernel; the variable acts only on the child process."""
+    name = "ecc_m22_events3.json"
+    env = {**os.environ, **blas_env}
+    src = str(Path(qic.cli.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src,
+                                                      env.get("PYTHONPATH"))))
+    out = tmp_path / name
+    subprocess.run([sys.executable, "-m", "qic", *REPORT_CORPUS[name],
+                    "--output", str(out)], env=env, check=True)
+    assert out.read_bytes() == (CORPUS / name).read_bytes()
+
+
+@st.composite
+def _sources(draw):
+    """A register size m <= 10 and a predicate source on it: the source's
+    CLI flags, its report echo and its valid set (by brute force for an
+    expression)."""
+    m = draw(st.integers(1, 10))
+    if draw(st.booleans()):
+        indices = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1,
+                                max_size=8))
+        return (m, ["--valid", ",".join(map(str, indices))],
+                {"kind": "valid", "indices": sorted(set(indices))},
+                set(indices))
+    expr = random_expr(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                       m)
+    valid = brute_force_valid(lambda bits: expr_truth_brute(expr, bits), m)
+    return (m, ["--expr", expr.to_text()],
+            {"kind": "expr", "text": expr.to_text()}, valid)
+
+
+_EPSILONS = st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True))
+
+
+def _main_with_small_blocks(argv):
+    """``main``'s exit code and stdout, with 128-amplitude blocks so that
+    registers from m = 8 up span several."""
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, \
+            contextlib.redirect_stdout(out):
+        patch.setattr(qic.state, "_BLOCK", 128)
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(source=_sources(), eps=_EPSILONS, passes=st.integers(1, 3),
+       seed=st.integers(0, 2**64 - 1),
+       max_runs=st.one_of(st.none(), st.integers(1, 16)))
+def test_solve_report_matches_the_dense_reference_bytewise(source, eps, passes,
+                                                           seed, max_runs):
+    m, flags, echo, valid = source
+    runs_flag = [] if max_runs is None else ["--max-runs", str(max_runs)]
+    code, got = _main_with_small_blocks(
+        ["solve", "--qubits", str(m), *flags, "--epsilon", repr(eps),
+         "--passes", str(passes), "--seed", str(seed), *runs_flag])
+    assert code == 0
+
+    cfg = RunConfig(seed, InterferenceConfig(eps, passes),
+                    (1 << m) + 8 if max_runs is None else max_runs)
+    found, runs, termination = reference.enumerate(valid, Register(m), cfg)
+    config = {"seed": seed, "epsilon": eps, "passes": passes,
+              "collapse_tol": 1e-9, "max_runs": cfg.max_runs}
+    expected = {
+        "schema_version": 1,
+        "command": "solve",
+        "config": {"qubits": m, "source": echo, **config},
+        "results": {
+            "found": found,
+            "runs": [dict(zip(("run", "measured", "verified", "new"), run))
+                     for run in runs],
+            "termination": termination.value,
+            "config": config,
+        },
+        "timing_ms": None,
+    }
+    assert got == render_json(expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(source=_sources(), eps=_EPSILONS, passes=st.integers(1, 3))
+def test_sweep_csv_matches_the_dense_reference_bytewise(source, eps, passes):
+    m, flags, _, valid = source
+    code, got = _main_with_small_blocks(
+        ["sweep", "--qubits", str(m), *flags, "--epsilon", repr(eps),
+         "--passes", f"1:{passes}"])
+    if not valid:  # the ratio has no denominator
+        assert (code, got) == (3, "")
+        return
+    assert code == 0
+    rows = reference.sweep(np.isin(np.arange(1 << m), sorted(valid)), [eps],
+                           range(1, passes + 1), 1e-9)
+    assert got == render_csv(["epsilon", "passes", "predicted_ratio",
+                              "measured_ratio", "abs_error"], rows)
 
 
 class TestDeterminism:

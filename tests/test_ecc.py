@@ -158,6 +158,19 @@ class TestInjectNoise:
         assert log == ()
         assert np.all(out.amplitudes == psi.amplitudes)
 
+    def test_no_events_yields_a_fresh_copy(self, small_blocks):
+        # Correction overwrites the noise step's output, so even without
+        # events it must not be the input's array.
+        scheme = ChecksumScheme(7, ((0, 1, 2), (3, 4, 5, 6)))
+        psi = encode(_random_data(np.random.default_rng(2), 7, True), scheme)
+        out, log = inject_noise(psi, NoiseModel(events=0),
+                                np.random.default_rng(0))
+        assert log == ()
+        assert not np.shares_memory(out.amplitudes, psi.amplitudes)
+        assert not out.amplitudes.flags.writeable
+        assert np.array_equal(reference.bits(out.amplitudes),
+                              reference.bits(psi.amplitudes))
+
     @pytest.mark.parametrize("theta", [0.2, 0.5, 1.0])
     def test_single_event_mass_is_cos_squared(self, theta):
         # any covered single flip lands entirely outside the valid subspace
@@ -539,19 +552,27 @@ def test_ecc_experiment_without_events_keeps_report_and_ideal_state(
         monkeypatch):
     scheme = ChecksumScheme(10, (tuple(range(5)), tuple(range(5, 10))))
     cfg = InterferenceConfig(0.05, 2)
-    calls = []
+    calls, encoded = [], []
+
+    def encode_spy(psi_data, scheme):
+        psi = encode(psi_data, scheme)
+        encoded.append((psi, psi.amplitudes.copy()))
+        return psi
 
     def spy(psi, valid, leakage, passes, tol, in_place=False):
-        before = psi.amplitudes.copy()
-        result = _interfere(psi, valid, leakage, passes, tol,
-                            in_place=in_place)
-        calls.append((in_place, np.array_equal(reference.bits(psi.amplitudes),
-                                               reference.bits(before))))
-        return result
+        calls.append((in_place, np.shares_memory(psi.amplitudes,
+                                                 encoded[0][0].amplitudes)))
+        return _interfere(psi, valid, leakage, passes, tol,
+                          in_place=in_place)
 
+    monkeypatch.setattr(qic.ecc, "encode", encode_spy)
     monkeypatch.setattr(qic.ecc, "_interfere", spy)
     report = ecc_experiment(scheme, NoiseModel(events=0), cfg, seed=3)
-    assert calls == [(False, True)]
+    # In place over the noise step's copy, never over the ideal state.
+    assert calls == [(True, False)]
+    [(psi_ideal, before)] = encoded
+    assert np.array_equal(reference.bits(psi_ideal.amplitudes),
+                          reference.bits(before))
 
     # The ideal state, corrected as a fresh state.
     ideal = encode(uniform_superposition(Register(10)), scheme)

@@ -11,7 +11,6 @@ import qic.state
 from qic.errors import NormCollapse, QicError
 from qic.interference import (
     InterferenceConfig,
-    interfere,
     interfere_repeated,
     remnant_sweep,
 )
@@ -60,7 +59,7 @@ class TestConfig:
 class TestInterfere:
     def test_perfect_cancellation_exposes_solutions(self):
         reg, pred = uniform_pred(3, {1, 3})
-        out = interfere(uniform_superposition(reg), pred)
+        out = interfere_repeated(uniform_superposition(reg), pred)
         assert abs(probability(out, 1) - 0.5) < 1e-12
         assert abs(probability(out, 3) - 0.5) < 1e-12
         for i in (0, 2, 4, 5, 6, 7):
@@ -69,7 +68,7 @@ class TestInterfere:
     def test_all_invalid_collapses(self):
         reg, pred = uniform_pred(3, set())
         with pytest.raises(NormCollapse):
-            interfere(uniform_superposition(reg), pred)
+            interfere_repeated(uniform_superposition(reg), pred)
 
     def test_leaked_distribution(self):
         # independent 8-element hand evaluation of the arm sum
@@ -80,8 +79,8 @@ class TestInterfere:
         expected = np.abs(summed) ** 2 / np.sum(np.abs(summed) ** 2)
 
         reg, pred = uniform_pred(3, {1, 3})
-        out = interfere(uniform_superposition(reg), pred,
-                        InterferenceConfig(leakage=eps))
+        out = interfere_repeated(uniform_superposition(reg), pred,
+                                 InterferenceConfig(leakage=eps))
         for i in range(8):
             assert abs(probability(out, i) - expected[i]) < 1e-12
         assert abs(probability(out, 1) - 3.24 / 6.72) < 1e-12
@@ -91,7 +90,7 @@ class TestInterfere:
         # remnants survive imperfect cancellation instead of collapsing
         reg, pred = uniform_pred(3, set())
         psi = uniform_superposition(reg)
-        out = interfere(psi, pred, InterferenceConfig(leakage=0.2))
+        out = interfere_repeated(psi, pred, InterferenceConfig(leakage=0.2))
         assert np.max(np.abs(out.amplitudes - psi.amplitudes)) < 1e-12
 
     def test_marking_arm_equivalence(self, rng):
@@ -101,19 +100,11 @@ class TestInterfere:
         arm_sum = psi.amplitudes + reference.mark(psi.amplitudes,
                                                   np.isin(np.arange(32), valid))
         arm_sum = arm_sum / np.sqrt(np.sum(np.abs(arm_sum) ** 2))
-        out = interfere(psi, pred)
+        out = interfere_repeated(psi, pred)
         assert np.max(np.abs(out.amplitudes - arm_sum)) < 1e-12
 
 
 class TestInterfereRepeated:
-    def test_single_pass_matches_interfere(self, rng):
-        psi = random_state(rng, 4)
-        pred = Predicate(frozenset({1, 2, 3}), psi.register)
-        once = interfere(psi, pred, InterferenceConfig(leakage=0.3))
-        repeated = interfere_repeated(psi, pred,
-                                      InterferenceConfig(leakage=0.3, passes=1))
-        assert np.all(once.amplitudes == repeated.amplitudes)
-
     def test_projection_is_idempotent(self):
         reg, pred = uniform_pred(3, {1, 3})
         psi = uniform_superposition(reg)
@@ -159,7 +150,7 @@ def test_perfect_cancellation_is_exact_projection(seed, m):
     valid_mass = sum(abs(psi.amplitudes[i]) ** 2 for i in valid)
     if valid_mass < 1e-9:
         return
-    out = interfere(psi, pred)
+    out = interfere_repeated(psi, pred)
     assert abs(norm_squared(out) - 1.0) < 1e-9
     scale = 1 / np.sqrt(valid_mass)
     for i in range(dim):
@@ -248,21 +239,12 @@ def test_three_passes_equal_three_chained_single_passes(seed, m, eps,
                               chained.amplitudes.view(np.uint64))
 
 
-def test_interfere_runs_one_pass_whatever_the_config_says():
-    reg, pred = uniform_pred(3, {1, 3})
-    psi = uniform_superposition(reg)
-    cfg = InterferenceConfig(leakage=0.2, passes=3)
-    assert np.array_equal(interfere(psi, pred, cfg).amplitudes,
-                          interfere_repeated(psi, pred,
-                                             replace(cfg, passes=1)).amplitudes)
-
-
 def test_normalisation_matches_complex_division_up_to_zero_signs():
     reg = Register(3)
     # Real values weighted by 0 keep their sign: the two-level form.
     psi = _real_and_complex(3, Predicate({0, 2, 3}, reg))[0]
     valid = [1, 5]
-    out = interfere(psi, Predicate(valid, reg)).amplitudes.real
+    out = interfere_repeated(psi, Predicate(valid, reg)).amplitudes.real
     raw = psi.amplitudes * np.isin(np.arange(8), valid)
     divided = (raw * 2.0) / np.sqrt(np.sum(np.abs(raw * 2.0) ** 2))
     assert np.array_equal(out, divided.real) and np.all(divided.imag == 0)
