@@ -5,6 +5,8 @@ For each theta, runs several seeded noise-correction experiments under a
 global-parity scheme and writes per-seed rows: valid mass and fidelity
 before and after the correction pass.  Single flips should always restore
 fidelity 1; higher event counts expose parity-passing error combinations.
+A value qic refuses (a theta outside (0, pi/2], a register above its cap)
+ends the script with one error line and exit 2.
 
 Usage:
     python scripts/ecc_theta_sweep.py --events 2 --out ecc_sweep.csv
@@ -13,9 +15,8 @@ Usage:
 import argparse
 from pathlib import Path
 
-import numpy as np
-
 from qic.ecc import ChecksumScheme, NoiseModel, ecc_experiment
+from qic.errors import QicError
 from qic.interference import InterferenceConfig
 from qic.reports import render_csv
 
@@ -29,20 +30,24 @@ def main():
     parser.add_argument("--out", default="ecc_theta_sweep.csv")
     args = parser.parse_args()
 
-    scheme = ChecksumScheme.global_parity(args.data_qubits)
     rows = []
-    for theta in (float(t) for t in args.thetas.split(",")):
-        for seed in range(args.seeds):
-            report = ecc_experiment(scheme,
-                                    NoiseModel(events=args.events, theta=theta),
-                                    InterferenceConfig(), seed)
-            rows.append([
-                theta, seed, report.status,
-                report.valid_mass_before,
-                report.valid_mass_after,
-                report.fidelity_before,
-                report.fidelity_after,
-            ])
+    try:
+        scheme = ChecksumScheme.global_parity(args.data_qubits)
+        for theta in (float(t) for t in args.thetas.split(",")):
+            for seed in range(args.seeds):
+                report = ecc_experiment(
+                    scheme, NoiseModel(events=args.events, theta=theta),
+                    InterferenceConfig(), seed)
+                rows.append([
+                    theta, seed, report.status,
+                    report.valid_mass_before,
+                    report.valid_mass_after,
+                    report.fidelity_before,
+                    report.fidelity_after,
+                ])
+    except (ValueError, QicError) as exc:
+        # One line, without parser.error's usage block: the flags parsed.
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
     text = render_csv(
         ["theta", "seed", "status", "valid_mass_before", "valid_mass_after",

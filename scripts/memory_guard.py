@@ -1,5 +1,6 @@
 """Memory guard: sparse solve at m = 26, ecc and sweeps at m = 22, refusals
-above 26 qubits, runs under an address-space limit.
+above 26 qubits and above 10000 sweep passes, runs under an address-space
+limit.
 
 One dense 2^26 complex128 state is 1 GiB; an enumeration state is its flags
 and two values, so a sparse solve holds one 64 MiB flags array (about
@@ -13,13 +14,14 @@ two 256 KiB tiles of scratch to the noisy state, under the same limit.  A sweep
 holds no amplitude buffer: every state of its pass chains is two-level and
 each mean comes in closed form, so it holds the 4 MiB of flags and block
 scratch and must peak below 64 MiB.  A register above 26 qubits is refused
-when it is built: exit 1, nothing allocated.  Under a 400 MiB address-space
-limit (set in that child only; one BLAS thread keeps numpy's import inside
-it) a solve of b0 (half of all indices valid) and a sweep, both at m = 26,
-run to exit 0 on their flags, and an ecc run at m = 24, which needs two
-256 MiB complex arrays, exits 1 with one "qic: out of memory" line (once
-the zeroed ideal state is reserved, encode's 64 MiB scatter index does not
-fit).
+when it is built, and a sweep above 10000 passes in all (epsilon values
+times the largest pass count) before it runs: exit 1, nothing allocated.
+Under a 400 MiB address-space limit (set in that child only; one BLAS
+thread keeps numpy's import inside it) a solve of b0 (half of all indices
+valid) and a sweep, both at m = 26, run to exit 0 on their flags, and an
+ecc run at m = 24, which needs two 256 MiB complex arrays, exits 1 with
+one "qic: out of memory" line (once the zeroed ideal state is reserved,
+encode's 64 MiB scatter index does not fit).
 
 Each check runs ``python -m qic`` in a child process and prints its exit
 and peak RSS; the script exits 1 if any check fails.  Run it from the repo
@@ -51,6 +53,10 @@ checks = [
     ("solve refused at m = 27", 64, 1, ["solve", "--qubits", "27", "--valid", "1"], None),
     ("ecc refused at m = 27", 64, 1, ["ecc", "--data-qubits", "26",
                                       "--parity", "global"], None),
+    ("sweep refused above 10000 passes", 64, 1, ["sweep", "--qubits", "22",
+                                                 "--expr", "b0",
+                                                 "--epsilon", "0:0.99:0.01",
+                                                 "--passes", "1:101"], None),
     ("solve b0 at m = 26", 160, 0, ["solve", "--qubits", "26", "--expr", "b0",
                                     "--max-runs", "1"], 400),
     ("sweep at m = 26", 64, 0, ["sweep", "--qubits", "26", "--valid", "1,2",

@@ -16,10 +16,11 @@ import argparse
 import math
 import sys
 import time
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 from .ecc import NoiseModel, ecc_experiment, parse_scheme
-from .enumeration import RunConfig, enumerate_solutions
+from .enumeration import RunConfig, RunRecord, enumerate_solutions
 from .errors import (
     IndexOutOfRange,
     ParseError,
@@ -36,8 +37,8 @@ from .state import (DEFAULT_COLLAPSE_TOL, Register, probability,
 
 DEMO_QUBITS = 3
 DEMO_VALID = (1, 3)
-# Sweep grids run one interference per cell; cap the points per axis, and
-# every pass or noise-event count likewise.
+# Sweep grids run one interference per cell; cap the points per axis, every
+# pass or noise-event count, and a sweep's total passes likewise.
 MAX_RANGE_POINTS = 10_000
 
 
@@ -190,7 +191,7 @@ def _run_demo(args) -> str:
     if args.format == "json":
         doc = envelope("demo", config, {
             "distribution": distribution,
-            "enumeration": report.to_dict(),
+            "enumeration": asdict(report),
         })
         return render_json(doc)
 
@@ -228,18 +229,20 @@ def _run_solve(args) -> str:
                         max_runs=args.max_runs)
     report = enumerate_solutions(pred, register, run_cfg)
     if args.format == "csv":
-        rows = [[r.run, r.measured, r.verified, r.new] for r in report.runs]
-        return render_csv(["run", "measured", "verified", "new"], rows)
+        return render_csv([f.name for f in fields(RunRecord)],
+                          [astuple(r) for r in report.runs])
     config = {"qubits": args.qubits, "source": source_config,
               **report.config}
-    return render_json(envelope("solve", config, report.to_dict()))
+    return render_json(envelope("solve", config, asdict(report)))
 
 
 def _run_sweep(args) -> str:
     register = Register(args.qubits)
     pred, source_config = _build_predicate(args, register)
-    rows = remnant_sweep(pred, parse_range(args.epsilon),
-                         _int_range(args.passes), args.collapse_tol)
+    epsilons, passes = parse_range(args.epsilon), _int_range(args.passes)
+    # One chain of max(passes) passes per epsilon, at most one row per pass.
+    _count("--epsilon values x largest --passes", len(epsilons) * max(passes))
+    rows = remnant_sweep(pred, epsilons, passes, args.collapse_tol)
     if args.format == "json":
         config = {"qubits": args.qubits, "source": source_config,
                   "epsilon": args.epsilon, "passes": args.passes,
@@ -262,7 +265,7 @@ def _run_ecc(args) -> str:
         return render_csv(["metric", "value"],
                           [[name, getattr(report, name)] for name in metrics])
     config = {"parity": args.parity, **report.config}
-    return render_json(envelope("ecc", config, report.to_dict()))
+    return render_json(envelope("ecc", config, asdict(report)))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,7 +13,7 @@ never decoded back.
 from __future__ import annotations
 
 import operator
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -164,9 +164,6 @@ class NoiseEvent:
     qubit: int
     theta: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def inject_noise(psi: StateVector, model: NoiseModel,
                  rng: np.random.Generator
@@ -203,7 +200,8 @@ def correct(psi: StateVector, scheme: ChecksumScheme,
 
 @dataclass(frozen=True)
 class EccReport:
-    """Before/after masses and fidelities of one noise-correction run.
+    """Before/after masses and fidelities of one noise-correction run; an
+    ``ecc`` report's results are its asdict, fields in this order.
 
     ``status`` is "ok", or "norm_collapse" when correction cancelled the
     whole state (after-metrics are then None).
@@ -216,9 +214,6 @@ class EccReport:
     fidelity_after: float | None
     events: tuple[NoiseEvent, ...]
     config: dict
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "events": [e.to_dict() for e in self.events]}
 
 
 def ecc_experiment(scheme: ChecksumScheme, model: NoiseModel,

@@ -11,7 +11,7 @@ or an already-found solution is measured, or at the run cap.
 from __future__ import annotations
 
 import operator
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -50,7 +50,8 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One prepared-interfered-measured cycle.
+    """One prepared-interfered-measured cycle; its field names, in order,
+    are the ``solve --format csv`` header.
 
     ``measured`` is None when the state collapsed before measurement.
     """
@@ -60,22 +61,15 @@ class RunRecord:
     verified: bool
     new: bool
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class EnumerationReport:
+    """A ``solve`` report's results are its asdict, fields in this order."""
+
     found: tuple[str, ...]
     runs: tuple[RunRecord, ...]
     termination: Termination
     config: dict
-
-    def to_dict(self) -> dict:
-        return {"found": list(self.found),
-                "runs": [r.to_dict() for r in self.runs],
-                "termination": self.termination.value,
-                "config": dict(self.config)}
 
 
 def verify(pred: Predicate, index: int) -> bool:

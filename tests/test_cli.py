@@ -581,6 +581,29 @@ class TestInputErrors:
             else:
                 assert err == "qic: QicError: work started\n"
 
+    @pytest.mark.parametrize("epsilon,passes,n_eps,code", [
+        ("0:0.99:0.01", "100", 100, 3),
+        ("0:0.99:0.01", "101", 100, 1),
+        ("0:0.9999:0.0001", "1:2", MAX_RANGE_POINTS, 1),
+    ])
+    def test_sweep_total_passes_above_the_limit_exit_1_before_any_work(
+            self, epsilon, passes, n_eps, code, capsys, monkeypatch):
+        # One chain of max(passes) passes per epsilon, so their product
+        # bounds both the work and the rows of a sweep.
+        self.stub_work(monkeypatch)
+        assert len(parse_range(epsilon)) == n_eps
+        total = n_eps * int(passes.split(":")[-1])
+        assert (total <= MAX_RANGE_POINTS) == (code == 3)
+        assert main(["sweep", "--qubits", "3", "--valid", "1,3",
+                     "--epsilon", epsilon, "--passes", passes]) == code
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        if code == 1:
+            assert err == (f"qic: --epsilon values x largest --passes {total} "
+                           f"exceeds the limit of {MAX_RANGE_POINTS}\n")
+        else:
+            assert err == "qic: QicError: work started\n"
+
     @pytest.mark.parametrize("newline,offset", [("\n", 20), ("\r\n", 22)])
     def test_cnf_offsets_count_bytes(self, newline, offset, tmp_path, capsys):
         cnf = tmp_path / "bad.cnf"

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -638,7 +639,7 @@ def test_ecc_report_matches_the_dense_reference_bytewise(scheme, events, theta,
     cfg = InterferenceConfig(eps, passes)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(qic.state, "_BLOCK", 128)
-        got = render_json(ecc_experiment(scheme, model, cfg, seed).to_dict())
+        got = render_json(asdict(ecc_experiment(scheme, model, cfg, seed)))
 
     n = scheme.data_bits
     ideal = reference.encode(np.full(1 << n, 1 / np.sqrt(1 << n), complex),

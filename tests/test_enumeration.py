@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -96,7 +97,7 @@ class TestEnumerateSolutions:
         assert report.termination in (Termination.REMNANT_MEASURED,
                                       Termination.REPEAT_MEASURED)
         expected = (GOLDEN / "enum_seed42_eps02.json").read_bytes()
-        assert render_json(report.to_dict()).encode() == expected
+        assert render_json(asdict(report)).encode() == expected
 
     def test_max_runs_cap(self):
         reg = Register(2)
@@ -116,10 +117,16 @@ class TestEnumerateSolutions:
         cfg = RunConfig(seed=77,
                         interference=InterferenceConfig(leakage=0.15, passes=2))
         first = render_json(
-            enumerate_solutions(pred, reg, cfg).to_dict())
+            asdict(enumerate_solutions(pred, reg, cfg)))
         second = render_json(
-            enumerate_solutions(pred, reg, cfg).to_dict())
+            asdict(enumerate_solutions(pred, reg, cfg)))
         assert first == second
+
+    def test_renderer_takes_a_str_enum_as_its_value_and_a_tuple_as_a_list(self):
+        # Reports render straight from dataclasses.asdict, which keeps
+        # Termination members and tuples as they are.
+        assert render_json({"t": Termination.EXHAUSTED, "u": (1, "a")}) == (
+            '{\n  "t": "Exhausted",\n  "u": [\n    1,\n    "a"\n  ]\n}\n')
 
     def test_repeat_measured_with_leakage(self):
         # single solution and strong leakage: refinding it is common
