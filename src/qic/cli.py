@@ -19,7 +19,7 @@ import time
 from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
-from .ecc import NoiseModel, ecc_experiment, parse_scheme
+from .ecc import EccReport, NoiseModel, ecc_experiment, parse_scheme
 from .enumeration import RunConfig, RunRecord, enumerate_solutions
 from .errors import (
     IndexOutOfRange,
@@ -260,10 +260,10 @@ def _run_ecc(args) -> str:
     icfg = _interference_config(args)
     report = ecc_experiment(scheme, model, icfg, args.seed)
     if args.format == "csv":
-        metrics = ("status", "valid_mass_before", "fidelity_before",
-                   "valid_mass_after", "fidelity_after")
         return render_csv(["metric", "value"],
-                          [[name, getattr(report, name)] for name in metrics])
+                          [[f.name, getattr(report, f.name)]
+                           for f in fields(EccReport)
+                           if f.name not in ("events", "config")])
     config = {"parity": args.parity, **report.config}
     return render_json(envelope("ecc", config, asdict(report)))
 

@@ -31,6 +31,7 @@ from .predicate import (
 from .state import (
     Register,
     StateVector,
+    _block_kinds,
     _gather_abs,
     _interfere,
     apply_partial_bit_flip,
@@ -121,7 +122,13 @@ def checksum_predicate(scheme: ChecksumScheme) -> Predicate:
 
 
 def encode(psi_data: StateVector, scheme: ChecksumScheme) -> StateVector:
-    """Attach checksum qubits: data index x moves to (checksum(x) << n) | x."""
+    """Attach checksum qubits: data index x moves to (checksum(x) << n) | x.
+
+    A data state of one value (the uniform default) encodes as a two-level
+    state: that value on the checksum-valid flags that ``compile_mask``
+    caches, and 0 elsewhere, so no 2^m array is built.  Any other data
+    state is scattered into a fresh dense one.
+    """
     n = scheme.data_bits
     if psi_data.register.total_qubits != n:
         raise RegisterMismatch(
@@ -129,6 +136,11 @@ def encode(psi_data: StateVector, scheme: ChecksumScheme) -> StateVector:
             f"scheme expects {n}"
         )
     full = scheme.register()
+    if psi_data._values is not None and psi_data._flags is None:
+        flags = compile_mask(checksum_predicate(scheme), full).valid
+        return StateVector._two_level(
+            full, flags, np.array([0.0, psi_data._values[0]]),
+            _block_kinds(flags))
     # By doubling: indices with top bit b are those below 2^b plus bit b.
     checksums = np.zeros(
         1 << n, dtype=np.min_scalar_type((1 << scheme.checksum_bits) - 1))
@@ -225,8 +237,11 @@ def ecc_experiment(scheme: ChecksumScheme, model: NoiseModel,
     data qubits by default).  Masses and fidelities are taken against the
     ideal encoded state before and after the correction pass.
 
-    Two 2^m complex128 arrays are live at the peak: the ideal state and
-    the noisy one, always a fresh array, which correction overwrites.
+    One 2^m complex128 array is live at the peak: the noisy state, always
+    a fresh array, which correction overwrites.  The default ideal state
+    is two-level (the checksum-valid flags and two values) and is never
+    made dense: the flips write it into the noisy array block by block and
+    ``fidelity`` reads it block by block.
     """
     # Refuses an oversized register, and a bad seed, before any state exists.
     register = scheme.register()

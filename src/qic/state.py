@@ -16,9 +16,14 @@ amplitudes, or privately a *two-level* form of valid flags, an invalid and
 a valid float64 value, and per aligned block whether its flags are unset,
 set or mixed.  The two-level form is the only real one.  Interference
 from the uniform state keeps that form, so an enumeration or sweep state
-holds no 2^m amplitudes.  This module alone knows the forms, so it owns
-the pass kernel ``_interfere`` and the one walk (``_masses``) under the
-squared norm, the kernel's surviving mass and ``sample``.
+holds no 2^m amplitudes, and neither does ecc's ideal encoded state: the
+flips write it block by block into their fresh output and ``fidelity``
+reads it block by block.  Apart from ``qic.ecc.encode``, which builds that
+state, this module alone knows the forms, so it owns the pass kernel
+``_interfere``, the one walk (``_masses``) under the squared norm,
+the kernel's surviving mass and ``sample``, and the blocked overlap under
+``fidelity``, which calls no BLAS so that its bits do not depend on the
+CPU or the thread count.
 """
 
 from __future__ import annotations
@@ -128,8 +133,7 @@ class StateVector:
             if self._flags is None:
                 self._dense = np.broadcast_to(np.complex128(values[0]), dim)
             else:
-                self._dense = np.zeros(dim, np.complex128)
-                _select(self._flags, values, self._dense.real)
+                self._dense = _expand(self, np.zeros(dim, np.complex128))
                 self._dense.flags.writeable = False
         return self._dense
 
@@ -229,6 +233,24 @@ def _select(flags: np.ndarray, pair: np.ndarray, out: np.ndarray) -> np.ndarray:
     words, bits = pair.view(np.uint64), out.view(np.uint64)
     np.multiply(flags.view(np.uint8), words[:1] ^ words[1:], out=bits)
     np.bitwise_xor(bits, words[:1], out=bits)
+    return out
+
+
+def _level_block(psi: StateVector, block: slice,
+                 out: np.ndarray) -> np.ndarray:
+    """Write a two-level psi's (real) values on ``block`` into float64
+    ``out`` and return it."""
+    if psi._flags is None:
+        out[...] = psi._values[0]
+        return out
+    return _select(psi._flags[block], psi._values, out)
+
+
+def _expand(psi: StateVector, out: np.ndarray) -> np.ndarray:
+    """Write a two-level psi's amplitudes into the zeroed 2^m complex128
+    ``out`` block by block, and return it."""
+    for block in _blocks(len(out)):
+        _level_block(psi, block, out[block].real)
     return out
 
 
@@ -460,14 +482,58 @@ def _block_end(scan: np.ndarray, mass, carry: float,
     return float(scan[-1])
 
 
+def _parts(psi: StateVector, block: slice, buf: np.ndarray):
+    """psi's amplitudes on ``block`` as float64 (real, imaginary) parts; a
+    two-level state's values are real, so its real part is written into
+    block-sized ``buf`` and its imaginary part is None."""
+    if psi._values is None:
+        amps = psi._dense[block]
+        return amps.real, amps.imag
+    return _level_block(psi, block, buf), None
+
+
+def _sum_of_products(terms, out: np.ndarray, tmp: np.ndarray) -> float:
+    """np.sum over a block of the products x*y of the (sign, x, y) terms,
+    each added (sign 1) or subtracted (-1) in order, as separate float64
+    ufunc steps in scratch ``out`` and ``tmp``.  A term with a None factor
+    is zero and is left out; that moves at most the sign of a zero, as
+    does negating the sum of a lone subtracted term."""
+    terms = [(sign, x, y) for sign, x, y in terms
+             if x is not None and y is not None]
+    if not terms:
+        return 0.0
+    (sign, x, y), *rest = terms
+    np.multiply(x, y, out=out)
+    for more, x, y in rest:
+        (np.add if more > 0 else np.subtract)(out, np.multiply(x, y, out=tmp),
+                                              out=out)
+    total = np.sum(out)
+    return total if sign > 0 else -total
+
+
 def fidelity(psi: StateVector, phi: StateVector) -> float:
-    """|<psi|phi>|^2 for two normalized states on the same register."""
+    """|<psi|phi>|^2 for two normalized states on the same register.
+
+    The overlap's real part, sum(x_r y_r + x_i y_i), and imaginary part,
+    sum(x_r y_i - x_i y_r), for psi's x and phi's y, are np.sums of float64
+    products over aligned blocks, combined as np.sum's tree does: the bits
+    of whole-array np.sums on any CPU and BLAS.  No complex multiply, which
+    numpy may fuse into multiply-adds.  A two-level state is read one
+    block at a time and never made dense; its zero imaginary terms are
+    skipped, which leaves the result's bits unchanged.
+    """
     if psi.register != phi.register:
         raise RegisterMismatch(
             f"registers differ: {psi.register} vs {phi.register}"
         )
-    overlap = np.vdot(psi.amplitudes, phi.amplitudes)
-    return float(abs(overlap) ** 2)
+    step = min(_BLOCK, psi.register.dimension)
+    xbuf, ybuf, out, tmp = (np.empty(step) for _ in range(4))
+    real, imag = [], []
+    for block in _blocks(psi.register.dimension):
+        (xr, xi), (yr, yi) = _parts(psi, block, xbuf), _parts(phi, block, ybuf)
+        real.append(_sum_of_products([(1, xr, yr), (1, xi, yi)], out, tmp))
+        imag.append(_sum_of_products([(1, xr, yi), (-1, xi, yr)], out, tmp))
+    return float(abs(complex(_pairwise(real), _pairwise(imag))) ** 2)
 
 
 def apply_phase_mask(psi: StateVector, mask: PhaseMask) -> StateVector:
@@ -562,7 +628,8 @@ def apply_partial_bit_flip(psi: StateVector, qubit,
     ``qubit`` may also be a sequence of qubits, flipped in that order in
     one fused ``_flips`` run, with the bits of chained single calls.  Every
     qubit must be an integer in range and theta finite; both are checked
-    before anything is allocated.
+    before anything is allocated.  A two-level ``psi`` is never made dense:
+    it is written into the fresh output block by block, and flipped there.
     """
     m = psi.register.total_qubits
     qubits = list(map(operator.index, qubit if np.ndim(qubit) else [qubit]))
@@ -571,6 +638,10 @@ def apply_partial_bit_flip(psi: StateVector, qubit,
             raise IndexOutOfRange(f"qubit {q} outside [0, {m})")
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
-    amps = np.empty(psi.register.dimension, dtype=np.complex128)
-    _flips(psi.amplitudes, amps, qubits, theta)
+    if psi._values is None:
+        amps = np.empty(psi.register.dimension, dtype=np.complex128)
+        _flips(psi._dense, amps, qubits, theta)
+    else:
+        amps = _expand(psi, np.zeros(psi.register.dimension, np.complex128))
+        _flips(amps, amps, qubits, theta)
     return StateVector._adopt(psi.register, amps)

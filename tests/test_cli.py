@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 import qic.cli
 import qic.state
 from qic.cli import MAX_RANGE_POINTS, main, parse_range
+from qic.ecc import EccReport
 from qic.enumeration import RunConfig
 from qic.errors import QicError
 from qic.interference import InterferenceConfig
@@ -221,6 +223,15 @@ class TestEcc:
         assert lines[0] == "metric,value"
         assert lines[1].startswith("status,ok")
 
+    def test_csv_metrics_are_the_report_fields(self, capsys):
+        # Every field of the report but the event log and the config echo.
+        assert main(["ecc", "--data-qubits", "2", "--events", "1",
+                     "--format", "csv"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == [
+            f.name for f in fields(EccReport)
+            if f.name not in ("events", "config")]
+
     def test_grouped_scheme(self):
         result = run_cli("ecc", "--data-qubits", "4",
                          "--parity", "groups:0,1;2,3", "--events", "1",
@@ -324,12 +335,10 @@ def test_report_corpus_is_byte_identical(name, tmp_path, monkeypatch):
     assert out.read_bytes() == (CORPUS / name).read_bytes()
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 3: fidelity's np.vdot sums in the "
-                          "order of OpenBLAS's dot kernel and thread count")
 @pytest.mark.parametrize("blas_env", [{"OPENBLAS_NUM_THREADS": "1"},
-                                      {"OPENBLAS_CORETYPE": "Prescott"}],
-                         ids=["one_thread", "prescott"])
+                                      {"OPENBLAS_CORETYPE": "Prescott"},
+                                      {"OPENBLAS_CORETYPE": "Nehalem"}],
+                         ids=["one_thread", "prescott", "nehalem"])
 def test_ecc_corpus_bytes_do_not_depend_on_blas(blas_env, tmp_path):
     """An ecc corpus report keeps its bytes under another OpenBLAS thread
     count or dot kernel; the variable acts only on the child process."""

@@ -448,6 +448,15 @@ class TestStreamedEcc:
             assert out.dtype == expected.dtype
             assert np.array_equal(reference.bits(out),
                                   reference.bits(expected))
+            # Uniform data encodes as a two-level state over the cached
+            # checksum-valid flags, with the dense scatter's amplitudes.
+            uniform = uniform_superposition(Register(n))
+            ideal = encode(uniform, scheme)
+            assert ideal._flags is compile_mask(checksum_predicate(scheme),
+                                                scheme.register()).valid
+            assert np.array_equal(
+                reference.bits(ideal.amplitudes),
+                reference.bits(reference.encode(uniform.amplitudes, scheme)))
         assert overlapping > 10
 
     def test_encode_with_many_checksum_bits(self):
@@ -479,6 +488,27 @@ class TestStreamedEcc:
             assert not noisy.amplitudes.flags.writeable
             assert np.array_equal(reference.bits(psi.amplitudes),
                                   reference.bits(before))
+
+    def test_inject_noise_reads_a_two_level_ideal_without_densifying(
+            self, small_blocks):
+        rng = np.random.default_rng(15)
+        for trial in range(30):
+            n = int(rng.integers(1, 10))
+            scheme = _random_full_coverage_scheme(rng, n)
+            if scheme.register().total_qubits > 12:
+                continue
+            ideal = encode(uniform_superposition(Register(n)), scheme)
+            model = NoiseModel(events=int(rng.integers(0, 7)),
+                               theta=float(rng.uniform(0.01, math.pi / 2)))
+            seed = int(rng.integers(2**32))
+            noisy, log = inject_noise(ideal, model, np.random.default_rng(seed))
+            assert ideal._dense is None
+            expected, qubits = reference.noise(
+                reference.encode(np.full(1 << n, 1 / np.sqrt(1 << n), complex),
+                                 scheme), model, seed)
+            assert [e.qubit for e in log] == qubits
+            assert np.array_equal(reference.bits(noisy.amplitudes),
+                                  reference.bits(expected))
 
     @pytest.mark.parametrize("m", range(1, 13))
     def test_fused_flips_match_chained_dense_flips(self, m, small_blocks):
@@ -557,22 +587,23 @@ def test_ecc_experiment_without_events_keeps_report_and_ideal_state(
 
     def encode_spy(psi_data, scheme):
         psi = encode(psi_data, scheme)
-        encoded.append((psi, psi.amplitudes.copy()))
+        encoded.append((psi, psi._values.copy()))
         return psi
 
     def spy(psi, valid, leakage, passes, tol, in_place=False):
-        calls.append((in_place, np.shares_memory(psi.amplitudes,
-                                                 encoded[0][0].amplitudes)))
+        calls.append((in_place, psi._values is None))
         return _interfere(psi, valid, leakage, passes, tol,
                           in_place=in_place)
 
     monkeypatch.setattr(qic.ecc, "encode", encode_spy)
     monkeypatch.setattr(qic.ecc, "_interfere", spy)
     report = ecc_experiment(scheme, NoiseModel(events=0), cfg, seed=3)
-    # In place over the noise step's copy, never over the ideal state.
-    assert calls == [(True, False)]
+    # In place over the noise step's dense array; the ideal state stays
+    # two-level, is never made dense and keeps its values.
+    assert calls == [(True, True)]
     [(psi_ideal, before)] = encoded
-    assert np.array_equal(reference.bits(psi_ideal.amplitudes),
+    assert psi_ideal._dense is None
+    assert np.array_equal(reference.bits(psi_ideal._values),
                           reference.bits(before))
 
     # The ideal state, corrected as a fresh state.
@@ -666,9 +697,9 @@ def test_ecc_report_matches_the_dense_reference_bytewise(scheme, events, theta,
 
 
 def test_ecc_experiment_peak_memory(monkeypatch):
-    # Two complex arrays coexist: the ideal state (complex for fidelity)
-    # and the noisy state, which correction overwrites; nothing else is
-    # state-sized.
+    # One complex array: the noisy state, which correction overwrites.
+    # The ideal state is two-level over the cached flags, and the rest is
+    # the gathered valid masses (1/8 of a state here) and block scratch.
     monkeypatch.setattr(qic.state, "_BLOCK", 1024)
     scheme = ChecksumScheme(12, (tuple(range(6)), tuple(range(6, 12))))
     state_bytes = 16 << scheme.register().total_qubits
@@ -684,7 +715,7 @@ def test_ecc_experiment_peak_memory(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * state_bytes, peak / state_bytes
+    assert peak < 1.5 * state_bytes, peak / state_bytes
 
 
 def test_inject_noise_peaks_below_one_state_and_one_block(monkeypatch):

@@ -231,6 +231,64 @@ class TestFidelity:
         with pytest.raises(RegisterMismatch):
             fidelity(basis_state(Register(1), 0), basis_state(Register(2), 0))
 
+    @staticmethod
+    def _pairs(rng, m):
+        """Overlapping random states: unit-norm x, and x plus noise, with
+        signed zeros among the words of both."""
+        dim = 1 << m
+        for _ in range(4):
+            x = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            y = x + 0.5 * (rng.normal(size=dim) + 1j * rng.normal(size=dim))
+            for amps in (x, y):
+                words = amps.view(np.float64)
+                pick = rng.random(words.size)
+                words[pick < 0.05] = 0.0
+                words[(0.05 <= pick) & (pick < 0.1)] = -0.0
+                amps /= np.sqrt(np.sum(np.abs(amps) ** 2))
+            yield x, y
+
+    @pytest.mark.parametrize("block", [128, None])
+    def test_matches_the_reference_bitwise_and_fsum(self, block, monkeypatch):
+        if block:
+            monkeypatch.setattr(qic.state, "_BLOCK", block)
+        reg = Register(12)
+        for x, y in self._pairs(np.random.default_rng(12), 12):
+            got = fidelity(StateVector(reg, x), StateVector(reg, y))
+            assert got.hex() == reference.fidelity(x, y).hex()
+            real = math.fsum([*(x.real * y.real), *(x.imag * y.imag)])
+            imag = math.fsum([*(x.real * y.imag), *(-x.imag * y.real)])
+            exact = real * real + imag * imag
+            assert abs(got - exact) <= 1e-15 * exact
+
+    @pytest.mark.parametrize("block", [128, None])
+    def test_two_level_argument_matches_its_dense_copy(self, block,
+                                                       monkeypatch):
+        # A two-level state's imaginary parts are zero, and its terms with
+        # them are skipped: a sign of zero may move, the result's bits not.
+        if block:
+            monkeypatch.setattr(qic.state, "_BLOCK", block)
+        reg, rng = Register(12), np.random.default_rng(13)
+        flags = rng.random(reg.dimension) < 0.3
+        flags[:256] = False
+        flags[-256:] = True
+        step = min(qic.state._BLOCK, reg.dimension)
+        kinds = bytes(reg.dimension // step)
+        levels = [StateVector._two_level(reg, None, np.array([0.4, 0.4]),
+                                         kinds)]
+        for values in ([0.0, 0.6], [-0.0, -0.5], [-0.2, 0.7]):
+            levels.append(StateVector._two_level(
+                reg, flags, np.array(values), qic.state._block_kinds(flags)))
+        for x, y in self._pairs(rng, 12):
+            dense = StateVector(reg, y)
+            for level in levels:
+                copy = StateVector(reg, level.amplitudes)
+                for got, want in (((level, dense), (copy, dense)),
+                                  ((dense, level), (dense, copy)),
+                                  ((level, levels[2]), (copy, levels[2]))):
+                    assert fidelity(*got).hex() == fidelity(*want).hex()
+                assert fidelity(dense, level).hex() == reference.fidelity(
+                    y, level.amplitudes).hex()
+
 
 class TestPhaseMask:
     def test_sign_pattern(self):
