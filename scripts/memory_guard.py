@@ -5,26 +5,22 @@ limit.
 One dense 2^26 complex128 state is 1 GiB; an enumeration state is its flags
 and two values, so a sparse solve holds one 64 MiB flags array (about
 106 MiB in all) and must peak below 160 MiB, which a second such array
-would reach.  The ecc run holds one 2^22 complex128 array (64 MiB), the
-noisy state that correction overwrites: its ideal state is two-level, the
-4 MiB of checksum-valid flags and two values, which the noise step writes
-into that array and fidelity reads block by block.  It must peak below
-144 MiB, which a second such array (about 175 MiB in all) would pass;
-without events the noise step's copy of the ideal state is the buffer
-correction overwrites, under the same limit.  With 40 events, which the
-fused flip pass splits into several segments, the flips add only two
-256 KiB tiles of scratch to the noisy state, under the same limit.  A sweep
-holds no amplitude buffer: every state of its pass chains is two-level and
-each mean comes in closed form, so it holds the 4 MiB of flags and block
-scratch and must peak below 64 MiB.  A register above 26 qubits is refused
-when it is built, and a sweep above 10000 passes in all (epsilon values
-times the largest pass count) before it runs: exit 1, nothing allocated.
-Under a 400 MiB address-space limit (set in that child only; one BLAS
-thread keeps numpy's import inside it) a solve of b0 (half of all indices
-valid) and a sweep, both at m = 26, run to exit 0 on their flags, and an
-ecc run at m = 24 exits 1 with one "qic: out of memory" line: beside its
-one 256 MiB complex array, the 64 MiB float64 gather of the valid masses
-does not fit.
+would reach.  An ecc run on the CLI's uniform data holds no 2^m array at
+all, neither amplitudes nor valid flags: every state is its 2^k values,
+one per syndrome, and each sum walks the state in one block of scratch.
+At m = 22 (k = 2) it must peak below 64 MiB, which one 2^22 complex128
+array (64 MiB) would pass on its own; so must a run with 40 events and
+one without events.  A sweep holds no amplitude buffer: every state of its
+pass chains is two-level and each mean comes in closed form, so it holds
+the 4 MiB of flags and block scratch and must peak below 64 MiB.  A
+register above 26 qubits is refused when it is built, and a sweep above
+10000 passes in all (epsilon values times the largest pass count) before
+it runs: exit 1, nothing allocated.  Under a 400 MiB address-space limit
+(set in that child only; one BLAS thread keeps numpy's import inside it)
+a solve of b0 (half of all indices valid) and a sweep, both at m = 26,
+run to exit 0 on their flags, and an ecc run at m = 26 runs to exit 0
+below 64 MiB.  A run that does exceed the limit ends with one
+"qic: out of memory" line, which tests/test_cli.py checks.
 
 Each check runs ``python -m qic`` in a child process and prints its exit
 and peak RSS; the script exits 1 if any check fails.  Run it from the repo
@@ -40,14 +36,14 @@ checks = [
     ("solve at m = 26", 160, 0, ["solve", "--qubits", "26",
                                  "--valid", "5,40000000,60000001,67000000",
                                  "--epsilon", "0.05", "--passes", "3", "--seed", "3"], None),
-    ("ecc at m = 22", 144, 0, ["ecc", "--data-qubits", "20", "--parity", groups,
+    ("ecc at m = 22", 64, 0, ["ecc", "--data-qubits", "20", "--parity", groups,
                                "--events", "6", "--passes", "2", "--epsilon", "0.05",
                                "--seed", "3"], None),
-    ("ecc with 40 events at m = 22", 144, 0, ["ecc", "--data-qubits", "20",
+    ("ecc with 40 events at m = 22", 64, 0, ["ecc", "--data-qubits", "20",
                                              "--parity", groups, "--events", "40",
                                              "--passes", "2", "--epsilon", "0.05",
                                              "--seed", "3"], None),
-    ("ecc without events at m = 22", 144, 0, ["ecc", "--data-qubits", "20",
+    ("ecc without events at m = 22", 64, 0, ["ecc", "--data-qubits", "20",
                                               "--parity", groups, "--events", "0",
                                               "--passes", "2", "--epsilon", "0.05",
                                               "--seed", "3"], None),
@@ -64,8 +60,8 @@ checks = [
                                     "--max-runs", "1"], 400),
     ("sweep at m = 26", 64, 0, ["sweep", "--qubits", "26", "--valid", "1,2",
                                 "--epsilon", "0.1", "--passes", "1"], 400),
-    ("ecc out of memory at m = 24", 400, 1, ["ecc", "--data-qubits", "23",
-                                            "--parity", "global"], 400),
+    ("ecc at m = 26 under the 400 MiB address-space limit", 64, 0,
+     ["ecc", "--data-qubits", "25", "--parity", "global"], 400),
 ]
 failed = False
 for name, limit, code, args, address_mib in checks:

@@ -31,9 +31,12 @@ from .predicate import (
 from .state import (
     Register,
     StateVector,
-    _block_kinds,
+    _class_mass,
+    _constant_value,
     _gather_abs,
     _interfere,
+    _interfere_classes,
+    _over_classes,
     apply_partial_bit_flip,
     check_seed,
     fidelity,
@@ -81,6 +84,12 @@ class ChecksumScheme:
     def register(self) -> Register:
         return Register(self.data_bits + self.checksum_bits)
 
+    def qubit_columns(self) -> tuple[int, ...]:
+        """Per qubit of the register, the checksum bits it flips: a data
+        bit's column, then checksum qubit g's own bit 1 << g.  The XOR
+        over an index's set bits is its syndrome, 0 when checksum-valid."""
+        return self.columns + tuple(1 << g for g in range(self.checksum_bits))
+
     @classmethod
     def global_parity(cls, data_bits: int) -> "ChecksumScheme":
         """One checksum qubit holding the parity of every data bit."""
@@ -124,9 +133,10 @@ def checksum_predicate(scheme: ChecksumScheme) -> Predicate:
 def encode(psi_data: StateVector, scheme: ChecksumScheme) -> StateVector:
     """Attach checksum qubits: data index x moves to (checksum(x) << n) | x.
 
-    A data state of one value (the uniform default) encodes as a two-level
-    state: that value on the checksum-valid flags that ``compile_mask``
-    caches, and 0 elsewhere, so no 2^m array is built.  Any other data
+    A data state of one value a (the uniform default) encodes as a class
+    form over the scheme's ``qubit_columns``: a on syndrome 0, the
+    checksum-valid indices, and 0.0 on the other 2^k - 1 syndromes, so
+    neither a 2^m array nor any valid flags are built.  Any other data
     state is scattered into a fresh dense one.
     """
     n = scheme.data_bits
@@ -136,11 +146,11 @@ def encode(psi_data: StateVector, scheme: ChecksumScheme) -> StateVector:
             f"scheme expects {n}"
         )
     full = scheme.register()
-    if psi_data._values is not None and psi_data._flags is None:
-        flags = compile_mask(checksum_predicate(scheme), full).valid
-        return StateVector._two_level(
-            full, flags, np.array([0.0, psi_data._values[0]]),
-            _block_kinds(flags))
+    value = _constant_value(psi_data)
+    if value is not None:
+        values = np.zeros(1 << scheme.checksum_bits)
+        values[0] = value
+        return StateVector._classes(full, scheme.qubit_columns(), values)
     # By doubling: indices with top bit b are those below 2^b plus bit b.
     checksums = np.zeros(
         1 << n, dtype=np.min_scalar_type((1 << scheme.checksum_bits) - 1))
@@ -193,7 +203,13 @@ def inject_noise(psi: StateVector, model: NoiseModel,
 
 
 def checksum_valid_mass(psi: StateVector, scheme: ChecksumScheme) -> float:
-    """Squared mass carried by checksum-valid components."""
+    """Squared mass carried by checksum-valid components.
+
+    Of a class form over the scheme's syndromes, that is 2^n copies of
+    class 0's |value|^2, summed in closed form with np.sum's bits.
+    """
+    if _over_classes(psi, scheme.qubit_columns()):
+        return _class_mass(psi, 1 << scheme.data_bits)
     mask = compile_mask(checksum_predicate(scheme), psi.register)
     # Gather, then square: np.sum sees the values and order of squaring all.
     mags = _gather_abs(psi, mask.valid)
@@ -237,11 +253,13 @@ def ecc_experiment(scheme: ChecksumScheme, model: NoiseModel,
     data qubits by default).  Masses and fidelities are taken against the
     ideal encoded state before and after the correction pass.
 
-    One 2^m complex128 array is live at the peak: the noisy state, always
-    a fresh array, which correction overwrites.  The default ideal state
-    is two-level (the checksum-valid flags and two values) and is never
-    made dense: the flips write it into the noisy array block by block and
-    ``fidelity`` reads it block by block.
+    With the default uniform data every state is a class form: 2^k
+    values, one per syndrome.  The flips, masses, overlaps and passes run
+    on those values, with block scratch for the sums, so no 2^m array
+    (neither amplitudes nor valid flags) is built and nothing is compiled.
+    An explicit ``data_state`` is encoded dense instead: then one 2^m
+    complex128 array is live at the peak, the noisy state, which
+    correction overwrites.
     """
     # Refuses an oversized register, and a bad seed, before any state exists.
     register = scheme.register()
@@ -255,11 +273,18 @@ def ecc_experiment(scheme: ChecksumScheme, model: NoiseModel,
     mass_before = checksum_valid_mass(psi_noisy, scheme)
     fid_before = fidelity(psi_noisy, psi_ideal)
     try:
-        # In place over psi_noisy, which is not read again.
-        mask = compile_mask(checksum_predicate(scheme), register)
-        psi_corrected = _interfere(psi_noisy, mask.valid, cfg.leakage,
-                                   cfg.passes, cfg.collapse_tol,
-                                   in_place=True)
+        if _over_classes(psi_noisy, scheme.qubit_columns()):
+            # On the syndromes: syndrome 0 alone is checksum-valid.
+            syndromes = np.arange(1 << scheme.checksum_bits)
+            psi_corrected = _interfere_classes(psi_noisy, syndromes == 0,
+                                               cfg.leakage, cfg.passes,
+                                               cfg.collapse_tol)
+        else:
+            # In place over the dense psi_noisy, which is not read again.
+            mask = compile_mask(checksum_predicate(scheme), register)
+            psi_corrected = _interfere(psi_noisy, mask.valid, cfg.leakage,
+                                       cfg.passes, cfg.collapse_tol,
+                                       in_place=True)
         del psi_noisy
         status = "ok"
         mass_after = checksum_valid_mass(psi_corrected, scheme)

@@ -11,16 +11,22 @@ input instead: ``_interfere`` given ``in_place``, with which ecc's
 correction overwrites the noisy state that ``apply_partial_bit_flip``
 returned to it, so that no state-sized buffer leaves this module.
 
-A state holds one of two forms: a read-only dense array of complex128
-amplitudes, or privately a *two-level* form of valid flags, an invalid and
-a valid float64 value, and per aligned block whether its flags are unset,
-set or mixed.  The two-level form is the only real one.  Interference
-from the uniform state keeps that form, so an enumeration or sweep state
-holds no 2^m amplitudes, and neither does ecc's ideal encoded state: the
-flips write it block by block into their fresh output and ``fidelity``
-reads it block by block.  Apart from ``qic.ecc.encode``, which builds that
-state, this module alone knows the forms, so it owns the pass kernel
-``_interfere``, the one walk (``_masses``) under the squared norm,
+A state holds one of three forms: a read-only dense array of complex128
+amplitudes, or privately one of two table forms.  The *two-level* form is
+valid flags, an invalid and a valid float64 value, and per aligned block
+whether its flags are unset, set or mixed.  Interference from the uniform
+state keeps that form, so an enumeration or sweep state holds no 2^m
+amplitudes.  The *class* form is ``columns``, one int per qubit, and a
+table of 2^k ``values``: amplitude i is the table entry of its class, the
+XOR of the columns of i's set bits.  ``qic.ecc.encode`` builds it for
+uniform data (a checksum qubit's column is its own bit, a data bit's the
+groups that hold it, so a class is a syndrome), and a partial flip maps
+class c onto c ^ column, so ecc's noise, correction, masses and overlaps
+run on the 2^k values.  Each form's operations take the dense steps, in
+the same order, on its values, so the bits are those of the dense state.
+Apart from ``qic.ecc.encode``, which builds the class form, this module
+alone knows the forms, so it owns the pass kernels ``_interfere`` and
+``_interfere_classes``, the closed-form mass of class 0, the one walk (``_masses``) under the squared norm,
 the kernel's surviving mass and ``sample``, and the blocked overlap under
 ``fidelity``, which calls no BLAS so that its bits do not depend on the
 CPU or the thread count.
@@ -38,7 +44,8 @@ import numpy as np
 
 from .errors import IndexOutOfRange, NormCollapse, RegisterMismatch
 
-# The one size limit: every command compiles 2^m dense valid flags.
+# The one size limit: solve and sweep compile 2^m dense valid flags, and a
+# dense state holds 2^m amplitudes.
 MAX_QUBITS = 26
 
 # Guards accumulated rounding only; perfect cancellation yields exact zeros.
@@ -91,7 +98,8 @@ class Register:
 class StateVector:
     """2^m complex128 amplitudes over a register, copied from the input."""
 
-    __slots__ = ("register", "_dense", "_flags", "_values", "_kinds")
+    __slots__ = ("register", "_dense", "_flags", "_values", "_kinds",
+                 "_columns")
 
     def __init__(self, register: Register, amplitudes):
         arr = np.array(amplitudes, dtype=np.complex128)
@@ -101,7 +109,8 @@ class StateVector:
             )
         arr.flags.writeable = False
         self.register, self._dense = register, arr
-        self._flags = self._values = self._kinds = None  # see _two_level
+        # See _two_level and _classes.
+        self._flags = self._values = self._kinds = self._columns = None
 
     @classmethod
     def _adopt(cls, register: Register, amps: np.ndarray) -> "StateVector":
@@ -110,7 +119,7 @@ class StateVector:
         amps.flags.writeable = False
         psi = cls.__new__(cls)
         psi.register, psi._dense = register, amps
-        psi._flags = psi._values = psi._kinds = None
+        psi._flags = psi._values = psi._kinds = psi._columns = None
         return psi
 
     @classmethod
@@ -120,20 +129,32 @@ class StateVector:
         ``values[0]`` if flags is None; ``kinds[b]`` is 0 or 1 if aligned
         block b holds only that flag, else 2.  No checks."""
         psi = cls.__new__(cls)
-        psi.register, psi._dense = register, None
+        psi.register, psi._dense, psi._columns = register, None, None
         psi._flags, psi._values, psi._kinds = flags, values, kinds
+        return psi
+
+    @classmethod
+    def _classes(cls, register: Register, columns: tuple[int, ...],
+                 values: np.ndarray) -> "StateVector":
+        """A state whose amplitude i is ``values[_label(columns, i)]``:
+        ``columns`` holds one int per qubit, ``values`` (float64 or
+        complex128) one entry per class.  No checks."""
+        psi = cls.__new__(cls)
+        psi.register, psi._dense, psi._flags, psi._kinds = (register, None,
+                                                           None, None)
+        psi._columns, psi._values = columns, values
         return psi
 
     @property
     def amplitudes(self) -> np.ndarray:
-        """The 2^m complex128 amplitudes, read-only; a two-level state builds
-        them on first access, without flags as a zero-stride view."""
+        """The 2^m complex128 amplitudes, read-only; a table form builds
+        them on first access, the uniform state as a zero-stride view."""
         if self._dense is None:
-            dim, values = self.register.dimension, self._values
-            if self._flags is None:
-                self._dense = np.broadcast_to(np.complex128(values[0]), dim)
+            if self._flags is None and self._columns is None:
+                self._dense = np.broadcast_to(np.complex128(self._values[0]),
+                                              self.register.dimension)
             else:
-                self._dense = _expand(self, np.zeros(dim, np.complex128))
+                self._dense = _expand(self)
                 self._dense.flags.writeable = False
         return self._dense
 
@@ -215,6 +236,49 @@ def _step(psi: StateVector) -> int:
     return dim // len(psi._kinds) if psi._kinds else min(_BLOCK, dim)
 
 
+def _scratch(psi: StateVector, step: int) -> np.ndarray | None:
+    """A block of scratch for ``_read`` of psi: None for a dense psi, else
+    of its values' dtype."""
+    return None if psi._values is None else np.empty(step, psi._values.dtype)
+
+
+def _label(columns: tuple[int, ...], index: int) -> int:
+    """The class of basis index ``index``: the XOR of the columns of its
+    set bits."""
+    label = 0
+    for column in columns:
+        if index & 1:
+            label ^= column
+        index >>= 1
+    return label
+
+
+@functools.lru_cache(maxsize=8)
+def _base_labels(columns: tuple[int, ...], step: int) -> np.ndarray:
+    """The classes of indices 0 .. step-1 (a power of two) as intp, by
+    doubling: the indices with top bit q are those below 2^q plus q.
+    Never written, but left writeable: np.take copies read-only indices."""
+    labels = np.zeros(step, np.intp)
+    for q in range(step.bit_length() - 1):
+        np.bitwise_xor(labels[:1 << q], columns[q], out=labels[1 << q:2 << q])
+    return labels
+
+
+def _gather(table: np.ndarray, columns: tuple[int, ...], lo: int,
+            out: np.ndarray) -> np.ndarray:
+    """Write ``table``'s entry of each index's class, for the aligned block
+    of ``len(out)`` indices from ``lo``, into ``out`` and return it.
+
+    A block's classes are those of its low bits XOR the class of ``lo``,
+    so the table is permuted by the latter and indexed by the former.
+    """
+    high = _label(columns, lo)
+    if high:
+        table = table[np.arange(len(table)) ^ high]
+    return np.take(table, _base_labels(columns, len(out)), out=out,
+                   mode="clip")
+
+
 def _block_kinds(flags: np.ndarray) -> bytes:
     """Per aligned block of flags: 0 if none is set, 1 if all are, else 2."""
     step = min(_BLOCK, len(flags))
@@ -236,21 +300,27 @@ def _select(flags: np.ndarray, pair: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _level_block(psi: StateVector, block: slice,
-                 out: np.ndarray) -> np.ndarray:
-    """Write a two-level psi's (real) values on ``block`` into float64
-    ``out`` and return it."""
+def _read(psi: StateVector, block: slice, buf: np.ndarray | None
+          ) -> np.ndarray:
+    """psi's amplitudes on an aligned ``block``: a view of a dense psi,
+    else written into ``buf`` (see ``_scratch``), block-sized."""
+    if psi._values is None:
+        return psi._dense[block]
+    if psi._columns is not None:
+        return _gather(psi._values, psi._columns, block.start, buf)
     if psi._flags is None:
-        out[...] = psi._values[0]
-        return out
-    return _select(psi._flags[block], psi._values, out)
+        buf[...] = psi._values[0]
+        return buf
+    return _select(psi._flags[block], psi._values, buf)
 
 
-def _expand(psi: StateVector, out: np.ndarray) -> np.ndarray:
-    """Write a two-level psi's amplitudes into the zeroed 2^m complex128
-    ``out`` block by block, and return it."""
+def _expand(psi: StateVector) -> np.ndarray:
+    """A table form's amplitudes as a fresh 2^m complex128 array, written
+    block by block (real values get imaginary parts of +0.0)."""
+    out = np.empty(psi.register.dimension, np.complex128)
+    buf = _scratch(psi, min(_BLOCK, len(out)))
     for block in _blocks(len(out)):
-        _level_block(psi, block, out[block].real)
+        out[block] = _read(psi, block, buf)
     return out
 
 
@@ -262,6 +332,11 @@ def _masses(psi: StateVector, buf: np.ndarray, start: int = 0):
     if psi._values is None:
         for lo in range(start * step, len(psi._dense), step):
             yield _mass(psi._dense[lo:lo + step], buf)
+        return
+    if psi._columns is not None:
+        squares = _mass(psi._values, np.empty(len(psi._values)))
+        for lo in range(start * step, psi.register.dimension, step):
+            yield _gather(squares, psi._columns, lo, buf)
         return
     squares = np.square(psi._values)
     for b in range(start, len(psi._kinds)):
@@ -298,19 +373,14 @@ def norm_squared(psi: StateVector) -> float:
 
 def _gather_abs(psi: StateVector, flags: np.ndarray) -> np.ndarray:
     """``np.abs(psi.amplitudes[flags])`` as one float64 array, gathered
-    block by block from a dense state."""
-    if psi._values is not None:
-        pair = np.abs(psi._values)
-        if psi._flags is None:
-            return np.full(np.count_nonzero(flags), pair[0])
-        chosen = psi._flags[flags]
-        return _select(chosen, pair, np.empty(len(chosen)))
+    block by block."""
     out = np.empty(np.count_nonzero(flags))
+    buf = _scratch(psi, min(_BLOCK, len(flags)))
     start = 0
     for block in _blocks(len(flags)):
         chosen = flags[block]
         stop = start + np.count_nonzero(chosen)
-        np.abs(psi._dense[block][chosen], out=out[start:stop])
+        np.abs(_read(psi, block, buf)[chosen], out=out[start:stop])
         start = stop
     return out
 
@@ -321,6 +391,17 @@ def _scale(surviving: float, tol: float):
         raise NormCollapse(surviving, tol)
     # As numpy's complex / real does, up to the sign of a zero amplitude.
     return 1.0 / np.sqrt(surviving)
+
+
+def _table_passes(values: np.ndarray, weights: np.ndarray, form,
+                  passes: int, tol: float) -> StateVector:
+    """``_interfere``'s passes on a table form's ``values``, each entry
+    weighted by its ``weights`` entry; ``form(values)`` builds the state."""
+    scale = None
+    for _ in range(passes):
+        values = (values if scale is None else values * scale) * weights
+        scale = _scale(norm_squared(form(values)), tol)
+    return form(values * scale)
 
 
 def _interfere(psi: StateVector, valid: np.ndarray, leakage: float,
@@ -345,37 +426,60 @@ def _interfere(psi: StateVector, valid: np.ndarray, leakage: float,
         raise ValueError("in_place needs a dense input")
     # Indexed by a flag: leakage for invalid, 2 - leakage for valid.
     levels = np.array([leakage, 2.0 - leakage])
-    if psi._values is not None and (psi._flags is None
-                                     or psi._flags is valid):
+    if (psi._values is not None and psi._columns is None
+            and (psi._flags is None or psi._flags is valid)):
         kinds = psi._kinds if psi._flags is valid else _block_kinds(valid)
-        values, scale = psi._values, None
-        for _ in range(passes):
-            values = (values if scale is None else values * scale) * levels
-            scale = _scale(norm_squared(StateVector._two_level(
-                psi.register, valid, values, kinds)), tol)
-        return StateVector._two_level(psi.register, valid, values * scale,
-                                      kinds)
-    amps, dim = psi._dense, psi.register.dimension
+        return _table_passes(psi._values, levels, functools.partial(
+            StateVector._two_level, psi.register, valid, kinds=kinds),
+            passes, tol)
+    dim = psi.register.dimension
     step = min(_BLOCK, dim)
-    out = amps if in_place else np.empty(dim, np.complex128)
+    out = psi._dense if in_place else np.empty(dim, np.complex128)
     out.flags.writeable = True  # psi's own amplitudes are read-only
-    weights, mass, scale = np.empty(step), np.empty(step), None
+    weights, mass, buf, scale = (np.empty(step), np.empty(step),
+                                 _scratch(psi, step), None)
     for _ in range(passes):
         sums = []
-        for lo in range(0, dim, step):
-            row = out[lo:lo + step]
-            if scale is not None:
-                src = np.multiply(row, scale, out=row)
-            elif amps is None:
-                src = _select(psi._flags[lo:lo + step], psi._values, mass)
-            else:
-                src = amps[lo:lo + step]
-            np.multiply(src, _select(valid[lo:lo + step], levels, weights),
-                        out=row)
+        for block in _blocks(dim):
+            row = out[block]
+            src = (_read(psi, block, buf) if scale is None
+                   else np.multiply(row, scale, out=row))
+            np.multiply(src, _select(valid[block], levels, weights), out=row)
             sums.append(np.sum(_mass(row, mass)))
         scale = _scale(_pairwise(sums), tol)
     out *= scale
     return StateVector._adopt(psi.register, out)
+
+
+def _interfere_classes(psi: StateVector, valid: np.ndarray, leakage: float,
+                       passes: int, tol: float) -> StateVector:
+    """``_interfere`` of a class-form ``psi`` against the 2^m flags that
+    are ``valid[c]`` on the indices of class c, run on its table: the
+    result is a class form, with the bits of the dense passes."""
+    weights = _select(valid, np.array([leakage, 2.0 - leakage]),
+                      np.empty(len(valid)))
+    return _table_passes(psi._values, weights, functools.partial(
+        StateVector._classes, psi.register, psi._columns), passes, tol)
+
+
+def _over_classes(psi: StateVector, columns: tuple[int, ...]) -> bool:
+    """Whether psi is a class form over ``columns``."""
+    return psi._columns == columns
+
+
+def _class_mass(psi: StateVector, count: int) -> float:
+    """The squared mass of a class form's class 0 of ``count`` indices,
+    whose amplitudes are equal: np.sum's bits, in closed form."""
+    return float(_constant_sum(np.square(np.abs(psi._values[:1]))[0], count))
+
+
+def _constant_value(psi: StateVector) -> float | None:
+    """The one value of a state built constant (the uniform state), or
+    None for any other state."""
+    if (psi._values is None or psi._flags is not None
+            or psi._columns is not None):
+        return None
+    return psi._values[0]
 
 
 def check_tolerance(tol: float, name: str = "tol") -> None:
@@ -396,8 +500,11 @@ def probability(psi: StateVector, index: int) -> float:
     index = psi.register.index(index)
     if psi._values is None:
         return float(abs(psi._dense[index]) ** 2)
-    flag = 0 if psi._flags is None else int(psi._flags[index])
-    return float(abs(psi._values[flag]) ** 2)
+    if psi._columns is not None:
+        entry = _label(psi._columns, index)
+    else:
+        entry = 0 if psi._flags is None else int(psi._flags[index])
+    return float(abs(psi._values[entry]) ** 2)
 
 
 def _constant_run_end(carry: float, v: float, count: int) -> float | None:
@@ -482,22 +589,23 @@ def _block_end(scan: np.ndarray, mass, carry: float,
     return float(scan[-1])
 
 
-def _parts(psi: StateVector, block: slice, buf: np.ndarray):
-    """psi's amplitudes on ``block`` as float64 (real, imaginary) parts; a
-    two-level state's values are real, so its real part is written into
-    block-sized ``buf`` and its imaginary part is None."""
-    if psi._values is None:
-        amps = psi._dense[block]
+def _parts(amps: np.ndarray):
+    """Block amplitudes as float64 (real, imaginary) parts; a real block's
+    imaginary part is None."""
+    if np.iscomplexobj(amps):
         return amps.real, amps.imag
-    return _level_block(psi, block, buf), None
+    return amps, None
 
 
-def _sum_of_products(terms, out: np.ndarray, tmp: np.ndarray) -> float:
+def _sum_of_products(terms, out: np.ndarray, tmp: np.ndarray,
+                     total=np.sum) -> float:
     """np.sum over a block of the products x*y of the (sign, x, y) terms,
     each added (sign 1) or subtracted (-1) in order, as separate float64
     ufunc steps in scratch ``out`` and ``tmp``.  A term with a None factor
     is zero and is left out; that moves at most the sign of a zero, as
-    does negating the sum of a lone subtracted term."""
+    does negating the sum of a lone subtracted term.  ``total`` may
+    replace np.sum: a class form's per-class products are summed as the
+    whole state's."""
     terms = [(sign, x, y) for sign, x, y in terms
              if x is not None and y is not None]
     if not terms:
@@ -507,8 +615,17 @@ def _sum_of_products(terms, out: np.ndarray, tmp: np.ndarray) -> float:
     for more, x, y in rest:
         (np.add if more > 0 else np.subtract)(out, np.multiply(x, y, out=tmp),
                                               out=out)
-    total = np.sum(out)
+    total = total(out)
     return total if sign > 0 else -total
+
+
+def _overlap(x: np.ndarray, y: np.ndarray, out: np.ndarray, tmp: np.ndarray,
+             total=np.sum) -> tuple[float, float]:
+    """The overlap's real part, sum(x_r y_r + x_i y_i), and imaginary part,
+    sum(x_r y_i - x_i y_r), by ``_sum_of_products``."""
+    (xr, xi), (yr, yi) = _parts(x), _parts(y)
+    return (_sum_of_products([(1, xr, yr), (1, xi, yi)], out, tmp, total),
+            _sum_of_products([(1, xr, yi), (-1, xi, yr)], out, tmp, total))
 
 
 def fidelity(psi: StateVector, phi: StateVector) -> float:
@@ -518,22 +635,35 @@ def fidelity(psi: StateVector, phi: StateVector) -> float:
     sum(x_r y_i - x_i y_r), for psi's x and phi's y, are np.sums of float64
     products over aligned blocks, combined as np.sum's tree does: the bits
     of whole-array np.sums on any CPU and BLAS.  No complex multiply, which
-    numpy may fuse into multiply-adds.  A two-level state is read one
-    block at a time and never made dense; its zero imaginary terms are
-    skipped, which leaves the result's bits unchanged.
+    numpy may fuse into multiply-adds.  A table form is read one block at
+    a time and never made dense; the zero imaginary terms of real values
+    are skipped, which leaves the result's bits unchanged.  Two class
+    forms over the same classes take each product once per class, and
+    each block sums them gathered into one block of scratch: the same
+    products, without reading either state into scratch.
     """
     if psi.register != phi.register:
         raise RegisterMismatch(
             f"registers differ: {psi.register} vs {phi.register}"
         )
-    step = min(_BLOCK, psi.register.dimension)
-    xbuf, ybuf, out, tmp = (np.empty(step) for _ in range(4))
-    real, imag = [], []
-    for block in _blocks(psi.register.dimension):
-        (xr, xi), (yr, yi) = _parts(psi, block, xbuf), _parts(phi, block, ybuf)
-        real.append(_sum_of_products([(1, xr, yr), (1, xi, yi)], out, tmp))
-        imag.append(_sum_of_products([(1, xr, yi), (-1, xi, yr)], out, tmp))
-    return float(abs(complex(_pairwise(real), _pairwise(imag))) ** 2)
+    blocks = _blocks(psi.register.dimension)
+    step = blocks[0].stop
+    if psi._columns is not None and psi._columns == phi._columns:
+        size, buf = len(psi._values), np.empty(step)
+
+        def total(products):
+            return _pairwise([np.sum(_gather(products, psi._columns,
+                                             block.start, buf))
+                              for block in blocks])
+        real, imag = _overlap(psi._values, phi._values, np.empty(size),
+                              np.empty(size), total)
+    else:
+        xbuf, ybuf, out, tmp = (_scratch(psi, step), _scratch(phi, step),
+                                np.empty(step), np.empty(step))
+        parts = [_overlap(_read(psi, block, xbuf), _read(phi, block, ybuf),
+                          out, tmp) for block in blocks]
+        real, imag = (_pairwise(list(sums)) for sums in zip(*parts))
+    return float(abs(complex(real, imag)) ** 2)
 
 
 def apply_phase_mask(psi: StateVector, mask: PhaseMask) -> StateVector:
@@ -628,8 +758,12 @@ def apply_partial_bit_flip(psi: StateVector, qubit,
     ``qubit`` may also be a sequence of qubits, flipped in that order in
     one fused ``_flips`` run, with the bits of chained single calls.  Every
     qubit must be an integer in range and theta finite; both are checked
-    before anything is allocated.  A two-level ``psi`` is never made dense:
-    it is written into the fresh output block by block, and flipped there.
+    before anything is allocated.  A class form stays one: a flip on qubit
+    q maps class c onto c ^ columns[q], so each flip takes ``_flips``'
+    three steps (times i sin against the partner class, times cos, add) on
+    the table, which costs O(2^k) and gives the bits of the dense flips.
+    A two-level ``psi`` is written into the fresh output block by block
+    and flipped there, so it is never made dense itself.
     """
     m = psi.register.total_qubits
     qubits = list(map(operator.index, qubit if np.ndim(qubit) else [qubit]))
@@ -638,10 +772,18 @@ def apply_partial_bit_flip(psi: StateVector, qubit,
             raise IndexOutOfRange(f"qubit {q} outside [0, {m})")
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
+    if psi._columns is not None:
+        c, s = np.cos(theta), 1j * np.sin(theta)
+        values = psi._values.astype(np.complex128)
+        classes = np.arange(len(values))
+        for q in qubits:
+            partners = s * values[classes ^ psi._columns[q]]
+            values = c * values + partners
+        return StateVector._classes(psi.register, psi._columns, values)
     if psi._values is None:
         amps = np.empty(psi.register.dimension, dtype=np.complex128)
         _flips(psi._dense, amps, qubits, theta)
     else:
-        amps = _expand(psi, np.zeros(psi.register.dimension, np.complex128))
+        amps = _expand(psi)
         _flips(amps, amps, qubits, theta)
     return StateVector._adopt(psi.register, amps)

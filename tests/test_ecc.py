@@ -28,7 +28,7 @@ from qic.reports import render_json
 from qic.state import (
     Register,
     StateVector,
-    _interfere,
+    _interfere_classes,
     apply_partial_bit_flip,
     basis_state,
     fidelity,
@@ -448,12 +448,14 @@ class TestStreamedEcc:
             assert out.dtype == expected.dtype
             assert np.array_equal(reference.bits(out),
                                   reference.bits(expected))
-            # Uniform data encodes as a two-level state over the cached
-            # checksum-valid flags, with the dense scatter's amplitudes.
+            # Uniform data encodes as a class form over the scheme's
+            # syndromes, one value per syndrome and no flags, with the
+            # dense scatter's amplitudes.
             uniform = uniform_superposition(Register(n))
             ideal = encode(uniform, scheme)
-            assert ideal._flags is compile_mask(checksum_predicate(scheme),
-                                                scheme.register()).valid
+            assert ideal._columns == scheme.qubit_columns()
+            assert ideal._flags is None and ideal._dense is None
+            assert len(ideal._values) == 1 << scheme.checksum_bits
             assert np.array_equal(
                 reference.bits(ideal.amplitudes),
                 reference.bits(reference.encode(uniform.amplitudes, scheme)))
@@ -489,7 +491,7 @@ class TestStreamedEcc:
             assert np.array_equal(reference.bits(psi.amplitudes),
                                   reference.bits(before))
 
-    def test_inject_noise_reads_a_two_level_ideal_without_densifying(
+    def test_inject_noise_reads_a_class_form_ideal_without_densifying(
             self, small_blocks):
         rng = np.random.default_rng(15)
         for trial in range(30):
@@ -503,6 +505,7 @@ class TestStreamedEcc:
             seed = int(rng.integers(2**32))
             noisy, log = inject_noise(ideal, model, np.random.default_rng(seed))
             assert ideal._dense is None
+            assert noisy._dense is None and noisy._columns == ideal._columns
             expected, qubits = reference.noise(
                 reference.encode(np.full(1 << n, 1 / np.sqrt(1 << n), complex),
                                  scheme), model, seed)
@@ -590,17 +593,17 @@ def test_ecc_experiment_without_events_keeps_report_and_ideal_state(
         encoded.append((psi, psi._values.copy()))
         return psi
 
-    def spy(psi, valid, leakage, passes, tol, in_place=False):
-        calls.append((in_place, psi._values is None))
-        return _interfere(psi, valid, leakage, passes, tol,
-                          in_place=in_place)
+    def spy(psi, valid, leakage, passes, tol):
+        calls.append((psi._columns, valid.tolist()))
+        return _interfere_classes(psi, valid, leakage, passes, tol)
 
     monkeypatch.setattr(qic.ecc, "encode", encode_spy)
-    monkeypatch.setattr(qic.ecc, "_interfere", spy)
+    monkeypatch.setattr(qic.ecc, "_interfere_classes", spy)
     report = ecc_experiment(scheme, NoiseModel(events=0), cfg, seed=3)
-    # In place over the noise step's dense array; the ideal state stays
-    # two-level, is never made dense and keeps its values.
-    assert calls == [(True, True)]
+    # On the noise step's class form, against one flag per syndrome; the
+    # ideal state stays a class form, is never made dense and keeps its
+    # values.
+    assert calls == [(scheme.qubit_columns(), [True, False, False, False])]
     [(psi_ideal, before)] = encoded
     assert psi_ideal._dense is None
     assert np.array_equal(reference.bits(psi_ideal._values),
@@ -642,9 +645,9 @@ def test_ecc_report_matches_dense_reference_at_full_block_size():
 
 @st.composite
 def _schemes(draw):
-    """1-3 parity groups over at most 12 qubits in all."""
+    """1-5 parity groups over at most 12 qubits in all."""
     n = draw(st.integers(1, 9))
-    k = draw(st.integers(1, min(3, 12 - n)))
+    k = draw(st.integers(1, min(5, 12 - n)))
     columns = draw(st.lists(st.integers(1, (1 << k) - 1), min_size=n,
                             max_size=n))
     return ChecksumScheme(n, tuple(
@@ -696,26 +699,101 @@ def test_ecc_report_matches_the_dense_reference_bytewise(scheme, events, theta,
     assert got == render_json(expected)
 
 
-def test_ecc_experiment_peak_memory(monkeypatch):
-    # One complex array: the noisy state, which correction overwrites.
-    # The ideal state is two-level over the cached flags, and the rest is
-    # the gathered valid masses (1/8 of a state here) and block scratch.
-    monkeypatch.setattr(qic.state, "_BLOCK", 1024)
-    scheme = ChecksumScheme(12, (tuple(range(6)), tuple(range(6, 12))))
-    state_bytes = 16 << scheme.register().total_qubits
+@settings(max_examples=100, deadline=None)
+@given(scheme=_schemes(), events=st.integers(0, 8),
+       theta=st.one_of(st.just(math.pi / 2),
+                       st.floats(0.0, math.pi / 2, exclude_min=True)),
+       eps=st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)),
+       passes=st.integers(1, 3), seed=st.integers(0, 2**64 - 1),
+       block=st.sampled_from([128, None]))
+# One full flip leaves class 0 empty: at eps 0 correction collapses.
+@example(scheme=ChecksumScheme(3, ((0, 1, 2),)), events=1,
+         theta=math.pi / 2, eps=0.0, passes=1, seed=0, block=None)
+# Eight events on three qubits: repeated qubits, 32 classes.
+@example(scheme=ChecksumScheme(1, ((0,),) * 5), events=8, theta=0.5,
+         eps=0.0, passes=2, seed=5, block=128)
+def test_class_form_states_match_the_dense_reference_bitwise(
+        scheme, events, theta, eps, passes, seed, block):
+    # The uniform path's encoded, noisy and corrected states, each against
+    # the whole-array reference, and their reductions against the same
+    # functions on a dense copy.
+    model, cfg = NoiseModel(events, theta), InterferenceConfig(eps, passes)
+    n, k = scheme.data_bits, scheme.checksum_bits
+    with pytest.MonkeyPatch.context() as patch:
+        if block:
+            patch.setattr(qic.state, "_BLOCK", block)
+        ideal = encode(uniform_superposition(Register(n)), scheme)
+        noisy, log = inject_noise(ideal, model, np.random.default_rng(seed))
+        try:
+            corrected = _interfere_classes(noisy, np.arange(1 << k) == 0,
+                                           eps, passes, cfg.collapse_tol)
+        except NormCollapse:
+            corrected = None
+        states = [psi for psi in (ideal, noisy, corrected) if psi is not None]
+        dense = [StateVector(psi.register, psi.amplitudes) for psi in states]
+        for psi, copy in zip(states, dense):
+            assert psi._columns == scheme.qubit_columns()
+            assert norm_squared(psi).hex() == norm_squared(copy).hex()
+            assert (checksum_valid_mass(psi, scheme).hex()
+                    == checksum_valid_mass(copy, scheme).hex())
+            for other, other_copy in zip(states, dense):
+                want = fidelity(copy, other_copy).hex()
+                assert fidelity(psi, other).hex() == want
+                assert fidelity(psi, other_copy).hex() == want
 
-    def run():
-        ecc_experiment(scheme, NoiseModel(events=6, theta=0.5),
-                       InterferenceConfig(0.05, 2), seed=7)
+    expected_ideal = reference.encode(
+        np.full(1 << n, 1 / np.sqrt(1 << n), complex), scheme)
+    expected_noisy, qubits = reference.noise(expected_ideal, model, seed)
+    expected_corrected = reference.interfere(expected_noisy,
+                                             expected_ideal != 0, cfg)
+    assert [e.qubit for e in log] == qubits
+    assert (corrected is None) == (expected_corrected is None)
+    for psi, expected in zip(states, (expected_ideal, expected_noisy,
+                                      expected_corrected)):
+        assert np.array_equal(reference.bits(psi.amplitudes),
+                              reference.bits(expected))
 
-    run()  # leaves the scheme's compiled flags in the cache
-    tracemalloc.start()
-    try:
-        run()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * state_bytes, peak / state_bytes
+
+def test_ecc_experiment_peak_memory():
+    # Uniform data: every state is 2^k = 4 values, and each sum walks the
+    # state in one block of scratch (512 KiB at the default _BLOCK), at
+    # any register size.  One dense state would be 16 MiB at m = 20 and
+    # 256 MiB at m = 24; 2^m valid flags 1 and 16 MiB.
+    for data_bits in (18, 22):
+        half = data_bits // 2
+        scheme = ChecksumScheme(data_bits, (tuple(range(half)),
+                                            tuple(range(half, data_bits))))
+
+        def run():
+            ecc_experiment(scheme, NoiseModel(events=6, theta=0.5),
+                           InterferenceConfig(0.05, 2), seed=7)
+
+        run()  # leaves the block's class labels in their cache
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20, (data_bits, peak / (1 << 20))
+
+
+def test_default_ecc_experiment_compiles_no_mask(monkeypatch):
+    # The uniform path reads syndrome 0 as checksum-valid; only an
+    # explicit data state, encoded dense, compiles the checksum predicate.
+    calls = []
+
+    def counting(pred, register):
+        calls.append(pred)
+        return compile_mask(pred, register)
+
+    monkeypatch.setattr(qic.ecc, "compile_mask", counting)
+    scheme = ChecksumScheme(6, ((0, 1, 2), (3, 4, 5)))
+    args = (scheme, NoiseModel(events=3), InterferenceConfig(0.05, 2), 1)
+    ecc_experiment(*args)
+    assert calls == []
+    ecc_experiment(*args, data_state=basis_state(Register(6), 5))
+    assert calls
 
 
 def test_inject_noise_peaks_below_one_state_and_one_block(monkeypatch):

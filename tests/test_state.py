@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,10 +25,11 @@ from qic.state import (
     sample,
     uniform_superposition,
 )
-from qic.state import _constant_run_end, _constant_sum, _select
+from qic.state import (_constant_run_end, _constant_sum, _interfere,
+                       _interfere_classes, _select)
 
 import reference
-from conftest import random_state
+from conftest import bits_of, random_state
 
 
 class _FixedDraw:
@@ -372,6 +374,37 @@ class TestPartialBitFlip:
             assert np.array_equal(got.view(np.uint64),
                                   expected.view(np.uint64))
 
+    @pytest.mark.parametrize("block", [128, None])
+    def test_two_level_input_flips_like_its_dense_copy(self, block,
+                                                       monkeypatch):
+        # The uniform state and a two-level state over sparse flags, whose
+        # fill blocks hold one value: both are written block by block into
+        # the output, never made dense themselves.
+        if block:
+            monkeypatch.setattr(qic.state, "_BLOCK", block)
+        for m in (3, 9, 12, 18):
+            reg = Register(m)
+            flags = np.isin(np.arange(1 << m), [1, 5, (1 << m) - 1])
+            uniform = uniform_superposition(reg)
+            level = _interfere(uniform, flags, 0.1, 2, 1e-9)
+            qubits = [0, m - 1, 1, 0, m // 2]
+            for psi in (uniform, level):
+                tracemalloc.start()
+                try:
+                    got = apply_partial_bit_flip(psi, qubits, 0.7).amplitudes
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert psi._dense is None
+                if m == 18:
+                    # The output and block scratch: well below two states.
+                    assert peak < 1.5 * got.nbytes
+                expected = np.array(psi.amplitudes)
+                for qubit in qubits:
+                    expected = reference.flip(expected, qubit, 0.7)
+                assert np.array_equal(reference.bits(got),
+                                      reference.bits(expected))
+
     def test_qubit_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
             apply_partial_bit_flip(basis_state(Register(2), 0), 2, 0.3)
@@ -465,6 +498,81 @@ def test_blocked_flip_matches_dense_reference_bitwise(seed, m, complex_state,
     assert np.array_equal(reference.bits(got), reference.bits(expected))
     assert np.array_equal(reference.bits(in_place), reference.bits(expected_in_place))
     assert np.array_equal(reference.bits(psi.amplitudes), reference.bits(before))
+
+
+@st.composite
+def _class_forms(draw):
+    """A class form on at most 12 qubits over 2^k classes, k <= 5: random
+    columns, and a real or complex table with signed zeros among its
+    words; with its classes per index, computed one index at a time."""
+    m, k = draw(st.integers(1, 12)), draw(st.integers(1, 5))
+    columns = tuple(draw(st.lists(st.integers(0, (1 << k) - 1),
+                                  min_size=m, max_size=m)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(size=1 << k)
+    if draw(st.booleans()):
+        values = values + 1j * rng.normal(size=1 << k)
+    words = values.view(np.float64)
+    words[rng.random(words.size) < 0.2] = -0.0
+    classes = [0] * (1 << m)
+    for i in range(1 << m):
+        for bit, column in zip(bits_of(i, m), columns):
+            classes[i] ^= column * bit
+    return StateVector._classes(Register(m), columns, values), classes
+
+
+@settings(max_examples=150, deadline=None)
+@given(form=_class_forms(), block=st.sampled_from([128, None]),
+       theta=st.one_of(st.just(math.pi / 2),
+                       st.floats(0.0, math.pi / 2, exclude_min=True)),
+       eps=st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)),
+       passes=st.integers(1, 3), data=st.data())
+def test_class_form_matches_its_dense_copy_bitwise(form, block, theta, eps,
+                                                   passes, data):
+    psi, classes = form
+    m, size = psi.register.total_qubits, len(psi._values)
+    expected = psi._values.astype(np.complex128)[classes]
+    qubits = data.draw(st.lists(st.integers(0, m - 1), max_size=8))
+    valid = np.array(data.draw(st.lists(st.booleans(), min_size=size,
+                                        max_size=size)))
+    rng = np.random.default_rng(len(qubits))
+    other = random_state(rng, m)
+    with pytest.MonkeyPatch.context() as patch:
+        if block:
+            patch.setattr(qic.state, "_BLOCK", block)
+        flipped = apply_partial_bit_flip(psi, qubits, theta)
+        try:
+            passed = _interfere_classes(psi, valid, eps, passes, 1e-9)
+        except NormCollapse:
+            passed = None
+        forms = [x for x in (psi, flipped, passed) if x is not None]
+        copies = [StateVector(x.register, x.amplitudes) for x in forms]
+        for x, copy in zip(forms, copies):
+            assert x._columns == psi._columns
+            assert norm_squared(x).hex() == norm_squared(copy).hex()
+            for index in rng.integers(0, 1 << m, 4):
+                assert probability(x, index) == probability(copy, index)
+            for u in rng.random(3):
+                if norm_squared(copy) >= 1e-9:
+                    assert (sample(x, _FixedDraw(u))
+                            == sample(copy, _FixedDraw(u)))
+            for y, y_copy in [*zip(forms, copies), (other, other)]:
+                want = fidelity(copy, y_copy).hex()
+                assert fidelity(x, y).hex() == want
+                assert fidelity(y, x).hex() == fidelity(y_copy, copy).hex()
+
+    assert np.array_equal(reference.bits(psi.amplitudes),
+                          reference.bits(expected))
+    for qubit in qubits:
+        expected = reference.flip(expected, qubit, theta)
+    assert np.array_equal(reference.bits(flipped.amplitudes),
+                          reference.bits(expected))
+    cfg = SimpleNamespace(leakage=eps, passes=passes, collapse_tol=1e-9)
+    want = reference.interfere(psi.amplitudes, valid[classes], cfg)
+    assert (passed is None) == (want is None)
+    if passed is not None:
+        assert np.array_equal(reference.bits(passed.amplitudes),
+                              reference.bits(want))
 
 
 def test_sampling_matches_distribution_within_tv_bound():
