@@ -2,25 +2,28 @@
 above 26 qubits and above 10000 sweep passes, runs under an address-space
 limit.
 
-One dense 2^26 complex128 state is 1 GiB; an enumeration state is its flags
-and two values, so a sparse solve holds one 64 MiB flags array (about
-106 MiB in all) and must peak below 160 MiB, which a second such array
-would reach.  An ecc run on the CLI's uniform data holds no 2^m array at
-all, neither amplitudes nor valid flags: every state is its 2^k values,
-one per syndrome, and each sum walks the state in one block of scratch.
-At m = 22 (k = 2) it must peak below 64 MiB, which one 2^22 complex128
-array (64 MiB) would pass on its own; so must a run with 40 events and
-one without events.  A sweep holds no amplitude buffer: every state of its
-pass chains is two-level and each mean comes in closed form, so it holds
-the 4 MiB of flags and block scratch and must peak below 64 MiB.  A
-register above 26 qubits is refused when it is built, and a sweep above
-10000 passes in all (epsilon values times the largest pass count) before
-it runs: exit 1, nothing allocated.  Under a 400 MiB address-space limit
-(set in that child only; one BLAS thread keeps numpy's import inside it)
-a solve of b0 (half of all indices valid) and a sweep, both at m = 26,
-run to exit 0 on their flags, and an ecc run at m = 26 runs to exit 0
-below 64 MiB.  A run that does exceed the limit ends with one
-"qic: out of memory" line, which tests/test_cli.py checks.
+One dense 2^26 complex128 state is 1 GiB; an enumeration state is its mask
+and two values, and a mask holds flags only for the blocks of 2^16 indices
+that mix valid and invalid ones.  A sparse solve of four indices thus
+holds four 64 KiB blocks of flags and block scratch, under 1 MiB, and must
+peak below 64 MiB, which one 2^26-byte array of dense flags would reach on
+its own.  An ecc run on the CLI's uniform data holds no 2^m array at all,
+neither amplitudes nor valid flags: every state is its 2^k values, one per
+syndrome, and each sum walks the state in one block of scratch.  At m = 22
+(k = 2) it must peak below 64 MiB, which one 2^22 complex128 array (64
+MiB) would pass on its own; so must a run with 40 events and one without
+events.  A sweep holds no amplitude buffer: every state of its pass chains
+is two-level and each mean comes in closed form, so it holds at most 4 MiB
+of flags (b0 mixes every block) and block scratch and must peak below 64
+MiB.  A register above 26 qubits is refused when it is built, and a sweep
+above 10000 passes in all (epsilon values times the largest pass count)
+before it runs: exit 1, nothing allocated.  Under a 400 MiB address-space
+limit (set in that child only; one BLAS thread keeps numpy's import inside
+it) a solve of b0 (half of all indices valid, in every block, so its mask
+holds all 64 MiB of flags) and a sweep, both at m = 26, run to exit 0, and
+an ecc run at m = 26 runs to exit 0 below 64 MiB.  A run that does exceed
+the limit ends with one "qic: out of memory" line, which tests/test_cli.py
+checks.
 
 Each check runs ``python -m qic`` in a child process and prints its exit
 and peak RSS; the script exits 1 if any check fails.  Run it from the repo
@@ -33,7 +36,7 @@ groups = "groups:" + ",".join(map(str, range(10))) + ";" + ",".join(map(str, ran
 sweep = ["sweep", "--qubits", "22", "--epsilon", "0:0.2:0.1", "--passes", "1:4"]
 # (name, peak RSS limit in MiB, expected exit, argv, address-space limit in MiB)
 checks = [
-    ("solve at m = 26", 160, 0, ["solve", "--qubits", "26",
+    ("solve at m = 26", 64, 0, ["solve", "--qubits", "26",
                                  "--valid", "5,40000000,60000001,67000000",
                                  "--epsilon", "0.05", "--passes", "3", "--seed", "3"], None),
     ("ecc at m = 22", 64, 0, ["ecc", "--data-qubits", "20", "--parity", groups,

@@ -212,7 +212,7 @@ def checksum_valid_mass(psi: StateVector, scheme: ChecksumScheme) -> float:
         return _class_mass(psi, 1 << scheme.data_bits)
     mask = compile_mask(checksum_predicate(scheme), psi.register)
     # Gather, then square: np.sum sees the values and order of squaring all.
-    mags = _gather_abs(psi, mask.valid)
+    mags = _gather_abs(psi, mask)
     return float(np.sum(np.square(mags, out=mags)))
 
 
@@ -282,7 +282,7 @@ def ecc_experiment(scheme: ChecksumScheme, model: NoiseModel,
         else:
             # In place over the dense psi_noisy, which is not read again.
             mask = compile_mask(checksum_predicate(scheme), register)
-            psi_corrected = _interfere(psi_noisy, mask.valid, cfg.leakage,
+            psi_corrected = _interfere(psi_noisy, mask, cfg.leakage,
                                        cfg.passes, cfg.collapse_tol,
                                        in_place=True)
         del psi_noisy

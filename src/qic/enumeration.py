@@ -2,7 +2,7 @@
 
 Each run interferes the uniform superposition against the predicate
 extended with all solutions found so far, and measures once; ``qic.state``
-keeps such a run's state as its flags and two values, free of 2^m arrays.
+keeps such a run's state as its mask and two values, free of 2^m arrays.
 A verified new solution is recorded and excluded from later runs; the
 loop ends when the state cancels completely (Exhausted), when a remnant
 or an already-found solution is measured, or at the run cap.
@@ -100,7 +100,7 @@ def enumerate_solutions(pred: Predicate, register: Register,
             termination = Termination.EXHAUSTED
             break
         index = sample(psi, rng)
-        del psi  # a two-level state holds this run's flags
+        del psi  # a two-level state holds this run's mask
         is_solution = verify(pred, index)
         is_new = is_solution and index not in found
         records.append(

@@ -51,8 +51,8 @@ def interfere_repeated(psi: StateVector, pred: Predicate,
                        ) -> StateVector:
     """Apply ``cfg.passes`` interference passes, renormalizing after each;
     NormCollapse if a surviving squared mass is below ``cfg.collapse_tol``."""
-    valid = compile_mask(pred, psi.register).valid
-    return _interfere(psi, valid, cfg.leakage, cfg.passes, cfg.collapse_tol)
+    mask = compile_mask(pred, psi.register)
+    return _interfere(psi, mask, cfg.leakage, cfg.passes, cfg.collapse_tol)
 
 
 SWEEP_COLUMNS = ("epsilon", "passes", "predicted_ratio", "measured_ratio",
@@ -68,14 +68,14 @@ def remnant_sweep(pred: Predicate, epsilons, passes,
     Per epsilon, the distinct pass counts run as one chain of passes, which
     gives the bits of a separate multi-pass call for each.  Every state of
     a chain is two-level, so each mean is that of a constant run: np.mean's
-    bits come from ``_constant_sum`` over the flag counts, and no magnitude
-    is gathered.
+    bits come from ``_constant_sum`` over the flag counts, which the mask's
+    block form gives, and no magnitude is gathered.
     """
-    valid = compile_mask(pred, pred.register).valid
-    n_valid = int(np.count_nonzero(valid))
+    mask = compile_mask(pred, pred.register)
+    n_valid = mask._count()
     if not n_valid:
         raise QicError("predicate has no valid components; ratio undefined")
-    n_invalid = len(valid) - n_valid
+    n_invalid = pred.register.dimension - n_valid
     passes = list(passes)
     rows = []
     for eps in epsilons:
@@ -83,7 +83,7 @@ def remnant_sweep(pred: Predicate, epsilons, passes,
         cfgs = {r: InterferenceConfig(eps, r, collapse_tol) for r in passes}
         psi, done, measured = uniform_superposition(pred.register), 0, {}
         for r in sorted(cfgs):
-            psi = _interfere(psi, valid, eps, r - done, collapse_tol)
+            psi = _interfere(psi, mask, eps, r - done, collapse_tol)
             done = r
             invalid, valid_mag = np.abs(psi._values)
             measured[r] = 0.0 if not n_invalid else float(

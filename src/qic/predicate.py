@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError, RegisterMismatch, UnboundVariable
-from .state import PhaseMask, Register
+from .state import PhaseMask, Register, _block_length, _put
 
 # Expressions and CNF formulas compile bitsliced: basis index i is bit
 # i % 64 of word i // 64, in explicitly little-endian 64-bit words.
@@ -557,42 +557,45 @@ def evaluate(pred: Predicate, index: int) -> bool:
 
 
 @functools.lru_cache(maxsize=1)
-def _source_flags(source, m: int) -> np.ndarray:
-    """Read-only dense valid flags of a source over an m-qubit register.
+def _source_flags(source, register: Register, step: int) -> PhaseMask:
+    """A source's valid flags over ``register`` as a mask in block form,
+    in aligned blocks of ``step`` indices.
 
-    The single cache entry lets every run of an enumeration, which only
-    adds exclusions, and every equal source compiled in a row share one
-    compile.
+    An explicit set is grouped by block.  An expression or CNF is
+    evaluated bitsliced, and only a block whose words are neither all zero
+    nor all ones is unpacked into flags.  The single cache entry lets
+    every run of an enumeration, which only adds exclusions, and every
+    equal source compiled in a row share one compile.
     """
-    dim = 1 << m
-    if isinstance(source, (BoolExpr, CnfFormula)):
-        word_count = max(1, dim >> _WORD_QUBITS)
-        words = source.words(functools.cache(
-            functools.partial(_qubit_words, word_count=word_count)),
-            np.array([_ONES], dtype=_WORD))
-        words = np.ascontiguousarray(np.broadcast_to(words, (word_count,)),
-                                     dtype=_WORD)
-        flags = np.unpackbits(words.view(np.uint8), bitorder="little")
-        flags = flags[:dim].view(bool)
-    else:
-        flags = np.zeros(dim, dtype=bool)
-        flags[list(source)] = True
-    flags.flags.writeable = False
-    return flags
+    if not isinstance(source, (BoolExpr, CnfFormula)):
+        return PhaseMask.from_indices(register, source)
+    word_count = max(1, register.dimension >> _WORD_QUBITS)
+    words = source.words(functools.cache(
+        functools.partial(_qubit_words, word_count=word_count)),
+        np.array([_ONES], dtype=_WORD))
+    # One row of words per block; a word-uniform result stays one word.
+    rows = np.broadcast_to(words, (word_count,)).reshape(
+        -1, max(1, step >> _WORD_QUBITS))
+    full = (rows == _ONES).all(axis=1)
+    kinds, mixed = bytearray(full.astype(np.uint8).tobytes()), {}
+    for b in np.flatnonzero(rows.any(axis=1) & ~full).tolist():
+        flags = np.unpackbits(np.ascontiguousarray(rows[b]).view(np.uint8),
+                              bitorder="little")
+        _put(kinds, mixed, b, flags[:step].view(bool))
+    return PhaseMask._from_blocks(register, step, kinds, mixed)
 
 
 def compile_mask(pred: Predicate, register: Register) -> PhaseMask:
-    """Materialize the predicate as a dense valid-flag mask."""
+    """The predicate's mask; its block form holds flags only for the
+    blocks that mix valid and invalid indices."""
     if register != pred.register:
         raise RegisterMismatch(
             f"predicate bound to {pred.register}, asked to compile for {register}"
         )
-    flags = _source_flags(pred.source, register.total_qubits)
-    if pred.exclusions:
-        flags = flags.copy()
-        flags[list(pred.exclusions)] = False
-    # Either the read-only cached flags or this call's private copy.
-    return PhaseMask._adopt(register, flags)
+    mask = _source_flags(pred.source, register,
+                         _block_length(register.dimension))
+    # Either the cached mask or one that copies the blocks it clears.
+    return mask._cleared(pred.exclusions) if pred.exclusions else mask
 
 
 def with_exclusions(pred: Predicate, found) -> Predicate:

@@ -11,25 +11,28 @@ input instead: ``_interfere`` given ``in_place``, with which ecc's
 correction overwrites the noisy state that ``apply_partial_bit_flip``
 returned to it, so that no state-sized buffer leaves this module.
 
-A state holds one of three forms: a read-only dense array of complex128
-amplitudes, or privately one of two table forms.  The *two-level* form is
-valid flags, an invalid and a valid float64 value, and per aligned block
-whether its flags are unset, set or mixed.  Interference from the uniform
-state keeps that form, so an enumeration or sweep state holds no 2^m
-amplitudes.  The *class* form is ``columns``, one int per qubit, and a
-table of 2^k ``values``: amplitude i is the table entry of its class, the
-XOR of the columns of i's set bits.  ``qic.ecc.encode`` builds it for
-uniform data (a checksum qubit's column is its own bit, a data bit's the
-groups that hold it, so a class is a syndrome), and a partial flip maps
-class c onto c ^ column, so ecc's noise, correction, masses and overlaps
-run on the 2^k values.  Each form's operations take the dense steps, in
-the same order, on its values, so the bits are those of the dense state.
-Apart from ``qic.ecc.encode``, which builds the class form, this module
-alone knows the forms, so it owns the pass kernels ``_interfere`` and
-``_interfere_classes``, the closed-form mass of class 0, the one walk (``_masses``) under the squared norm,
-the kernel's surviving mass and ``sample``, and the blocked overlap under
-``fidelity``, which calls no BLAS so that its bits do not depend on the
-CPU or the thread count.
+A compiled ``PhaseMask`` is privately a *block form*: per aligned block of
+indices, whether its flags are all unset, all set or mixed, and the flags
+of the mixed blocks only, so a mask with a few valid indices holds a few
+blocks of flags.  A state holds one of three forms: a read-only dense array
+of complex128 amplitudes, or privately one of two table forms.  The
+*two-level* form is a mask and an invalid and a valid float64 value.
+Interference from the uniform state keeps that form, so an enumeration or
+sweep state holds no 2^m array.  The *class* form is ``columns``, one int
+per qubit, and a table of 2^k ``values``: amplitude i is the table entry of
+its class, the XOR of the columns of i's set bits.  ``qic.ecc.encode``
+builds it for uniform data (a checksum qubit's column is its own bit, a
+data bit's the groups that hold it, so a class is a syndrome), and a
+partial flip maps class c onto c ^ column, so ecc's noise, correction,
+masses and overlaps run on the 2^k values.  Each form's operations take the
+dense steps, in the same order, on its values, so the bits are those of the
+dense state.  Apart from ``qic.ecc.encode``, which builds the class form,
+and ``qic.predicate``, which compiles masks, this module alone knows the
+forms, so it owns the pass kernels ``_interfere`` and
+``_interfere_classes``, the closed-form mass of class 0, the one walk
+(``_masses``) under the squared norm, the kernel's surviving mass and
+``sample``, and the blocked overlap under ``fidelity``, which calls no BLAS
+so that its bits do not depend on the CPU or the thread count.
 """
 
 from __future__ import annotations
@@ -44,8 +47,8 @@ import numpy as np
 
 from .errors import IndexOutOfRange, NormCollapse, RegisterMismatch
 
-# The one size limit: solve and sweep compile 2^m dense valid flags, and a
-# dense state holds 2^m amplitudes.
+# The one size limit: a dense state holds 2^m amplitudes, and a mask whose
+# every block is mixed (``solve --expr b0``) holds 2^m flags.
 MAX_QUBITS = 26
 
 # Guards accumulated rounding only; perfect cancellation yields exact zeros.
@@ -98,8 +101,7 @@ class Register:
 class StateVector:
     """2^m complex128 amplitudes over a register, copied from the input."""
 
-    __slots__ = ("register", "_dense", "_flags", "_values", "_kinds",
-                 "_columns")
+    __slots__ = ("register", "_dense", "_mask", "_values", "_columns")
 
     def __init__(self, register: Register, amplitudes):
         arr = np.array(amplitudes, dtype=np.complex128)
@@ -110,7 +112,7 @@ class StateVector:
         arr.flags.writeable = False
         self.register, self._dense = register, arr
         # See _two_level and _classes.
-        self._flags = self._values = self._kinds = self._columns = None
+        self._mask = self._values = self._columns = None
 
     @classmethod
     def _adopt(cls, register: Register, amps: np.ndarray) -> "StateVector":
@@ -119,18 +121,17 @@ class StateVector:
         amps.flags.writeable = False
         psi = cls.__new__(cls)
         psi.register, psi._dense = register, amps
-        psi._flags = psi._values = psi._kinds = psi._columns = None
+        psi._mask = psi._values = psi._columns = None
         return psi
 
     @classmethod
-    def _two_level(cls, register: Register, flags: np.ndarray | None,
-                   values: np.ndarray, kinds: bytes) -> "StateVector":
-        """A state whose amplitude i is ``values[flags[i]]``, or
-        ``values[0]`` if flags is None; ``kinds[b]`` is 0 or 1 if aligned
-        block b holds only that flag, else 2.  No checks."""
+    def _two_level(cls, register: Register, mask: PhaseMask | None,
+                   values: np.ndarray) -> "StateVector":
+        """A state whose amplitude i is ``values[1]`` where ``mask`` flags
+        i valid, else ``values[0]``; a None mask flags nothing.  No checks."""
         psi = cls.__new__(cls)
         psi.register, psi._dense, psi._columns = register, None, None
-        psi._flags, psi._values, psi._kinds = flags, values, kinds
+        psi._mask, psi._values = mask, values
         return psi
 
     @classmethod
@@ -140,8 +141,7 @@ class StateVector:
         ``columns`` holds one int per qubit, ``values`` (float64 or
         complex128) one entry per class.  No checks."""
         psi = cls.__new__(cls)
-        psi.register, psi._dense, psi._flags, psi._kinds = (register, None,
-                                                           None, None)
+        psi.register, psi._dense, psi._mask = register, None, None
         psi._columns, psi._values = columns, values
         return psi
 
@@ -150,7 +150,7 @@ class StateVector:
         """The 2^m complex128 amplitudes, read-only; a table form builds
         them on first access, the uniform state as a zero-stride view."""
         if self._dense is None:
-            if self._flags is None and self._columns is None:
+            if self._mask is None and self._columns is None:
                 self._dense = np.broadcast_to(np.complex128(self._values[0]),
                                               self.register.dimension)
             else:
@@ -162,51 +162,119 @@ class StateVector:
         return f"StateVector(m={self.register.total_qubits})"
 
 
-@dataclass(frozen=True, eq=False)
 class PhaseMask:
     """Sign pattern over basis indices: +1 on valid components, -1 elsewhere.
 
-    ``valid`` is a dense boolean array of 2^m flags.
+    ``valid`` is a dense read-only boolean array of 2^m flags, built on its
+    first read.  Privately a mask is its block form: per aligned block of
+    ``_step`` indices, ``_kinds`` holds 0 if none of its flags is set, 1 if
+    all are, else 2, and ``_mixed`` maps each block of kind 2 to its
+    read-only flags.  A mask is never changed once built.
     """
 
-    register: Register
-    valid: np.ndarray
+    __slots__ = ("register", "_step", "_kinds", "_mixed", "_valid")
 
-    def __post_init__(self):
-        flags = np.asarray(self.valid, dtype=bool)
-        if flags.shape != (self.register.dimension,):
+    def __init__(self, register: Register, valid):
+        flags = np.array(valid, dtype=bool)
+        if flags.shape != (register.dimension,):
             raise ValueError(
-                f"expected {self.register.dimension} flags, got {flags.shape}"
+                f"expected {register.dimension} flags, got {flags.shape}"
             )
-        flags = flags.copy()
         flags.flags.writeable = False
-        object.__setattr__(self, "valid", flags)
+        step = _block_length(register.dimension)
+        kinds, mixed = bytearray(register.dimension // step), {}
+        for b, row in enumerate(flags.reshape(-1, step)):
+            _put(kinds, mixed, b, row)
+        self.register, self._step, self._kinds, self._mixed, self._valid = (
+            register, step, bytes(kinds), mixed, flags)
 
     @classmethod
-    def _adopt(cls, register: Register, flags: np.ndarray) -> "PhaseMask":
-        """Wrap 2^m bool flags that no caller holds: no copy, no checks."""
-        flags.flags.writeable = False
+    def _from_blocks(cls, register: Register, step: int, kinds: bytearray,
+                     mixed: dict) -> "PhaseMask":
+        """Wrap a block form that ``_put`` filled: no copy, no checks."""
         mask = cls.__new__(cls)
-        object.__setattr__(mask, "register", register)
-        object.__setattr__(mask, "valid", flags)
+        mask.register, mask._step, mask._kinds, mask._mixed = (
+            register, step, bytes(kinds), mixed)
+        mask._valid = None
         return mask
 
     @classmethod
     def from_indices(cls, register: Register, indices) -> "PhaseMask":
-        flags = np.zeros(register.dimension, dtype=bool)
-        flags[list(register.indices(indices))] = True
-        return cls._adopt(register, flags)
+        step = _block_length(register.dimension)
+        kinds, mixed = bytearray(register.dimension // step), {}
+        for b, offsets in _by_block(register.indices(indices), step):
+            flags = np.zeros(step, dtype=bool)
+            flags[offsets] = True
+            _put(kinds, mixed, b, flags)
+        return cls._from_blocks(register, step, kinds, mixed)
+
+    @property
+    def valid(self) -> np.ndarray:
+        if self._valid is None:
+            flags = np.zeros(self.register.dimension, dtype=bool)
+            rows = flags.reshape(-1, self._step)
+            for b, kind in enumerate(self._kinds):
+                if kind:
+                    rows[b] = self._mixed[b] if kind == 2 else True
+            flags.flags.writeable = False
+            self._valid = flags
+        return self._valid
+
+    def _cleared(self, indices) -> "PhaseMask":
+        """This mask with the flags at the distinct ``indices`` unset; only
+        the blocks that hold a set one are copied, the rest are shared."""
+        kinds, mixed = bytearray(self._kinds), dict(self._mixed)
+        for b, offsets in _by_block(indices, self._step):
+            if kinds[b]:
+                flags = (mixed[b].copy() if kinds[b] == 2
+                         else np.ones(self._step, dtype=bool))
+                flags[offsets] = False
+                _put(kinds, mixed, b, flags)
+        return PhaseMask._from_blocks(self.register, self._step, kinds, mixed)
+
+    def _count(self) -> int:
+        """The number of valid flags."""
+        return sum(int(np.count_nonzero(self._mixed[b])) if kind == 2
+                   else kind * self._step
+                   for b, kind in enumerate(self._kinds))
+
+    def _flag(self, index: int) -> int:
+        """The flag of basis index ``index``, as 0 or 1."""
+        b, offset = divmod(index, self._step)
+        kind = self._kinds[b]
+        return kind if kind < 2 else int(self._mixed[b][offset])
+
+
+def _put(kinds: bytearray, mixed: dict, b: int, flags: np.ndarray) -> None:
+    """Record bool ``flags`` as block b of a block form: its kind, and the
+    flags themselves, made read-only, only if the block is mixed."""
+    count = np.count_nonzero(flags)
+    mixed.pop(b, None)
+    if 0 < count < len(flags):
+        flags.flags.writeable = False
+        kinds[b], mixed[b] = 2, flags
+    else:
+        kinds[b] = int(count > 0)
+
+
+def _by_block(indices, step: int):
+    """Yield (block, offsets in the block) for distinct int ``indices``,
+    grouped by aligned block of ``step``, blocks ascending."""
+    found = np.sort(np.fromiter(indices, np.int64, len(indices)))
+    cuts = np.flatnonzero(np.diff(found // step)) + 1
+    for group in np.split(found, cuts) if len(found) else ():
+        b = int(group[0]) // step
+        yield b, group - b * step
 
 
 def uniform_superposition(register: Register) -> StateVector:
     """Equal-amplitude state: every component is 2^(-m/2).
 
-    A two-level state without flags, so it allocates no amplitude array.
+    A two-level state without a mask, so it allocates no amplitude array.
     """
     dim = register.dimension
     return StateVector._two_level(register, None,
-                                  np.full(2, 1.0 / np.sqrt(dim)),
-                                  bytes(dim // min(_BLOCK, dim)))
+                                  np.full(2, 1.0 / np.sqrt(dim)))
 
 
 def basis_state(register: Register, index: int) -> StateVector:
@@ -224,16 +292,22 @@ def basis_state(register: Register, index: int) -> StateVector:
 _BLOCK = 1 << 16
 
 
+def _block_length(dim: int) -> int:
+    """The length of the aligned blocks of ``dim`` (a power of two)."""
+    return min(_BLOCK, dim)
+
+
 def _blocks(dim: int) -> list[slice]:
     """The aligned blocks that cover ``dim`` (a power of two) amplitudes."""
-    step = min(_BLOCK, dim)
+    step = _block_length(dim)
     return [slice(start, start + step) for start in range(0, dim, step)]
 
 
 def _step(psi: StateVector) -> int:
-    """psi's block length; a two-level state's is that of its kinds."""
-    dim = psi.register.dimension
-    return dim // len(psi._kinds) if psi._kinds else min(_BLOCK, dim)
+    """psi's block length; a two-level state's is that of its mask."""
+    if psi._mask is not None:
+        return psi._mask._step
+    return _block_length(psi.register.dimension)
 
 
 def _scratch(psi: StateVector, step: int) -> np.ndarray | None:
@@ -279,13 +353,6 @@ def _gather(table: np.ndarray, columns: tuple[int, ...], lo: int,
                    mode="clip")
 
 
-def _block_kinds(flags: np.ndarray) -> bytes:
-    """Per aligned block of flags: 0 if none is set, 1 if all are, else 2."""
-    step = min(_BLOCK, len(flags))
-    counts = [np.count_nonzero(flags[block]) for block in _blocks(len(flags))]
-    return bytes(2 if 0 < count < step else int(count > 0) for count in counts)
-
-
 def _mass(amps: np.ndarray, out: np.ndarray) -> np.ndarray:
     """|amps|^2 into the float64 array ``out``, which is returned."""
     return np.square(np.abs(amps, out=out), out=out)
@@ -300,6 +367,17 @@ def _select(flags: np.ndarray, pair: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _fill(mask: PhaseMask | None, b: int, pair: np.ndarray,
+          out: np.ndarray) -> np.ndarray:
+    """Write ``pair[flags]`` for the flags of ``mask``'s block b (none set
+    if mask is None) into float64 ``out`` and return it, bit for bit."""
+    kind = 0 if mask is None else mask._kinds[b]
+    if kind == 2:
+        return _select(mask._mixed[b], pair, out)
+    out[...] = pair[kind]
+    return out
+
+
 def _read(psi: StateVector, block: slice, buf: np.ndarray | None
           ) -> np.ndarray:
     """psi's amplitudes on an aligned ``block``: a view of a dense psi,
@@ -308,19 +386,16 @@ def _read(psi: StateVector, block: slice, buf: np.ndarray | None
         return psi._dense[block]
     if psi._columns is not None:
         return _gather(psi._values, psi._columns, block.start, buf)
-    if psi._flags is None:
-        buf[...] = psi._values[0]
-        return buf
-    return _select(psi._flags[block], psi._values, buf)
+    return _fill(psi._mask, block.start // len(buf), psi._values, buf)
 
 
 def _expand(psi: StateVector) -> np.ndarray:
     """A table form's amplitudes as a fresh 2^m complex128 array, written
     block by block (real values get imaginary parts of +0.0)."""
-    out = np.empty(psi.register.dimension, np.complex128)
-    buf = _scratch(psi, min(_BLOCK, len(out)))
-    for block in _blocks(len(out)):
-        out[block] = _read(psi, block, buf)
+    out, step = np.empty(psi.register.dimension, np.complex128), _step(psi)
+    buf = _scratch(psi, step)
+    for lo in range(0, len(out), step):
+        out[lo:lo + step] = _read(psi, slice(lo, lo + step), buf)
     return out
 
 
@@ -338,11 +413,11 @@ def _masses(psi: StateVector, buf: np.ndarray, start: int = 0):
         for lo in range(start * step, psi.register.dimension, step):
             yield _gather(squares, psi._columns, lo, buf)
         return
-    squares = np.square(psi._values)
-    for b in range(start, len(psi._kinds)):
-        kind = psi._kinds[b]
+    squares, mask = np.square(psi._values), psi._mask
+    for b in range(start, psi.register.dimension // step):
+        kind = 0 if mask is None else mask._kinds[b]
         yield (squares[kind] if kind < 2 else
-               _select(psi._flags[b * step:(b + 1) * step], squares, buf))
+               _select(mask._mixed[b], squares, buf))
 
 
 def _pairwise(sums: list) -> float:
@@ -371,17 +446,18 @@ def norm_squared(psi: StateVector) -> float:
                       for mass in _masses(psi, buf)])
 
 
-def _gather_abs(psi: StateVector, flags: np.ndarray) -> np.ndarray:
-    """``np.abs(psi.amplitudes[flags])`` as one float64 array, gathered
-    block by block."""
-    out = np.empty(np.count_nonzero(flags))
-    buf = _scratch(psi, min(_BLOCK, len(flags)))
-    start = 0
-    for block in _blocks(len(flags)):
-        chosen = flags[block]
-        stop = start + np.count_nonzero(chosen)
-        np.abs(_read(psi, block, buf)[chosen], out=out[start:stop])
-        start = stop
+def _gather_abs(psi: StateVector, mask: PhaseMask) -> np.ndarray:
+    """``np.abs(psi.amplitudes[mask.valid])`` as one float64 array,
+    gathered block by block; a block with no valid flag is not read."""
+    out, step = np.empty(mask._count()), mask._step
+    buf, start = _scratch(psi, step), 0
+    for b, kind in enumerate(mask._kinds):
+        if kind:
+            amps = _read(psi, slice(b * step, (b + 1) * step), buf)
+            if kind == 2:
+                amps = amps[mask._mixed[b]]
+            np.abs(amps, out=out[start:start + len(amps)])
+            start += len(amps)
     return out
 
 
@@ -404,10 +480,10 @@ def _table_passes(values: np.ndarray, weights: np.ndarray, form,
     return form(values * scale)
 
 
-def _interfere(psi: StateVector, valid: np.ndarray, leakage: float,
+def _interfere(psi: StateVector, mask: PhaseMask, leakage: float,
                passes: int, tol: float, in_place: bool = False
                ) -> StateVector:
-    """``passes`` interference passes against 2^m bool ``valid`` flags.
+    """``passes`` interference passes against ``mask``'s valid flags.
 
     Each pass scales valid amplitudes by 2 - leakage and invalid ones by
     leakage and renormalises (NormCollapse below ``tol``), with the rounding
@@ -415,8 +491,8 @@ def _interfere(psi: StateVector, valid: np.ndarray, leakage: float,
     times the previous 1/sqrt(surviving) and the weight; the last factor
     comes once the last surviving mass is known.
 
-    From the uniform state, or a two-level state over these very flags,
-    the passes run on the two values and return a two-level state.  Any
+    From the uniform state, or a two-level state over this very mask, the
+    passes run on the two values and return a two-level state over it.  Any
     other input, never made dense, is passed block by block into one fresh
     2^m complex128 buffer.  ``in_place`` takes a dense ``psi``'s own
     amplitudes as that buffer (each element is read before it is written):
@@ -427,13 +503,11 @@ def _interfere(psi: StateVector, valid: np.ndarray, leakage: float,
     # Indexed by a flag: leakage for invalid, 2 - leakage for valid.
     levels = np.array([leakage, 2.0 - leakage])
     if (psi._values is not None and psi._columns is None
-            and (psi._flags is None or psi._flags is valid)):
-        kinds = psi._kinds if psi._flags is valid else _block_kinds(valid)
+            and (psi._mask is None or psi._mask is mask)):
         return _table_passes(psi._values, levels, functools.partial(
-            StateVector._two_level, psi.register, valid, kinds=kinds),
-            passes, tol)
+            StateVector._two_level, psi.register, mask), passes, tol)
     dim = psi.register.dimension
-    step = min(_BLOCK, dim)
+    step = _block_length(dim)
     out = psi._dense if in_place else np.empty(dim, np.complex128)
     out.flags.writeable = True  # psi's own amplitudes are read-only
     weights, mass, buf, scale = (np.empty(step), np.empty(step),
@@ -444,7 +518,8 @@ def _interfere(psi: StateVector, valid: np.ndarray, leakage: float,
             row = out[block]
             src = (_read(psi, block, buf) if scale is None
                    else np.multiply(row, scale, out=row))
-            np.multiply(src, _select(valid[block], levels, weights), out=row)
+            np.multiply(src, _fill(mask, block.start // step, levels, weights),
+                        out=row)
             sums.append(np.sum(_mass(row, mass)))
         scale = _scale(_pairwise(sums), tol)
     out *= scale
@@ -476,7 +551,7 @@ def _class_mass(psi: StateVector, count: int) -> float:
 def _constant_value(psi: StateVector) -> float | None:
     """The one value of a state built constant (the uniform state), or
     None for any other state."""
-    if (psi._values is None or psi._flags is not None
+    if (psi._values is None or psi._mask is not None
             or psi._columns is not None):
         return None
     return psi._values[0]
@@ -503,7 +578,7 @@ def probability(psi: StateVector, index: int) -> float:
     if psi._columns is not None:
         entry = _label(psi._columns, index)
     else:
-        entry = 0 if psi._flags is None else int(psi._flags[index])
+        entry = 0 if psi._mask is None else psi._mask._flag(index)
     return float(abs(psi._values[entry]) ** 2)
 
 

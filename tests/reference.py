@@ -27,6 +27,11 @@ def valid_indices(flags):
     return np.flatnonzero(flags).tolist()
 
 
+def flags(valid_set, dim):
+    """Dense bool flags over ``dim`` indices, set on ``valid_set``."""
+    return np.isin(np.arange(dim), sorted(valid_set))
+
+
 def mark(amps, valid):
     """The marked arm: every component outside ``valid`` negated."""
     return np.where(valid, amps, -amps)
@@ -71,9 +76,8 @@ def enumerate(valid_set, reg, cfg):
     found, runs = [], []
     termination = Termination.MAX_RUNS_REACHED
     for run in range(1, cfg.max_runs + 1):
-        flags = np.isin(np.arange(dim), sorted(valid_set - set(found)))
-        out = interfere(np.full(dim, 1.0 / np.sqrt(dim)), flags,
-                        cfg.interference)
+        out = interfere(np.full(dim, 1.0 / np.sqrt(dim)),
+                        flags(valid_set - set(found), dim), cfg.interference)
         if out is None:
             runs.append((run, None, False, False))
             termination = Termination.EXHAUSTED

@@ -454,7 +454,7 @@ class TestStreamedEcc:
             uniform = uniform_superposition(Register(n))
             ideal = encode(uniform, scheme)
             assert ideal._columns == scheme.qubit_columns()
-            assert ideal._flags is None and ideal._dense is None
+            assert ideal._mask is None and ideal._dense is None
             assert len(ideal._values) == 1 << scheme.checksum_bits
             assert np.array_equal(
                 reference.bits(ideal.amplitudes),

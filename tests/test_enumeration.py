@@ -253,11 +253,15 @@ def test_sparse_enumeration_peaks_below_one_state_array(monkeypatch):
 
 
 def test_sparse_enumeration_holds_no_amplitude_array():
-    # Each run's state is its flags and two values, dropped once measured:
-    # the peak is two 2^m-byte flag arrays (the predicate's and the run's)
-    # and a block of sample scratch.  Keeping the last run's state (and its
-    # flags) into the next run read 3.57 x 2^m bytes, a run buffer 9.0.
-    m = 20
+    # Each run's state is its mask and two values, dropped once measured.
+    # A mask holds flags only for its mixed blocks: the six planted indices
+    # lie in six blocks, so the peak is those 6 x 64 KiB, the few blocks a
+    # run's exclusions copy and a 512 KiB block of sample scratch, about
+    # 1 MiB (0.06 x 2^m) at any m.  Dense flags, one array for the source
+    # and one per run, read 2.04 x 2^m.  At m = 20 the fixed 1 MiB alone
+    # is 2^m bytes, so the register is large enough for 2^m / 8 to part
+    # the two.
+    m = 24
     reg = Register(m)
     planted = {3, 70000, 300001, 512345, 800000, (1 << m) - 1}
     pred = Predicate(frozenset(planted), reg)
@@ -272,7 +276,7 @@ def test_sparse_enumeration_holds_no_amplitude_array():
     finally:
         tracemalloc.stop()
     assert {int(s, 2) for s in report.found} == planted
-    assert peak < 3 << m, peak / (1 << m)
+    assert peak < (1 << m) // 8, peak / (1 << m)
 
 
 def _valid_set(kind, rng, m):

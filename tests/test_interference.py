@@ -16,6 +16,7 @@ from qic.interference import (
 )
 from qic.predicate import Predicate, compile_mask, parse_expr
 from qic.state import (
+    PhaseMask,
     Register,
     StateVector,
     _gather_abs,
@@ -165,10 +166,9 @@ def _real_and_complex(m, signs=None):
     two-level state and as a dense complex128 copy."""
     psi = uniform_superposition(Register(m))
     if signs is not None:
-        flags = compile_mask(signs, psi.register).valid
-        psi = StateVector._two_level(psi.register, flags,
-                                     psi._values * [-1.0, 1.0],
-                                     qic.state._block_kinds(flags))
+        psi = StateVector._two_level(psi.register,
+                                     compile_mask(signs, psi.register),
+                                     psi._values * [-1.0, 1.0])
     return psi, StateVector(psi.register, psi.amplitudes)
 
 
@@ -350,6 +350,7 @@ def test_kernel_in_its_own_input_matches_a_fresh_output(seed, m, eps, passes,
     cfg = InterferenceConfig(leakage=eps, passes=passes)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(qic.state, "_BLOCK", 128)
+        valid = PhaseMask(Register(m), valid)
         if kind == "uniform":
             # The two-level output against a dense copy of its input.
             uniform = uniform_superposition(Register(m))
@@ -372,11 +373,10 @@ def test_kernel_in_its_own_input_matches_a_fresh_output(seed, m, eps, passes,
 
 def test_kernel_in_place_shares_its_dense_input_and_refuses_two_level(
         monkeypatch):
-    valid = np.zeros(1 << 4, dtype=bool)
-    valid[[3, 12]] = True
-    # Two blocks of 8: a two-level input refuses in_place, without flags
-    # or over these very ones, and a dense one is written over.
+    # Two blocks of 8: a two-level input refuses in_place, without a mask
+    # or over this very one, and a dense one is written over.
     monkeypatch.setattr(qic.state, "_BLOCK", 8)
+    valid = PhaseMask.from_indices(Register(4), [3, 12])
     for psi in (uniform_superposition(Register(4)),
                 _interfere(uniform_superposition(Register(4)), valid, 0.1, 1,
                            1e-9)):
@@ -407,12 +407,13 @@ def test_two_level_states_match_dense_reference_bitwise(seed, m, eps, chain,
     reg = Register(m)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(qic.state, "_BLOCK", 128)
+        valid, other = PhaseMask(reg, valid), PhaseMask(reg, other)
         psi = uniform_superposition(reg)
         ref = StateVector(reg, psi.amplitudes)
         for i, passes in enumerate(chain):
             flags = other if reflag and i == len(chain) - 1 else valid
             cfg = InterferenceConfig(eps, passes)
-            expected = reference.interfere(ref.amplitudes, flags, cfg)
+            expected = reference.interfere(ref.amplitudes, flags.valid, cfg)
             psi = _kernel_or_collapse(psi, flags, cfg)
             assert (psi is None) == (expected is None)
             if psi is None:
@@ -449,13 +450,13 @@ def test_gather_abs_matches_dense_gather_bitwise(kind, monkeypatch):
         psi = uniform_superposition(Register(m))
     elif kind == "mixed":
         psi = _mixed_state(m)
-        assert set(psi._kinds) == {0, 2}
+        assert set(psi._mask._kinds) == {0, 2}
     else:
         psi = _state_of_kind(kind, 5, m)
     rng = np.random.default_rng(6)
     cases = [rng.random(1 << m) < 0.3, np.ones(1 << m, dtype=bool),
              np.zeros(1 << m, dtype=bool), np.arange(1 << m) == 900]
-    got = [_gather_abs(psi, flags) for flags in cases]
+    got = [_gather_abs(psi, PhaseMask(psi.register, flags)) for flags in cases]
     if kind in ("fill", "mixed"):
         assert psi._dense is None  # gathered without materialising
     for flags, mags in zip(cases, got):

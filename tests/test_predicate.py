@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qic.ecc import ChecksumScheme, checksum_predicate
-from qic.enumeration import verify
+from qic.enumeration import RunConfig, enumerate_solutions, verify
 from qic.errors import IndexOutOfRange, ParseError, RegisterMismatch, UnboundVariable
 from qic.predicate import (
     MAX_EXPR_NESTING,
@@ -26,6 +26,8 @@ from qic.predicate import (
     parse_expr,
     with_exclusions,
 )
+import qic.state
+from qic.interference import InterferenceConfig
 from qic.state import (
     PhaseMask,
     Register,
@@ -543,3 +545,117 @@ def test_boolean_identities(left, right):
         lhs = compile_mask(Predicate(parse_expr(left), reg), reg)
         rhs = compile_mask(Predicate(parse_expr(right), reg), reg)
         assert np.all(lhs.valid == rhs.valid)
+
+
+# ---------------------------------------------------------------------------
+# Block form: a compiled mask keeps flags only for its mixed blocks.
+
+
+def _assert_block_form(mask, flags):
+    """``mask``'s block form (128-index blocks) is that of dense ``flags``:
+    each block's kind and each mixed block's flags; no constant block is
+    stored as mixed."""
+    step = min(128, len(flags))
+    rows = flags.reshape(-1, step)
+    assert mask._step == step and len(mask._kinds) == len(rows)
+    for b, row in enumerate(rows):
+        count = np.count_nonzero(row)
+        assert mask._kinds[b] == (2 if 0 < count < step else int(count > 0))
+    assert set(mask._mixed) == {b for b, kind in enumerate(mask._kinds)
+                                if kind == 2}
+    for b, stored in mask._mixed.items():
+        assert stored.dtype == bool and not stored.flags.writeable
+        assert np.array_equal(stored, rows[b])
+    assert np.array_equal(mask.valid, flags)
+
+
+def _block_kind_set(rng, m):
+    """A valid set whose 128-index blocks are each empty, full, one index
+    or a random subset."""
+    dim, valid = 1 << m, set()
+    for lo in range(0, dim, 128):
+        hi = min(lo + 128, dim)
+        kind = rng.integers(4)
+        if kind == 1:
+            valid.update(range(lo, hi))
+        elif kind == 2:
+            valid.add(int(rng.integers(lo, hi)))
+        elif kind == 3:
+            valid.update(i for i in range(lo, hi) if rng.random() < 0.5)
+    return valid
+
+
+def _exclusions(rng, valid, m):
+    """Random indices, plus one index of a full block (breaking it) and
+    every valid index of one block (emptying it) where such blocks exist."""
+    dim = 1 << m
+    found = {int(i) for i in rng.integers(0, dim, int(rng.integers(0, 6)))}
+    blocks = [set(range(lo, min(lo + 128, dim))) for lo in range(0, dim, 128)]
+    full = [block for block in blocks if block <= valid]
+    if full:
+        found.add(min(full[int(rng.integers(len(full)))]))
+    held = [block & valid for block in blocks if block & valid]
+    if held:
+        found |= held[int(rng.integers(len(held)))]
+    return found
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 10),
+       kind=st.sampled_from(["explicit", "expr", "cnf"]))
+def test_block_form_matches_dense_reference_flags(seed, m, kind):
+    rng = np.random.default_rng(seed)
+    reg = Register(m)
+    if kind == "explicit":
+        valid = _block_kind_set(rng, m)
+        source = frozenset(valid)
+    elif kind == "expr":
+        source = random_expr(rng, m, depth=4)
+        valid = brute_force_valid(
+            lambda bits: expr_truth_brute(source, bits), m)
+    else:
+        clauses = random_cnf(rng, m)
+        source = CnfFormula(m, tuple(clauses))
+        valid = brute_force_valid(
+            lambda bits: cnf_truth_brute(clauses, bits), m)
+    excluded = _exclusions(rng, valid, m)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qic.state, "_BLOCK", 128)
+        base = compile_mask(Predicate(source, reg), reg)
+        _assert_block_form(base, reference.flags(valid, reg.dimension))
+        mask = compile_mask(Predicate(source, reg, frozenset(excluded)), reg)
+        _assert_block_form(mask, reference.flags(valid - excluded,
+                                                 reg.dimension))
+        # An enumeration excludes what it finds, on copies of the blocks.
+        cfg = RunConfig(seed, InterferenceConfig(0.05, 2), max_runs=3)
+        enumerate_solutions(Predicate(source, reg), reg, cfg)
+        again = compile_mask(Predicate(source, reg), reg)
+    assert again is base
+    _assert_block_form(again, reference.flags(valid, reg.dimension))
+
+
+@pytest.mark.parametrize("source", [
+    parse_expr("1"), CnfFormula(9, ()), frozenset(range(1 << 9))])
+def test_block_form_of_an_all_valid_register(source, monkeypatch):
+    monkeypatch.setattr(qic.state, "_BLOCK", 128)
+    reg = Register(9)
+    mask = compile_mask(Predicate(source, reg), reg)
+    assert mask._kinds == bytes([1] * 4) and not mask._mixed
+    # Excluding one index breaks its full block; the others stay full.
+    broken = compile_mask(Predicate(source, reg, frozenset({300})), reg)
+    assert broken._kinds == bytes([1, 1, 2, 1]) and set(broken._mixed) == {2}
+    _assert_block_form(broken, reference.flags(set(range(512)) - {300}, 512))
+    # Excluding a whole block empties it.
+    emptied = compile_mask(
+        Predicate(source, reg, frozenset(range(128, 256))), reg)
+    assert emptied._kinds == bytes([1, 0, 1, 1]) and not emptied._mixed
+    assert mask._kinds == bytes([1] * 4) and not mask._mixed
+
+
+def test_exclusion_that_empties_a_mixed_block(monkeypatch):
+    monkeypatch.setattr(qic.state, "_BLOCK", 128)
+    reg = Register(9)
+    source = frozenset({5, 200, 201, 400})
+    mask = compile_mask(Predicate(source, reg, frozenset({200, 201, 7})), reg)
+    assert mask._kinds == bytes([2, 0, 0, 2]) and set(mask._mixed) == {0, 3}
+    _assert_block_form(mask, reference.flags({5, 400}, 512))

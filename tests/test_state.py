@@ -176,7 +176,7 @@ class TestSample:
     def test_zero_state_flagged_normalized_rejected(self):
         # The unchecked two-level constructor: sample sums constant blocks
         # rather than scanning amplitudes, and must still see the collapse.
-        psi = StateVector._two_level(Register(2), None, np.zeros(2), bytes(1))
+        psi = StateVector._two_level(Register(2), None, np.zeros(2))
         with pytest.raises(NormCollapse):
             sample(psi, np.random.default_rng(0))
 
@@ -273,13 +273,10 @@ class TestFidelity:
         flags = rng.random(reg.dimension) < 0.3
         flags[:256] = False
         flags[-256:] = True
-        step = min(qic.state._BLOCK, reg.dimension)
-        kinds = bytes(reg.dimension // step)
-        levels = [StateVector._two_level(reg, None, np.array([0.4, 0.4]),
-                                         kinds)]
+        mask = PhaseMask(reg, flags)
+        levels = [StateVector._two_level(reg, None, np.array([0.4, 0.4]))]
         for values in ([0.0, 0.6], [-0.0, -0.5], [-0.2, 0.7]):
-            levels.append(StateVector._two_level(
-                reg, flags, np.array(values), qic.state._block_kinds(flags)))
+            levels.append(StateVector._two_level(reg, mask, np.array(values)))
         for x, y in self._pairs(rng, 12):
             dense = StateVector(reg, y)
             for level in levels:
@@ -386,7 +383,7 @@ class TestPartialBitFlip:
             reg = Register(m)
             flags = np.isin(np.arange(1 << m), [1, 5, (1 << m) - 1])
             uniform = uniform_superposition(reg)
-            level = _interfere(uniform, flags, 0.1, 2, 1e-9)
+            level = _interfere(uniform, PhaseMask(reg, flags), 0.1, 2, 1e-9)
             qubits = [0, m - 1, 1, 0, m // 2]
             for psi in (uniform, level):
                 tracemalloc.start()
@@ -709,8 +706,8 @@ class TestBlockedReductions:
                 values[0] = 0.0
             if seed % 7 == 0:
                 values[1] = values[0]
-            psi = StateVector._two_level(Register(m), flags, values,
-                                         qic.state._block_kinds(flags))
+            psi = StateVector._two_level(Register(m),
+                                         PhaseMask(Register(m), flags), values)
             dense = StateVector(psi.register, psi.amplitudes)
             assert psi.amplitudes.dtype == np.complex128
             assert np.array_equal(reference.bits(psi.amplitudes.real),
@@ -773,9 +770,10 @@ def test_two_level_amplitudes_hold_the_values_bits_in_real():
     for a in _SPECIAL_WORDS:
         for b in _SPECIAL_WORDS:
             values = np.array([a, b], dtype=np.uint64).view(np.float64)
-            for f, expected in ((flags, [a, b] * 4), (None, [a] * 8)):
-                amps = StateVector._two_level(Register(3), f, values,
-                                              bytes(1)).amplitudes
+            for f, expected in ((PhaseMask(Register(3), flags), [a, b] * 4),
+                                (None, [a] * 8)):
+                amps = StateVector._two_level(Register(3), f,
+                                              values).amplitudes
                 assert amps.dtype == np.complex128
                 assert reference.bits(amps.real).tolist() == expected
                 assert not reference.bits(amps.imag).any()
@@ -950,8 +948,7 @@ def test_sample_with_tying_fill_blocks_allocates_one_block_scan():
     # The run of fill masses from carry 0 ties, so every block falls back
     # to a real scan, which must reuse sample's own buffer.
     assert _constant_run_end(0.0, fill * fill, step) is None
-    psi = StateVector._two_level(reg, None, np.full(2, fill),
-                                 bytes(len(qic.state._blocks(1 << 20))))
+    psi = StateVector._two_level(reg, None, np.full(2, fill))
     sample(psi, np.random.default_rng(0))  # first calls import what they need
     rng = np.random.default_rng(1)
     tracemalloc.start()
