@@ -1,8 +1,9 @@
 """Iterative solution enumeration with exclusion of found solutions.
 
-Each run interferes the uniform superposition against the predicate
-extended with all solutions found so far, and measures once; ``qic.state``
-keeps such a run's state as its mask and two values, free of 2^m arrays.
+Each run interferes the uniform superposition, prepared once per
+enumeration, against the predicate extended with all solutions found so
+far, and measures once; ``qic.state`` keeps such a run's state as its mask
+and two values, free of 2^m arrays.
 A verified new solution is recorded and excluded from later runs; the
 loop ends when the state cancels completely (Exhausted), when a remnant
 or an already-found solution is measured, or at the run cap.
@@ -90,11 +91,11 @@ def enumerate_solutions(pred: Predicate, register: Register,
     found: dict[int, None] = {}  # insertion-ordered, so repeats test in O(1)
     records: list[RunRecord] = []
     termination = Termination.MAX_RUNS_REACHED
+    uniform = uniform_superposition(register)  # states are immutable
     for run in range(1, max_runs + 1):
         working = with_exclusions(pred, found)
         try:
-            psi = interfere_repeated(uniform_superposition(register), working,
-                                     cfg.interference)
+            psi = interfere_repeated(uniform, working, cfg.interference)
         except NormCollapse:
             records.append(RunRecord(run, None, False, False))
             termination = Termination.EXHAUSTED

@@ -751,77 +751,37 @@ def apply_phase_mask(psi: StateVector, mask: PhaseMask) -> StateVector:
     return StateVector._adopt(psi.register, amps)
 
 
-def _segments(qubits, width: int) -> list[list[int]]:
-    """``qubits`` split, in order, into consecutive runs of at most
-    ``width`` distinct qubits."""
-    runs = [[]]
-    for qubit in qubits:
-        if qubit not in runs[-1] and len(set(runs[-1])) == width:
-            runs.append([])
-        runs[-1].append(qubit)
-    return runs
-
-
 def _flips(src: np.ndarray, out: np.ndarray, qubits, theta: float) -> None:
     """Partial flips on ``qubits``, in order, of 2^m complex128 ``src`` into
     complex128 ``out``, which may be ``src``.
 
     Each flip maps x_i to cos(theta) x_i + i sin(theta) x_{i xor 2^qubit}
-    by the whole-array expression's three ufunc steps (times cos, times
-    i sin, add), so the bits are those of chained single flips.
-
-    The state is worked in tiles of 2^t = _BLOCK // 4 amplitudes (the whole
-    state if smaller), and the flips in consecutive segments of at most t
-    distinct qubits.  A segment's tiles vary its qubits plus the lowest
-    other bits, so each tile is closed under every flip of the segment: it
-    is read once into a scratch, takes those flips in order there, and is
-    written once.  The scratch holds the flipped bits as its outermost
-    axes, so the partner products (``x[..., 1, ...]`` into ``b[..., 0,
-    ...]`` and back) run over long runs of positive strides for any qubit.
+    by the whole-array expression's three ufunc steps (i sin times the
+    partner, times cos, add), so the bits are those of chained single
+    flips.  A flip on qubit q walks the state as rows of two halves of 2^q
+    amplitudes, in pieces of a quarter block that each hold both halves of
+    every pair they touch; the partner products go through one
+    quarter-block scratch.  With no qubits ``src`` is copied into ``out``.
     """
-    m = len(src).bit_length() - 1
-    t = min(_BLOCK // 4, len(src)).bit_length() - 1
+    if not qubits:
+        np.copyto(out, src)
     c, s = np.cos(theta), 1j * np.sin(theta)
-    tile, b = (np.empty((2,) * t, np.complex128) for _ in range(2))
-    # A partner view is one run only for the outermost axis.  numpy would
-    # copy the others through ufunc buffers of its default 8192 elements
-    # (about a fifth of the flip time at m = 22); with a buffer this small
-    # it iterates them in place.  Bits are unchanged.
-    bufsize = np.setbufsize(16)
-    try:
-        for segment in _segments(qubits, t):
-            held = list(dict.fromkeys(segment))
-            rest = [k for k in range(m) if k not in held]
-            fill, outer = rest[:t - len(held)], rest[t - len(held):]
-            # The scratch's axes, outermost first; bit k is the state's
-            # axis m-1-k.  The longest run of consecutive fill bits goes
-            # innermost, so that the copies in and out move long runs even
-            # when a low qubit such as 1 is flipped.
-            runs = [[]]
-            for k in fill:
-                if runs[-1] and k != runs[-1][-1] + 1:
-                    runs.append([])
-                runs[-1].append(k)
-            inner = max(runs, key=len)
-            order = (held + [k for k in fill[::-1] if k not in inner]
-                     + inner[::-1])
-            perm = [m - 1 - k for k in outer[::-1] + order]
-            srcs = src.reshape((2,) * m).transpose(perm)
-            outs = out.reshape((2,) * m).transpose(perm)
-            halves = [((slice(None),) * a + (0, ...),
-                       (slice(None),) * a + (1, ...))
-                      for a in map(order.index, segment)]
-            for idx in np.ndindex(*srcs.shape[:m - t]):
-                np.copyto(tile, srcs[idx])
-                for lo, hi in halves:
-                    np.multiply(s, tile[hi], out=b[lo])
-                    np.multiply(s, tile[lo], out=b[hi])
-                    np.multiply(c, tile, out=tile)
-                    np.add(tile, b, out=tile)
-                np.copyto(outs[idx], tile)
-            src = out  # a later segment continues from this one's result
-    finally:
-        np.setbufsize(bufsize)
+    size = min(_BLOCK // 4, len(src))
+    scratch = np.empty(size, np.complex128)
+    for q in qubits:
+        half = 1 << q
+        width = min(half, size // 2)
+        b = scratch.reshape(-1, 2, width)
+        x, y = src.reshape(-1, 2, half), out.reshape(-1, 2, half)
+        for row in range(0, len(x), len(b)):
+            for col in range(0, half, width):
+                piece = np.s_[row:row + len(b), :, col:col + width]
+                xp, yp = x[piece], y[piece]
+                np.multiply(s, xp[:, 1], out=b[:, 0])
+                np.multiply(s, xp[:, 0], out=b[:, 1])
+                np.multiply(c, xp, out=yp)
+                np.add(yp, b, out=yp)
+        src = out  # a later flip continues from this one's result
 
 
 def apply_partial_bit_flip(psi: StateVector, qubit,
@@ -830,10 +790,11 @@ def apply_partial_bit_flip(psi: StateVector, qubit,
 
     Mixes each amplitude with its bit-flipped partner:
     amp_i' = cos(theta) amp_i + i sin(theta) amp_{i xor 2^qubit}.
-    ``qubit`` may also be a sequence of qubits, flipped in that order in
-    one fused ``_flips`` run, with the bits of chained single calls.  Every
-    qubit must be an integer in range and theta finite; both are checked
-    before anything is allocated.  A class form stays one: a flip on qubit
+    ``qubit`` may also be a sequence of qubits, flipped one at a time in
+    that order by one ``_flips`` call, with the bits of chained single
+    calls; an empty sequence gives a copy.  Every qubit must be an integer
+    in range and theta finite; both are checked before anything is
+    allocated.  A class form stays one: a flip on qubit
     q maps class c onto c ^ columns[q], so each flip takes ``_flips``'
     three steps (times i sin against the partner class, times cos, add) on
     the table, which costs O(2^k) and gives the bits of the dense flips.

@@ -84,7 +84,7 @@ def test_each_phase_reaches_its_binding_once_per_step(monkeypatch, capsys):
         "qic.enumeration.verify")} == {
         "qic.cli.main": 1, "qic.enumeration.interfere_repeated": runs,
         "qic.enumeration.with_exclusions": runs,
-        "qic.enumeration.uniform_superposition": runs,
+        "qic.enumeration.uniform_superposition": 1,
         "qic.enumeration.sample": measured,
         "qic.enumeration.verify": measured}
 

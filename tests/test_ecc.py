@@ -513,10 +513,16 @@ class TestStreamedEcc:
             assert np.array_equal(reference.bits(noisy.amplitudes),
                                   reference.bits(expected))
 
-    @pytest.mark.parametrize("m", range(1, 13))
-    def test_fused_flips_match_chained_dense_flips(self, m, small_blocks):
-        # Tiles of 32 amplitudes hold 5 bits (all m below 6), so the event
-        # list, which flips every qubit, needs segments from m = 6 on.
+    @pytest.mark.parametrize("m,qubits", [
+        *(pytest.param(m, None, id=str(m)) for m in range(1, 13)),
+        pytest.param(9, [], id="no-events"),
+        # Halves of 2^6 and 2^11 amplitudes: each larger than a piece.
+        pytest.param(12, [11, 6, 0, 11, 6], id="halves-across-pieces"),
+    ])
+    def test_fused_flips_match_chained_dense_flips(self, m, qubits,
+                                                   small_blocks):
+        # Pieces hold 32 amplitudes (a quarter of a 128-amplitude block), so
+        # a flip on qubit 5 or higher splits each row's halves over pieces.
         rng = np.random.default_rng(40 + m)
         theta = float(rng.uniform(0.01, math.pi / 2))
         amps = rng.normal(size=1 << m) + 1j * rng.normal(size=1 << m)
@@ -527,9 +533,9 @@ class TestStreamedEcc:
         tiny = (0.3 <= pick) & (pick < 0.45)
         words[tiny] = np.ldexp(rng.uniform(-1, 1, np.count_nonzero(tiny)),
                                -1030)  # subnormal
-        qubits = [0, m - 1, 0, *rng.permutation(m).tolist(),
-                  *rng.integers(0, m, 6).tolist(), m - 1]
-        assert (len(qic.state._segments(qubits, min(m, 5))) > 1) == (m > 5)
+        if qubits is None:
+            qubits = [0, m - 1, 0, *rng.permutation(m).tolist(),
+                      *rng.integers(0, m, 6).tolist(), m - 1]
         before = amps.copy()
         expected = amps
         for qubit in qubits:
@@ -664,7 +670,8 @@ def _schemes(draw):
 # One full flip leaves no valid mass: at eps 0 correction collapses.
 @example(scheme=ChecksumScheme(3, ((0, 1, 2),)), events=1,
          theta=math.pi / 2, eps=0.0, passes=1, seed=0)
-# Six distinct qubits of twelve: the flips run in two segments of tiles.
+# Six distinct qubits of twelve, data and checksum bits alike: the flips
+# move the class form's values between classes of every parity group.
 @example(scheme=ChecksumScheme(9, ((0, 1, 2), (3, 4, 5), (6, 7, 8))),
          events=8, theta=0.5, eps=0.05, passes=2, seed=1)
 def test_ecc_report_matches_the_dense_reference_bytewise(scheme, events, theta,
@@ -797,9 +804,11 @@ def test_default_ecc_experiment_compiles_no_mask(monkeypatch):
 
 
 def test_inject_noise_peaks_below_one_state_and_one_block(monkeypatch):
-    # 40 events on 14 qubits need several segments, each one pass of tiles
-    # through a scratch of half a block: the noisy state is the only
-    # state-sized allocation, and block-sized scratch per flip would fail.
+    # 40 events on 14 qubits, more distinct ones than a quarter block has
+    # index bits, so high flips split each row's halves over pieces.  Each
+    # flip is one pass of pieces through a quarter-block scratch: the noisy
+    # state is the only state-sized allocation, and block-sized scratch per
+    # flip would fail.
     block = 8192
     monkeypatch.setattr(qic.state, "_BLOCK", block)
     m = 14

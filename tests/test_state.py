@@ -474,8 +474,8 @@ def test_partial_flip_inverts_with_negated_angle(seed, m, theta, qubit_pick):
 )
 def test_blocked_flip_matches_dense_reference_bitwise(seed, m, complex_state,
                                                       data):
-    # 128-amplitude blocks make 32-amplitude tiles: from m = 6 on a tile is
-    # a strided part of the state, which holds a qubit's partners.
+    # 128-amplitude blocks make 32-amplitude pieces: from qubit 5 on a
+    # piece holds a column range of both halves of one row of pairs.
     qubit = data.draw(st.integers(0, m - 1))
     theta = data.draw(st.floats(0.0, math.pi / 2, exclude_min=True))
     rng = np.random.default_rng(seed)
