@@ -29,6 +29,7 @@ from .predicate import (
     parse_int,
 )
 from .state import (
+    Classes,
     Register,
     StateVector,
     _class_mass,
@@ -150,7 +151,8 @@ def encode(psi_data: StateVector, scheme: ChecksumScheme) -> StateVector:
     if value is not None:
         values = np.zeros(1 << scheme.checksum_bits)
         values[0] = value
-        return StateVector._classes(full, scheme.qubit_columns(), values)
+        return StateVector._table(full, Classes(scheme.qubit_columns()),
+                                  values)
     # By doubling: indices with top bit b are those below 2^b plus bit b.
     checksums = np.zeros(
         1 << n, dtype=np.min_scalar_type((1 << scheme.checksum_bits) - 1))
@@ -208,7 +210,7 @@ def checksum_valid_mass(psi: StateVector, scheme: ChecksumScheme) -> float:
     Of a class form over the scheme's syndromes, that is 2^n copies of
     class 0's |value|^2, summed in closed form with np.sum's bits.
     """
-    if _over_classes(psi, scheme.qubit_columns()):
+    if _over_classes(psi, Classes(scheme.qubit_columns())):
         return _class_mass(psi, 1 << scheme.data_bits)
     mask = compile_mask(checksum_predicate(scheme), psi.register)
     # Gather, then square: np.sum sees the values and order of squaring all.
@@ -273,7 +275,7 @@ def ecc_experiment(scheme: ChecksumScheme, model: NoiseModel,
     mass_before = checksum_valid_mass(psi_noisy, scheme)
     fid_before = fidelity(psi_noisy, psi_ideal)
     try:
-        if _over_classes(psi_noisy, scheme.qubit_columns()):
+        if _over_classes(psi_noisy, Classes(scheme.qubit_columns())):
             # On the syndromes: syndrome 0 alone is checksum-valid.
             syndromes = np.arange(1 << scheme.checksum_bits)
             psi_corrected = _interfere_classes(psi_noisy, syndromes == 0,

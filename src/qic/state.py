@@ -14,25 +14,31 @@ returned to it, so that no state-sized buffer leaves this module.
 A compiled ``PhaseMask`` is privately a *block form*: per aligned block of
 indices, whether its flags are all unset, all set or mixed, and the flags
 of the mixed blocks only, so a mask with a few valid indices holds a few
-blocks of flags.  A state holds one of three forms: a read-only dense array
-of complex128 amplitudes, or privately one of two table forms.  The
-*two-level* form is a mask and an invalid and a valid float64 value.
-Interference from the uniform state keeps that form, so an enumeration or
-sweep state holds no 2^m array.  The *class* form is ``columns``, one int
-per qubit, and a table of 2^k ``values``: amplitude i is the table entry of
-its class, the XOR of the columns of i's set bits.  ``qic.ecc.encode``
-builds it for uniform data (a checksum qubit's column is its own bit, a
-data bit's the groups that hold it, so a class is a syndrome), and a
-partial flip maps class c onto c ^ column, so ecc's noise, correction,
-masses and overlaps run on the 2^k values.  Each form's operations take the
-dense steps, in the same order, on its values, so the bits are those of the
-dense state.  Apart from ``qic.ecc.encode``, which builds the class form,
-and ``qic.predicate``, which compiles masks, this module alone knows the
-forms, so it owns the pass kernels ``_interfere`` and
-``_interfere_classes``, the closed-form mass of class 0, the one walk
-(``_masses``) under the squared norm, the kernel's surviving mass and
-``sample``, and the blocked overlap under ``fidelity``, which calls no BLAS
-so that its bits do not depend on the CPU or the thread count.
+blocks of flags.  A state is either a read-only dense array of complex128
+amplitudes or, privately, a *table form*: a float64 or complex128 table
+``_values`` read through ``_labels``, so amplitude i is
+``_values[_labels._label(i)]``.  A label source also gives, by
+``_block(b, step)``, block b's labels as an array XOR a constant.  A
+``PhaseMask`` labels an index by its flag: a table over a mask is an
+invalid and a valid value, the *two-level* form that interference from the
+uniform state keeps, so an enumeration or sweep state holds no 2^m array.
+``Classes(columns)``, one int per qubit, labels an index by its class, the
+XOR of the columns of its set bits.  ``qic.ecc.encode`` builds it for
+uniform data (a checksum qubit's column is its own bit, a data bit's the
+groups that hold it, so a class is a syndrome), and a partial flip maps
+class c onto c ^ column, so ecc's noise, correction, masses and overlaps
+run on the 2^k values.  None labels every index 0: the uniform state.  One
+gather (``_gather``) reads a block of any table form, and each operation
+takes the dense steps, in the same order, on the table, so the bits are
+those of the dense state.  Apart from ``qic.ecc.encode``, which builds
+classes, ``qic.predicate``, which compiles masks, and
+``qic.interference.remnant_sweep``, which reads a two-level state's values,
+this module alone knows the forms, so it owns the pass kernels
+``_interfere`` and ``_interfere_classes``, the closed-form mass of class 0,
+the one walk (``_masses``) under the squared norm, the kernel's surviving
+mass and ``sample``, and the blocked overlap under ``fidelity``, which
+calls no BLAS so that its bits do not depend on the CPU or the thread
+count.
 """
 
 from __future__ import annotations
@@ -101,7 +107,7 @@ class Register:
 class StateVector:
     """2^m complex128 amplitudes over a register, copied from the input."""
 
-    __slots__ = ("register", "_dense", "_mask", "_values", "_columns")
+    __slots__ = ("register", "_dense", "_labels", "_values")
 
     def __init__(self, register: Register, amplitudes):
         arr = np.array(amplitudes, dtype=np.complex128)
@@ -111,8 +117,7 @@ class StateVector:
             )
         arr.flags.writeable = False
         self.register, self._dense = register, arr
-        # See _two_level and _classes.
-        self._mask = self._values = self._columns = None
+        self._labels = self._values = None  # see _table
 
     @classmethod
     def _adopt(cls, register: Register, amps: np.ndarray) -> "StateVector":
@@ -121,28 +126,17 @@ class StateVector:
         amps.flags.writeable = False
         psi = cls.__new__(cls)
         psi.register, psi._dense = register, amps
-        psi._mask = psi._values = psi._columns = None
+        psi._labels = psi._values = None
         return psi
 
     @classmethod
-    def _two_level(cls, register: Register, mask: PhaseMask | None,
-                   values: np.ndarray) -> "StateVector":
-        """A state whose amplitude i is ``values[1]`` where ``mask`` flags
-        i valid, else ``values[0]``; a None mask flags nothing.  No checks."""
+    def _table(cls, register: Register, labels: PhaseMask | Classes | None,
+               values: np.ndarray) -> "StateVector":
+        """A state whose amplitude i is ``values[labels._label(i)]``, or
+        ``values[0]`` (of two) for None labels.  No checks."""
         psi = cls.__new__(cls)
-        psi.register, psi._dense, psi._columns = register, None, None
-        psi._mask, psi._values = mask, values
-        return psi
-
-    @classmethod
-    def _classes(cls, register: Register, columns: tuple[int, ...],
-                 values: np.ndarray) -> "StateVector":
-        """A state whose amplitude i is ``values[_label(columns, i)]``:
-        ``columns`` holds one int per qubit, ``values`` (float64 or
-        complex128) one entry per class.  No checks."""
-        psi = cls.__new__(cls)
-        psi.register, psi._dense, psi._mask = register, None, None
-        psi._columns, psi._values = columns, values
+        psi.register, psi._dense = register, None
+        psi._labels, psi._values = labels, values
         return psi
 
     @property
@@ -150,7 +144,7 @@ class StateVector:
         """The 2^m complex128 amplitudes, read-only; a table form builds
         them on first access, the uniform state as a zero-stride view."""
         if self._dense is None:
-            if self._mask is None and self._columns is None:
+            if self._labels is None:
                 self._dense = np.broadcast_to(np.complex128(self._values[0]),
                                               self.register.dimension)
             else:
@@ -238,11 +232,32 @@ class PhaseMask:
                    else kind * self._step
                    for b, kind in enumerate(self._kinds))
 
-    def _flag(self, index: int) -> int:
+    def _label(self, index: int) -> int:
         """The flag of basis index ``index``, as 0 or 1."""
         b, offset = divmod(index, self._step)
         kind = self._kinds[b]
         return kind if kind < 2 else int(self._mixed[b][offset])
+
+    def _block(self, b: int, step: int) -> tuple[np.ndarray | None, int]:
+        """(block b's flags, 0) if it is mixed, else (None, its kind)."""
+        kind = self._kinds[b]
+        return (self._mixed[b], 0) if kind == 2 else (None, kind)
+
+
+@dataclass(frozen=True)
+class Classes:
+    """Labels by class: the class of basis index i is the XOR of the
+    ``columns`` (one int per qubit) of i's set bits."""
+
+    columns: tuple[int, ...]
+
+    def _label(self, index: int) -> int:
+        return functools.reduce(operator.xor, (
+            c for q, c in enumerate(self.columns) if index >> q & 1), 0)
+
+    def _block(self, b: int, step: int) -> tuple[np.ndarray, int]:
+        """(the classes of block b's low bits, its first index's class)"""
+        return _base_labels(self.columns, step), self._label(b * step)
 
 
 def _put(kinds: bytearray, mixed: dict, b: int, flags: np.ndarray) -> None:
@@ -270,11 +285,10 @@ def _by_block(indices, step: int):
 def uniform_superposition(register: Register) -> StateVector:
     """Equal-amplitude state: every component is 2^(-m/2).
 
-    A two-level state without a mask, so it allocates no amplitude array.
+    A table form without labels, so it allocates no amplitude array.
     """
     dim = register.dimension
-    return StateVector._two_level(register, None,
-                                  np.full(2, 1.0 / np.sqrt(dim)))
+    return StateVector._table(register, None, np.full(2, 1.0 / np.sqrt(dim)))
 
 
 def basis_state(register: Register, index: int) -> StateVector:
@@ -305,8 +319,8 @@ def _blocks(dim: int) -> list[slice]:
 
 def _step(psi: StateVector) -> int:
     """psi's block length; a two-level state's is that of its mask."""
-    if psi._mask is not None:
-        return psi._mask._step
+    if isinstance(psi._labels, PhaseMask):
+        return psi._labels._step
     return _block_length(psi.register.dimension)
 
 
@@ -314,17 +328,6 @@ def _scratch(psi: StateVector, step: int) -> np.ndarray | None:
     """A block of scratch for ``_read`` of psi: None for a dense psi, else
     of its values' dtype."""
     return None if psi._values is None else np.empty(step, psi._values.dtype)
-
-
-def _label(columns: tuple[int, ...], index: int) -> int:
-    """The class of basis index ``index``: the XOR of the columns of its
-    set bits."""
-    label = 0
-    for column in columns:
-        if index & 1:
-            label ^= column
-        index >>= 1
-    return label
 
 
 @functools.lru_cache(maxsize=8)
@@ -336,21 +339,6 @@ def _base_labels(columns: tuple[int, ...], step: int) -> np.ndarray:
     for q in range(step.bit_length() - 1):
         np.bitwise_xor(labels[:1 << q], columns[q], out=labels[1 << q:2 << q])
     return labels
-
-
-def _gather(table: np.ndarray, columns: tuple[int, ...], lo: int,
-            out: np.ndarray) -> np.ndarray:
-    """Write ``table``'s entry of each index's class, for the aligned block
-    of ``len(out)`` indices from ``lo``, into ``out`` and return it.
-
-    A block's classes are those of its low bits XOR the class of ``lo``,
-    so the table is permuted by the latter and indexed by the former.
-    """
-    high = _label(columns, lo)
-    if high:
-        table = table[np.arange(len(table)) ^ high]
-    return np.take(table, _base_labels(columns, len(out)), out=out,
-                   mode="clip")
 
 
 def _mass(amps: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -367,14 +355,29 @@ def _select(flags: np.ndarray, pair: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fill(mask: PhaseMask | None, b: int, pair: np.ndarray,
+def _gather(table: np.ndarray, labels: PhaseMask | Classes | None, b: int,
+            out: np.ndarray):
+    """``table``'s entry per label of block b of ``len(out)`` indices: the
+    one entry of a block of one label, else written into ``out``.  The
+    labels are an array XOR a constant, so the table is permuted by the
+    constant and indexed by the array: bool flags (a float64 pair) through
+    ``_select``, intp labels through ``np.take``."""
+    array, constant = labels._block(b, len(out)) if labels else (None, 0)
+    if array is None:
+        return table[constant]
+    if constant:
+        table = table[np.arange(len(table)) ^ constant]
+    if array.dtype == bool:
+        return _select(array, table, out)
+    return np.take(table, array, out=out, mode="clip")
+
+
+def _fill(table: np.ndarray, labels: PhaseMask | Classes | None, b: int,
           out: np.ndarray) -> np.ndarray:
-    """Write ``pair[flags]`` for the flags of ``mask``'s block b (none set
-    if mask is None) into float64 ``out`` and return it, bit for bit."""
-    kind = 0 if mask is None else mask._kinds[b]
-    if kind == 2:
-        return _select(mask._mixed[b], pair, out)
-    out[...] = pair[kind]
+    """``_gather`` of block b, always written into ``out``."""
+    got = _gather(table, labels, b, out)
+    if got is not out:
+        out[...] = got
     return out
 
 
@@ -384,9 +387,7 @@ def _read(psi: StateVector, block: slice, buf: np.ndarray | None
     else written into ``buf`` (see ``_scratch``), block-sized."""
     if psi._values is None:
         return psi._dense[block]
-    if psi._columns is not None:
-        return _gather(psi._values, psi._columns, block.start, buf)
-    return _fill(psi._mask, block.start // len(buf), psi._values, buf)
+    return _fill(psi._values, psi._labels, block.start // len(buf), buf)
 
 
 def _expand(psi: StateVector) -> np.ndarray:
@@ -408,16 +409,9 @@ def _masses(psi: StateVector, buf: np.ndarray, start: int = 0):
         for lo in range(start * step, len(psi._dense), step):
             yield _mass(psi._dense[lo:lo + step], buf)
         return
-    if psi._columns is not None:
-        squares = _mass(psi._values, np.empty(len(psi._values)))
-        for lo in range(start * step, psi.register.dimension, step):
-            yield _gather(squares, psi._columns, lo, buf)
-        return
-    squares, mask = np.square(psi._values), psi._mask
+    squares = _mass(psi._values, np.empty(len(psi._values)))
     for b in range(start, psi.register.dimension // step):
-        kind = 0 if mask is None else mask._kinds[b]
-        yield (squares[kind] if kind < 2 else
-               _select(mask._mixed[b], squares, buf))
+        yield _gather(squares, psi._labels, b, buf)
 
 
 def _pairwise(sums: list) -> float:
@@ -425,6 +419,13 @@ def _pairwise(sums: list) -> float:
     while len(sums) > 1:
         sums = [left + right for left, right in zip(sums[::2], sums[1::2])]
     return float(sums[0])
+
+
+def _total(blocks, step: int) -> float:
+    """np.sum over aligned blocks of ``step`` entries, bit for bit: each
+    block an array, or a value that the whole block holds."""
+    return _pairwise([np.sum(block) if isinstance(block, np.ndarray)
+                      else _constant_sum(block, step) for block in blocks])
 
 
 @functools.lru_cache
@@ -441,9 +442,7 @@ def _constant_sum(v: float, count: int) -> float:
 def norm_squared(psi: StateVector) -> float:
     # np.sum of |amp|^2, bit for bit, in block-sized scratch.
     buf = np.empty(_step(psi))
-    return _pairwise([np.sum(buf) if mass is buf
-                      else _constant_sum(mass, len(buf))
-                      for mass in _masses(psi, buf)])
+    return _total(_masses(psi, buf), len(buf))
 
 
 def _gather_abs(psi: StateVector, mask: PhaseMask) -> np.ndarray:
@@ -469,11 +468,12 @@ def _scale(surviving: float, tol: float):
     return 1.0 / np.sqrt(surviving)
 
 
-def _table_passes(values: np.ndarray, weights: np.ndarray, form,
+def _table_passes(psi: StateVector, labels, weights: np.ndarray,
                   passes: int, tol: float) -> StateVector:
-    """``_interfere``'s passes on a table form's ``values``, each entry
-    weighted by its ``weights`` entry; ``form(values)`` builds the state."""
-    scale = None
+    """``_interfere``'s passes on psi's table, each entry times its
+    ``weights`` entry: a table form read through ``labels``."""
+    form = functools.partial(StateVector._table, psi.register, labels)
+    values, scale = psi._values, None
     for _ in range(passes):
         values = (values if scale is None else values * scale) * weights
         scale = _scale(norm_squared(form(values)), tol)
@@ -502,10 +502,9 @@ def _interfere(psi: StateVector, mask: PhaseMask, leakage: float,
         raise ValueError("in_place needs a dense input")
     # Indexed by a flag: leakage for invalid, 2 - leakage for valid.
     levels = np.array([leakage, 2.0 - leakage])
-    if (psi._values is not None and psi._columns is None
-            and (psi._mask is None or psi._mask is mask)):
-        return _table_passes(psi._values, levels, functools.partial(
-            StateVector._two_level, psi.register, mask), passes, tol)
+    if psi._values is not None and (psi._labels is None
+                                    or psi._labels is mask):
+        return _table_passes(psi, mask, levels, passes, tol)
     dim = psi.register.dimension
     step = _block_length(dim)
     out = psi._dense if in_place else np.empty(dim, np.complex128)
@@ -518,7 +517,7 @@ def _interfere(psi: StateVector, mask: PhaseMask, leakage: float,
             row = out[block]
             src = (_read(psi, block, buf) if scale is None
                    else np.multiply(row, scale, out=row))
-            np.multiply(src, _fill(mask, block.start // step, levels, weights),
+            np.multiply(src, _fill(levels, mask, block.start // step, weights),
                         out=row)
             sums.append(np.sum(_mass(row, mass)))
         scale = _scale(_pairwise(sums), tol)
@@ -533,13 +532,12 @@ def _interfere_classes(psi: StateVector, valid: np.ndarray, leakage: float,
     result is a class form, with the bits of the dense passes."""
     weights = _select(valid, np.array([leakage, 2.0 - leakage]),
                       np.empty(len(valid)))
-    return _table_passes(psi._values, weights, functools.partial(
-        StateVector._classes, psi.register, psi._columns), passes, tol)
+    return _table_passes(psi, psi._labels, weights, passes, tol)
 
 
-def _over_classes(psi: StateVector, columns: tuple[int, ...]) -> bool:
-    """Whether psi is a class form over ``columns``."""
-    return psi._columns == columns
+def _over_classes(psi: StateVector, classes: Classes) -> bool:
+    """Whether psi is a class form over ``classes``."""
+    return psi._labels == classes
 
 
 def _class_mass(psi: StateVector, count: int) -> float:
@@ -551,10 +549,8 @@ def _class_mass(psi: StateVector, count: int) -> float:
 def _constant_value(psi: StateVector) -> float | None:
     """The one value of a state built constant (the uniform state), or
     None for any other state."""
-    if (psi._values is None or psi._mask is not None
-            or psi._columns is not None):
-        return None
-    return psi._values[0]
+    return (None if psi._values is None or psi._labels is not None
+            else psi._values[0])
 
 
 def check_tolerance(tol: float, name: str = "tol") -> None:
@@ -575,11 +571,8 @@ def probability(psi: StateVector, index: int) -> float:
     index = psi.register.index(index)
     if psi._values is None:
         return float(abs(psi._dense[index]) ** 2)
-    if psi._columns is not None:
-        entry = _label(psi._columns, index)
-    else:
-        entry = 0 if psi._mask is None else psi._mask._flag(index)
-    return float(abs(psi._values[entry]) ** 2)
+    label = 0 if psi._labels is None else psi._labels._label(index)
+    return float(abs(psi._values[label]) ** 2)
 
 
 def _constant_run_end(carry: float, v: float, count: int) -> float | None:
@@ -679,7 +672,7 @@ def _sum_of_products(terms, out: np.ndarray, tmp: np.ndarray,
     ufunc steps in scratch ``out`` and ``tmp``.  A term with a None factor
     is zero and is left out; that moves at most the sign of a zero, as
     does negating the sum of a lone subtracted term.  ``total`` may
-    replace np.sum: a class form's per-class products are summed as the
+    replace np.sum: a table form's per-label products are summed as the
     whole state's."""
     terms = [(sign, x, y) for sign, x, y in terms
              if x is not None and y is not None]
@@ -712,27 +705,29 @@ def fidelity(psi: StateVector, phi: StateVector) -> float:
     of whole-array np.sums on any CPU and BLAS.  No complex multiply, which
     numpy may fuse into multiply-adds.  A table form is read one block at
     a time and never made dense; the zero imaginary terms of real values
-    are skipped, which leaves the result's bits unchanged.  Two class
-    forms over the same classes take each product once per class, and
-    each block sums them gathered into one block of scratch: the same
-    products, without reading either state into scratch.
+    are skipped, which leaves the result's bits unchanged.  Two table forms
+    read through the same labels take each product once per label, and
+    each block sums them gathered into one block of scratch (or, for a
+    block of one label, in closed form): the same products, without
+    reading either state into scratch.
     """
     if psi.register != phi.register:
         raise RegisterMismatch(
             f"registers differ: {psi.register} vs {phi.register}"
         )
-    blocks = _blocks(psi.register.dimension)
-    step = blocks[0].stop
-    if psi._columns is not None and psi._columns == phi._columns:
-        size, buf = len(psi._values), np.empty(step)
+    if (psi._values is not None and phi._values is not None
+            and psi._labels == phi._labels):
+        size, buf = len(psi._values), np.empty(_step(psi))
+        blocks = range(psi.register.dimension // len(buf))
 
         def total(products):
-            return _pairwise([np.sum(_gather(products, psi._columns,
-                                             block.start, buf))
-                              for block in blocks])
+            return _total((_gather(products, psi._labels, b, buf)
+                           for b in blocks), len(buf))
         real, imag = _overlap(psi._values, phi._values, np.empty(size),
                               np.empty(size), total)
     else:
+        blocks = _blocks(psi.register.dimension)
+        step = blocks[0].stop
         xbuf, ybuf, out, tmp = (_scratch(psi, step), _scratch(phi, step),
                                 np.empty(step), np.empty(step))
         parts = [_overlap(_read(psi, block, xbuf), _read(phi, block, ybuf),
@@ -765,6 +760,7 @@ def _flips(src: np.ndarray, out: np.ndarray, qubits, theta: float) -> None:
     """
     if not qubits:
         np.copyto(out, src)
+        return
     c, s = np.cos(theta), 1j * np.sin(theta)
     size = min(_BLOCK // 4, len(src))
     scratch = np.empty(size, np.complex128)
@@ -794,12 +790,12 @@ def apply_partial_bit_flip(psi: StateVector, qubit,
     that order by one ``_flips`` call, with the bits of chained single
     calls; an empty sequence gives a copy.  Every qubit must be an integer
     in range and theta finite; both are checked before anything is
-    allocated.  A class form stays one: a flip on qubit
-    q maps class c onto c ^ columns[q], so each flip takes ``_flips``'
-    three steps (times i sin against the partner class, times cos, add) on
-    the table, which costs O(2^k) and gives the bits of the dense flips.
-    A two-level ``psi`` is written into the fresh output block by block
-    and flipped there, so it is never made dense itself.
+    allocated.  A class form stays one: a flip on qubit q maps class c
+    onto c ^ columns[q], so each flip takes ``_flips``' three steps (times
+    i sin against the partner class, times cos, add) on the table, which
+    costs O(2^k) and gives the bits of the dense flips.  Any other table
+    form is written into the fresh output block by block and flipped
+    there, so it is never made dense itself.
     """
     m = psi.register.total_qubits
     qubits = list(map(operator.index, qubit if np.ndim(qubit) else [qubit]))
@@ -808,14 +804,14 @@ def apply_partial_bit_flip(psi: StateVector, qubit,
             raise IndexOutOfRange(f"qubit {q} outside [0, {m})")
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
-    if psi._columns is not None:
+    if isinstance(psi._labels, Classes):
         c, s = np.cos(theta), 1j * np.sin(theta)
         values = psi._values.astype(np.complex128)
         classes = np.arange(len(values))
         for q in qubits:
-            partners = s * values[classes ^ psi._columns[q]]
+            partners = s * values[classes ^ psi._labels.columns[q]]
             values = c * values + partners
-        return StateVector._classes(psi.register, psi._columns, values)
+        return StateVector._table(psi.register, psi._labels, values)
     if psi._values is None:
         amps = np.empty(psi.register.dimension, dtype=np.complex128)
         _flips(psi._dense, amps, qubits, theta)

@@ -26,6 +26,7 @@ from qic.interference import InterferenceConfig
 from qic.predicate import compile_mask
 from qic.reports import render_json
 from qic.state import (
+    Classes,
     Register,
     StateVector,
     _interfere_classes,
@@ -453,8 +454,8 @@ class TestStreamedEcc:
             # dense scatter's amplitudes.
             uniform = uniform_superposition(Register(n))
             ideal = encode(uniform, scheme)
-            assert ideal._columns == scheme.qubit_columns()
-            assert ideal._mask is None and ideal._dense is None
+            assert ideal._labels == Classes(scheme.qubit_columns())
+            assert ideal._dense is None
             assert len(ideal._values) == 1 << scheme.checksum_bits
             assert np.array_equal(
                 reference.bits(ideal.amplitudes),
@@ -505,7 +506,7 @@ class TestStreamedEcc:
             seed = int(rng.integers(2**32))
             noisy, log = inject_noise(ideal, model, np.random.default_rng(seed))
             assert ideal._dense is None
-            assert noisy._dense is None and noisy._columns == ideal._columns
+            assert noisy._dense is None and noisy._labels == ideal._labels
             expected, qubits = reference.noise(
                 reference.encode(np.full(1 << n, 1 / np.sqrt(1 << n), complex),
                                  scheme), model, seed)
@@ -600,7 +601,7 @@ def test_ecc_experiment_without_events_keeps_report_and_ideal_state(
         return psi
 
     def spy(psi, valid, leakage, passes, tol):
-        calls.append((psi._columns, valid.tolist()))
+        calls.append((psi._labels.columns, valid.tolist()))
         return _interfere_classes(psi, valid, leakage, passes, tol)
 
     monkeypatch.setattr(qic.ecc, "encode", encode_spy)
@@ -739,7 +740,7 @@ def test_class_form_states_match_the_dense_reference_bitwise(
         states = [psi for psi in (ideal, noisy, corrected) if psi is not None]
         dense = [StateVector(psi.register, psi.amplitudes) for psi in states]
         for psi, copy in zip(states, dense):
-            assert psi._columns == scheme.qubit_columns()
+            assert psi._labels == Classes(scheme.qubit_columns())
             assert norm_squared(psi).hex() == norm_squared(copy).hex()
             assert (checksum_valid_mass(psi, scheme).hex()
                     == checksum_valid_mass(copy, scheme).hex())

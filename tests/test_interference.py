@@ -166,9 +166,9 @@ def _real_and_complex(m, signs=None):
     two-level state and as a dense complex128 copy."""
     psi = uniform_superposition(Register(m))
     if signs is not None:
-        psi = StateVector._two_level(psi.register,
-                                     compile_mask(signs, psi.register),
-                                     psi._values * [-1.0, 1.0])
+        psi = StateVector._table(psi.register,
+                                 compile_mask(signs, psi.register),
+                                 psi._values * [-1.0, 1.0])
     return psi, StateVector(psi.register, psi.amplitudes)
 
 
@@ -450,7 +450,7 @@ def test_gather_abs_matches_dense_gather_bitwise(kind, monkeypatch):
         psi = uniform_superposition(Register(m))
     elif kind == "mixed":
         psi = _mixed_state(m)
-        assert set(psi._mask._kinds) == {0, 2}
+        assert set(psi._labels._kinds) == {0, 2}
     else:
         psi = _state_of_kind(kind, 5, m)
     rng = np.random.default_rng(6)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -13,6 +14,7 @@ from qic.enumeration import RunConfig
 from qic.errors import IndexOutOfRange, NormCollapse, RegisterMismatch
 from qic.interference import InterferenceConfig
 from qic.state import (
+    Classes,
     PhaseMask,
     Register,
     StateVector,
@@ -135,6 +137,24 @@ class TestProbability:
         with pytest.raises(IndexOutOfRange):
             probability(uniform_superposition(Register(2)), 4)
 
+    def test_table_forms_match_their_amplitudes_bitwise(self, monkeypatch):
+        # Class forms over random columns (a real and a complex table) and
+        # a two-level form, each spanning four 128-index blocks.
+        monkeypatch.setattr(qic.state, "_BLOCK", 128)
+        m, k, rng = 9, 4, np.random.default_rng(29)
+        reg = Register(m)
+        columns = tuple(int(c) for c in rng.integers(0, 1 << k, m))
+        real = rng.normal(size=1 << k)
+        states = [StateVector._table(reg, Classes(columns), table)
+                  for table in (real, real + 1j * rng.normal(size=1 << k))]
+        states.append(StateVector._table(
+            reg, PhaseMask(reg, _block_flags(rng, m)), rng.normal(size=2)))
+        for psi in states:
+            amps = psi.amplitudes
+            for i in range(reg.dimension):
+                want = float(abs(amps[i]) ** 2)
+                assert probability(psi, i).hex() == want.hex(), i
+
 
 class TestSample:
     def test_basis_state_is_certain(self):
@@ -176,7 +196,7 @@ class TestSample:
     def test_zero_state_flagged_normalized_rejected(self):
         # The unchecked two-level constructor: sample sums constant blocks
         # rather than scanning amplitudes, and must still see the collapse.
-        psi = StateVector._two_level(Register(2), None, np.zeros(2))
+        psi = StateVector._table(Register(2), None, np.zeros(2))
         with pytest.raises(NormCollapse):
             sample(psi, np.random.default_rng(0))
 
@@ -274,9 +294,9 @@ class TestFidelity:
         flags[:256] = False
         flags[-256:] = True
         mask = PhaseMask(reg, flags)
-        levels = [StateVector._two_level(reg, None, np.array([0.4, 0.4]))]
+        levels = [StateVector._table(reg, None, np.array([0.4, 0.4]))]
         for values in ([0.0, 0.6], [-0.0, -0.5], [-0.2, 0.7]):
-            levels.append(StateVector._two_level(reg, mask, np.array(values)))
+            levels.append(StateVector._table(reg, mask, np.array(values)))
         for x, y in self._pairs(rng, 12):
             dense = StateVector(reg, y)
             for level in levels:
@@ -287,6 +307,14 @@ class TestFidelity:
                     assert fidelity(*got).hex() == fidelity(*want).hex()
                 assert fidelity(dense, level).hex() == reference.fidelity(
                     y, level.amplitudes).hex()
+        # Same-label pairs (uniform x uniform, and two-level x two-level
+        # over one mask) take the per-label path.
+        uniform = StateVector._table(reg, None, np.array([0.3, 0.3]))
+        pairs = [(levels[0], uniform), *itertools.product(levels[1:], repeat=2)]
+        for psi, phi in pairs:
+            assert psi._labels is phi._labels
+            assert fidelity(psi, phi).hex() == reference.fidelity(
+                psi.amplitudes, phi.amplitudes).hex()
 
 
 class TestPhaseMask:
@@ -515,7 +543,7 @@ def _class_forms(draw):
     for i in range(1 << m):
         for bit, column in zip(bits_of(i, m), columns):
             classes[i] ^= column * bit
-    return StateVector._classes(Register(m), columns, values), classes
+    return StateVector._table(Register(m), Classes(columns), values), classes
 
 
 @settings(max_examples=150, deadline=None)
@@ -545,7 +573,7 @@ def test_class_form_matches_its_dense_copy_bitwise(form, block, theta, eps,
         forms = [x for x in (psi, flipped, passed) if x is not None]
         copies = [StateVector(x.register, x.amplitudes) for x in forms]
         for x, copy in zip(forms, copies):
-            assert x._columns == psi._columns
+            assert x._labels == psi._labels
             assert norm_squared(x).hex() == norm_squared(copy).hex()
             for index in rng.integers(0, 1 << m, 4):
                 assert probability(x, index) == probability(copy, index)
@@ -706,8 +734,8 @@ class TestBlockedReductions:
                 values[0] = 0.0
             if seed % 7 == 0:
                 values[1] = values[0]
-            psi = StateVector._two_level(Register(m),
-                                         PhaseMask(Register(m), flags), values)
+            psi = StateVector._table(Register(m),
+                                     PhaseMask(Register(m), flags), values)
             dense = StateVector(psi.register, psi.amplitudes)
             assert psi.amplitudes.dtype == np.complex128
             assert np.array_equal(reference.bits(psi.amplitudes.real),
@@ -772,8 +800,8 @@ def test_two_level_amplitudes_hold_the_values_bits_in_real():
             values = np.array([a, b], dtype=np.uint64).view(np.float64)
             for f, expected in ((PhaseMask(Register(3), flags), [a, b] * 4),
                                 (None, [a] * 8)):
-                amps = StateVector._two_level(Register(3), f,
-                                              values).amplitudes
+                amps = StateVector._table(Register(3), f,
+                                          values).amplitudes
                 assert amps.dtype == np.complex128
                 assert reference.bits(amps.real).tolist() == expected
                 assert not reference.bits(amps.imag).any()
@@ -948,7 +976,7 @@ def test_sample_with_tying_fill_blocks_allocates_one_block_scan():
     # The run of fill masses from carry 0 ties, so every block falls back
     # to a real scan, which must reuse sample's own buffer.
     assert _constant_run_end(0.0, fill * fill, step) is None
-    psi = StateVector._two_level(reg, None, np.full(2, fill))
+    psi = StateVector._table(reg, None, np.full(2, fill))
     sample(psi, np.random.default_rng(0))  # first calls import what they need
     rng = np.random.default_rng(1)
     tracemalloc.start()
