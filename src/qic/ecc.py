@@ -35,7 +35,6 @@ from .state import (
     _class_mass,
     _constant_value,
     _gather_abs,
-    _interfere,
     _interfere_classes,
     _over_classes,
     apply_partial_bit_flip,
@@ -220,11 +219,18 @@ def checksum_valid_mass(psi: StateVector, scheme: ChecksumScheme) -> float:
 
 def correct(psi: StateVector, scheme: ChecksumScheme,
             cfg: InterferenceConfig = InterferenceConfig()) -> StateVector:
-    """Remove checksum-violating components by interference.
+    """Remove checksum-violating components by interference: ecc's one
+    correction step.
 
-    Pure: the result owns a fresh array.  ``ecc_experiment`` runs the same
-    passes in place over its noisy state instead.
+    A class form over the scheme's syndromes is passed on its 2^k values,
+    where syndrome 0 alone is checksum-valid, and stays a class form; any
+    other state is passed against the compiled checksum predicate.  Pure,
+    like every transform: ``psi`` is not changed.
     """
+    if _over_classes(psi, Classes(scheme.qubit_columns())):
+        syndromes = np.arange(1 << scheme.checksum_bits)
+        return _interfere_classes(psi, syndromes == 0, cfg.leakage,
+                                  cfg.passes, cfg.collapse_tol)
     return interfere_repeated(psi, checksum_predicate(scheme), cfg)
 
 
@@ -259,12 +265,12 @@ def ecc_experiment(scheme: ChecksumScheme, model: NoiseModel,
     values, one per syndrome.  The flips, masses, overlaps and passes run
     on those values, with block scratch for the sums, so no 2^m array
     (neither amplitudes nor valid flags) is built and nothing is compiled.
-    An explicit ``data_state`` is encoded dense instead: then one 2^m
-    complex128 array is live at the peak, the noisy state, which
-    correction overwrites.
+    An explicit ``data_state`` is encoded dense instead: then the ideal,
+    noisy and corrected states are three 2^m complex128 arrays at the
+    peak, as ``correct``, like every transform, is pure.
     """
     # Refuses an oversized register, and a bad seed, before any state exists.
-    register = scheme.register()
+    scheme.register()
     seed = check_seed(seed)
     if data_state is None:
         data_state = uniform_superposition(Register(scheme.data_bits))
@@ -275,18 +281,7 @@ def ecc_experiment(scheme: ChecksumScheme, model: NoiseModel,
     mass_before = checksum_valid_mass(psi_noisy, scheme)
     fid_before = fidelity(psi_noisy, psi_ideal)
     try:
-        if _over_classes(psi_noisy, Classes(scheme.qubit_columns())):
-            # On the syndromes: syndrome 0 alone is checksum-valid.
-            syndromes = np.arange(1 << scheme.checksum_bits)
-            psi_corrected = _interfere_classes(psi_noisy, syndromes == 0,
-                                               cfg.leakage, cfg.passes,
-                                               cfg.collapse_tol)
-        else:
-            # In place over the dense psi_noisy, which is not read again.
-            mask = compile_mask(checksum_predicate(scheme), register)
-            psi_corrected = _interfere(psi_noisy, mask, cfg.leakage,
-                                       cfg.passes, cfg.collapse_tol,
-                                       in_place=True)
+        psi_corrected = correct(psi_noisy, scheme, cfg)
         del psi_noisy
         status = "ok"
         mass_after = checksum_valid_mass(psi_corrected, scheme)

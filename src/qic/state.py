@@ -5,11 +5,8 @@ binary with qubit 0 as the least significant bit.  Bitstrings render most
 significant qubit first, so index 1 on a 3-qubit register is ``"001"``.
 Checksum qubits, when present, occupy the high indices ``n .. m-1``.
 
-All public transforms are pure: the input state is never mutated and
-outputs own fresh amplitude arrays.  One private kernel writes over its
-input instead: ``_interfere`` given ``in_place``, with which ecc's
-correction overwrites the noisy state that ``apply_partial_bit_flip``
-returned to it, so that no state-sized buffer leaves this module.
+Every transform of a state, public or private, is pure: the input state
+is never mutated and a dense output owns a fresh amplitude array.
 
 A compiled ``PhaseMask`` is privately a *block form*: per aligned block of
 indices, whether its flags are all unset, all set or mixed, and the flags
@@ -74,8 +71,7 @@ class Register:
         if self.total_qubits > MAX_QUBITS:
             raise ValueError(
                 f"register of {self.total_qubits} qubits exceeds the "
-                f"{MAX_QUBITS}-qubit cap (2^m amplitudes must fit in memory)"
-            )
+                f"{MAX_QUBITS}-qubit cap")
 
     @property
     def dimension(self) -> int:
@@ -481,8 +477,7 @@ def _table_passes(psi: StateVector, labels, weights: np.ndarray,
 
 
 def _interfere(psi: StateVector, mask: PhaseMask, leakage: float,
-               passes: int, tol: float, in_place: bool = False
-               ) -> StateVector:
+               passes: int, tol: float) -> StateVector:
     """``passes`` interference passes against ``mask``'s valid flags.
 
     Each pass scales valid amplitudes by 2 - leakage and invalid ones by
@@ -494,12 +489,8 @@ def _interfere(psi: StateVector, mask: PhaseMask, leakage: float,
     From the uniform state, or a two-level state over this very mask, the
     passes run on the two values and return a two-level state over it.  Any
     other input, never made dense, is passed block by block into one fresh
-    2^m complex128 buffer.  ``in_place`` takes a dense ``psi``'s own
-    amplitudes as that buffer (each element is read before it is written):
-    the result shares them, so the caller must not read ``psi`` again.
+    2^m complex128 buffer.  Pure: ``psi`` is not changed.
     """
-    if in_place and psi._values is not None:
-        raise ValueError("in_place needs a dense input")
     # Indexed by a flag: leakage for invalid, 2 - leakage for valid.
     levels = np.array([leakage, 2.0 - leakage])
     if psi._values is not None and (psi._labels is None
@@ -507,8 +498,7 @@ def _interfere(psi: StateVector, mask: PhaseMask, leakage: float,
         return _table_passes(psi, mask, levels, passes, tol)
     dim = psi.register.dimension
     step = _block_length(dim)
-    out = psi._dense if in_place else np.empty(dim, np.complex128)
-    out.flags.writeable = True  # psi's own amplitudes are read-only
+    out = np.empty(dim, np.complex128)
     weights, mass, buf, scale = (np.empty(step), np.empty(step),
                                  _scratch(psi, step), None)
     for _ in range(passes):

@@ -63,10 +63,11 @@ def test_each_phase_reaches_its_binding_once_per_step(monkeypatch, capsys):
     assert {key: counts[key] for key in (
         "qic.cli.main", "qic.ecc.encode", "qic.ecc.inject_noise",
         "qic.ecc.apply_partial_bit_flip", "qic.ecc.checksum_valid_mass",
-        "qic.ecc.fidelity")} == {
+        "qic.ecc.fidelity", "qic.ecc.correct")} == {
         "qic.cli.main": 1, "qic.ecc.encode": 1, "qic.ecc.inject_noise": 1,
         "qic.ecc.apply_partial_bit_flip": 1,
-        "qic.ecc.checksum_valid_mass": 2, "qic.ecc.fidelity": 2}
+        "qic.ecc.checksum_valid_mass": 2, "qic.ecc.fidelity": 2,
+        "qic.ecc.correct": 1}
 
     counts.update(dict.fromkeys(counts, 0))
     capsys.readouterr()
@@ -90,12 +91,14 @@ def test_each_phase_reaches_its_binding_once_per_step(monkeypatch, capsys):
 
 
 def test_ecc_without_events_still_flips_once(monkeypatch):
-    # The noise step makes its one flip call whatever the event count, so
-    # a zero-event run records the same spans as a noisy one.
+    # The noise and correction steps make their one call whatever the event
+    # count, so a zero-event run records the same spans as a noisy one.
     counts = _count_calls(monkeypatch)
     assert qic.cli.main(["ecc", "--data-qubits", "6",
                          "--parity", "groups:0,1,2;3,4,5",
                          "--events", "0"]) == 0
     assert {key: counts[key] for key in (
-        "qic.ecc.inject_noise", "qic.ecc.apply_partial_bit_flip")} == {
-        "qic.ecc.inject_noise": 1, "qic.ecc.apply_partial_bit_flip": 1}
+        "qic.ecc.inject_noise", "qic.ecc.apply_partial_bit_flip",
+        "qic.ecc.correct")} == {
+        "qic.ecc.inject_noise": 1, "qic.ecc.apply_partial_bit_flip": 1,
+        "qic.ecc.correct": 1}

@@ -722,19 +722,18 @@ def test_ecc_report_matches_the_dense_reference_bytewise(scheme, events, theta,
          eps=0.0, passes=2, seed=5, block=128)
 def test_class_form_states_match_the_dense_reference_bitwise(
         scheme, events, theta, eps, passes, seed, block):
-    # The uniform path's encoded, noisy and corrected states, each against
-    # the whole-array reference, and their reductions against the same
-    # functions on a dense copy.
+    # The uniform path's encoded, noisy and corrected states, each a class
+    # form (``correct`` keeps one), against the whole-array reference, and
+    # their reductions against the same functions on a dense copy.
     model, cfg = NoiseModel(events, theta), InterferenceConfig(eps, passes)
-    n, k = scheme.data_bits, scheme.checksum_bits
+    n = scheme.data_bits
     with pytest.MonkeyPatch.context() as patch:
         if block:
             patch.setattr(qic.state, "_BLOCK", block)
         ideal = encode(uniform_superposition(Register(n)), scheme)
         noisy, log = inject_noise(ideal, model, np.random.default_rng(seed))
         try:
-            corrected = _interfere_classes(noisy, np.arange(1 << k) == 0,
-                                           eps, passes, cfg.collapse_tol)
+            corrected = correct(noisy, scheme, cfg)
         except NormCollapse:
             corrected = None
         states = [psi for psi in (ideal, noisy, corrected) if psi is not None]

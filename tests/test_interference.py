@@ -330,66 +330,12 @@ def test_dense_path_reads_a_two_level_input_without_widening_it():
     assert peak < 1.4 * (16 << m), peak / (16 << m)
 
 
-def _kernel_or_collapse(psi, valid, cfg, in_place=False):
+def _kernel_or_collapse(psi, valid, cfg):
     try:
         return _interfere(psi, valid, cfg.leakage, cfg.passes,
-                          cfg.collapse_tol, in_place=in_place)
+                          cfg.collapse_tol)
     except NormCollapse:
         return None
-
-
-@settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 12),
-       eps=st.floats(0.0, 1.0, exclude_max=True), passes=st.integers(1, 4),
-       kind=st.sampled_from(["uniform", "real", "complex"]),
-       sparse=st.booleans())
-def test_kernel_in_its_own_input_matches_a_fresh_output(seed, m, eps, passes,
-                                                        kind, sparse):
-    pred = (_sparse_case if sparse else _random_case)(seed, m)
-    valid = np.isin(np.arange(1 << m), list(pred.source))
-    cfg = InterferenceConfig(leakage=eps, passes=passes)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(qic.state, "_BLOCK", 128)
-        valid = PhaseMask(Register(m), valid)
-        if kind == "uniform":
-            # The two-level output against a dense copy of its input.
-            uniform = uniform_superposition(Register(m))
-            fresh = _kernel_or_collapse(uniform, valid, cfg)
-            amps = np.array(uniform.amplitudes)
-        else:
-            amps = np.array(_state_of_kind(kind, seed + 1, m).amplitudes)
-            fresh = _kernel_or_collapse(
-                StateVector(Register(m), amps), valid, cfg)
-        # The input holds amps read-only; in place writes amps itself.
-        psi = StateVector._adopt(Register(m), amps)
-        got = _kernel_or_collapse(psi, valid, cfg, in_place=True)
-    assert (got is None) == (fresh is None)
-    if got is not None:
-        assert np.shares_memory(got.amplitudes, amps)
-        assert got.amplitudes.dtype == fresh.amplitudes.dtype
-        assert np.array_equal(got.amplitudes.view(np.uint64),
-                              fresh.amplitudes.view(np.uint64))
-
-
-def test_kernel_in_place_shares_its_dense_input_and_refuses_two_level(
-        monkeypatch):
-    # Two blocks of 8: a two-level input refuses in_place, without a mask
-    # or over this very one, and a dense one is written over.
-    monkeypatch.setattr(qic.state, "_BLOCK", 8)
-    valid = PhaseMask.from_indices(Register(4), [3, 12])
-    for psi in (uniform_superposition(Register(4)),
-                _interfere(uniform_superposition(Register(4)), valid, 0.1, 1,
-                           1e-9)):
-        with pytest.raises(ValueError, match="in_place needs a dense input"):
-            _interfere(psi, valid, 0.1, 1, 1e-9, in_place=True)
-    psi = StateVector(Register(4), np.ones(1 << 4))
-    got = _interfere(psi, valid, 0.1, 1, 1e-9, in_place=True)
-    fresh = _interfere(StateVector(Register(4), np.ones(1 << 4)), valid, 0.1,
-                       1, 1e-9)
-    assert np.shares_memory(got.amplitudes, psi.amplitudes)
-    assert not got.amplitudes.flags.writeable
-    assert np.array_equal(got.amplitudes.view(np.uint64),
-                          fresh.amplitudes.view(np.uint64))
 
 
 @settings(max_examples=150, deadline=None)
