@@ -1,4 +1,4 @@
-"""Command-line entry point.
+"""Command-line interface, started by ``qic.__main__.run``.
 
 Subcommands: ``demo`` (the 3-qubit worked example), ``solve`` (solution
 enumeration for a predicate), ``sweep`` (leakage-law grid), ``ecc``
@@ -348,6 +348,3 @@ def main(argv=None) -> int:
         print(f"timing_ms={elapsed_ms:.3f}", file=sys.stderr)
     return 0
 
-
-if __name__ == "__main__":
-    sys.exit(main())

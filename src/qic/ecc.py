@@ -32,6 +32,7 @@ from .state import (
     Classes,
     Register,
     StateVector,
+    _Stream,
     _class_mass,
     _constant_value,
     _gather_abs,
@@ -189,9 +190,10 @@ class NoiseEvent:
 
 
 def inject_noise(psi: StateVector, model: NoiseModel,
-                 rng: np.random.Generator
+                 rng: _Stream | np.random.Generator
                  ) -> tuple[StateVector, tuple[NoiseEvent, ...]]:
-    """Apply the model's partial flips on qubits drawn from ``rng``.
+    """Apply the model's partial flips on qubits drawn by
+    ``rng.integers(0, m)``, one draw per event.
 
     Returns the evolved state and the event log; ``psi`` is not changed.
     All the flips are one ``apply_partial_bit_flip`` call, so they run in
@@ -275,7 +277,7 @@ def ecc_experiment(scheme: ChecksumScheme, model: NoiseModel,
     if data_state is None:
         data_state = uniform_superposition(Register(scheme.data_bits))
     psi_ideal = encode(data_state, scheme)
-    rng = np.random.default_rng(seed)
+    rng = _Stream(seed)  # np.random.default_rng(seed)'s draws
     psi_noisy, events = inject_noise(psi_ideal, model, rng)
 
     mass_before = checksum_valid_mass(psi_noisy, scheme)

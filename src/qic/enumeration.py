@@ -15,12 +15,11 @@ import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
-
 from .errors import NormCollapse, RegisterMismatch
 from .interference import InterferenceConfig, interfere_repeated
 from .predicate import Predicate, evaluate, with_exclusions
-from .state import Register, check_seed, sample, uniform_superposition
+from .state import (Register, _Stream, check_seed, sample,
+                    uniform_superposition)
 
 
 class Termination(str, Enum):
@@ -86,7 +85,7 @@ def enumerate_solutions(pred: Predicate, register: Register,
             f"predicate bound to {pred.register}, enumeration over {register}"
         )
     max_runs = cfg.max_runs if cfg.max_runs is not None else register.dimension + 8
-    rng = np.random.default_rng(cfg.seed)
+    rng = _Stream(cfg.seed)  # np.random.default_rng(cfg.seed)'s draws
 
     found: dict[int, None] = {}  # insertion-ordered, so repeats test in O(1)
     records: list[RunRecord] = []

@@ -557,6 +557,88 @@ def check_seed(seed: int) -> int:
     return seed
 
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+class _Stream:
+    """``np.random.default_rng(seed)`` for the two draws qic makes,
+    ``random()`` and ``integers(0, h)`` with 1 <= h <= 2^32, bit for bit,
+    without importing ``numpy.random``.
+
+    The seed goes through numpy's ``SeedSequence`` hash into a PCG64
+    XSL-RR generator (O'Neill 2014).  ``random()`` is the top 53 bits of
+    one 64-bit output; ``integers`` is Lemire's (2019) multiply-and-reject
+    draw on 32-bit halves, the low half of an output first and its high
+    half kept for the next 32-bit draw, across ``random()`` calls too, as
+    numpy's ``has_uint32`` buffer does.  ``seed`` is a checked seed
+    (``check_seed``): at most two 32-bit words, so no word is left over
+    after the four-word pool.
+    """
+
+    __slots__ = ("_state", "_inc", "_half")
+
+    def __init__(self, seed: int):
+        hash_a = 0x43B0D7E5
+
+        def hashmix(value: int) -> int:
+            nonlocal hash_a
+            value ^= hash_a
+            hash_a = hash_a * 0x931E8875 & _M32
+            value = value * hash_a & _M32
+            return value ^ value >> 16
+
+        def mix(x: int, y: int) -> int:
+            r = 0xCA01F9DD * x - 0x4973F715 * y & _M32
+            return r ^ r >> 16
+
+        words = [seed & _M32, seed >> 32] if seed >> 32 else [seed]
+        pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        hash_b, out = 0x8B51F9DD, []
+        for i in range(8):  # generate_state(4, np.uint64)
+            value = pool[i % 4] ^ hash_b
+            hash_b = hash_b * 0x58F38DED & _M32
+            value = value * hash_b & _M32
+            out.append(value ^ value >> 16)
+        s0, s1, i0, i1 = (out[k] | out[k + 1] << 32 for k in range(0, 8, 2))
+        # pcg64_set_seed: from state 0, step, add the seed, step.
+        self._inc = ((i0 << 64 | i1) << 1 | 1) & _M128
+        self._state = ((self._inc + (s0 << 64 | s1)) * _PCG_MULT
+                       + self._inc) & _M128
+        self._half = None
+
+    def _next64(self) -> int:
+        self._state = state = (self._state * _PCG_MULT + self._inc) & _M128
+        x, rot = (state >> 64 ^ state) & _M64, state >> 122
+        return (x >> rot | x << (64 - rot)) & _M64
+
+    def _next32(self) -> int:
+        half, self._half = self._half, None
+        if half is None:
+            x = self._next64()
+            half, self._half = x & _M32, x >> 32
+        return half
+
+    def random(self) -> float:
+        return (self._next64() >> 11) * 2.0**-53
+
+    def integers(self, low: int, high: int) -> int:
+        if low != 0 or not 1 <= high <= 1 << 32:
+            raise ValueError(f"integers(0, h) needs 1 <= h <= 2^32, "
+                             f"got ({low}, {high})")
+        if high == 1:
+            return 0  # numpy draws nothing for a one-value range
+        threshold = (1 << 32) % high
+        m = self._next32() * high
+        while m & _M32 < threshold:
+            m = self._next32() * high
+        return m >> 32
+
+
 def probability(psi: StateVector, index: int) -> float:
     index = psi.register.index(index)
     if psi._values is None:
@@ -600,11 +682,13 @@ def _constant_run_end(carry: float, v: float, count: int) -> float | None:
     return s
 
 
-def sample(psi: StateVector, rng: np.random.Generator,
+def sample(psi: StateVector, rng: _Stream | np.random.Generator,
            tol: float = DEFAULT_COLLAPSE_TOL) -> int:
     """Draw one basis index with probability |amp_i|^2.
 
-    Consumes exactly one uniform draw from ``rng``; the outcome is a pure
+    ``rng`` is any generator whose ``random()`` returns a float in
+    [0, 1): the enumeration's seeded stream or a numpy Generator.
+    Consumes exactly one ``random()`` draw; the outcome is a pure
     function of the draw and the amplitudes (cumulative scan in index
     order), so identical seeds give identical indices.  The state need
     not be normalized: the draw scales by the total of the running sums,

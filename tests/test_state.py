@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import tracemalloc
 from types import SimpleNamespace
 
@@ -28,7 +29,7 @@ from qic.state import (
     uniform_superposition,
 )
 from qic.state import (_constant_run_end, _constant_sum, _interfere,
-                       _interfere_classes, _select)
+                       _interfere_classes, _select, _Stream)
 
 import reference
 from conftest import bits_of, random_state
@@ -233,6 +234,41 @@ class TestSample:
         psi = uniform_superposition(Register(1))
         with pytest.raises(ValueError):
             sample(psi, np.random.default_rng(0), tol=tol)
+
+
+def _stream_seeds():
+    """Word-boundary seeds, then seeds of one and of two 32-bit words."""
+    draws = random.Random(30)
+    return [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1,
+            *(draws.getrandbits(bits) for bits in (16, 32, 33, 64) * 3)]
+
+
+class TestStream:
+    """The seeded stream is ``np.random.default_rng(seed)``'s, bit for bit."""
+
+    # None is a random() draw; h = 1 draws nothing, 2^31 + 7 rejects about
+    # half its draws, 2^32 takes a 32-bit half as it is.
+    DRAWS = (None, 1, 2, 3, 22, 2**26, 2**31 + 7, 2**32)
+
+    @pytest.mark.parametrize("seed", _stream_seeds())
+    def test_draws_match_numpy_in_any_order(self, seed):
+        order = list(self.DRAWS * 12)
+        random.Random(seed).shuffle(order)
+        # Odd 32-bit draws around random() keep numpy's buffered half.
+        order = [3, None, 3, None, None, 2**32, 22, *order]
+        ours, numpy_s = _Stream(seed), np.random.default_rng(seed)
+        for step, h in enumerate(order):
+            if h is None:
+                got, want = ours.random(), numpy_s.random()
+            else:
+                got, want = ours.integers(0, h), int(numpy_s.integers(0, h))
+            assert type(got) is type(want)
+            assert got == want, (step, h)
+
+    @pytest.mark.parametrize("low,high", [(0, 0), (0, 2**32 + 1), (1, 3)])
+    def test_refuses_ranges_it_does_not_reproduce(self, low, high):
+        with pytest.raises(ValueError):
+            _Stream(0).integers(low, high)
 
 
 class TestFidelity:
