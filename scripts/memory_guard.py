@@ -1,6 +1,6 @@
 """Memory guard: sparse solve at m = 26, ecc and sweeps at m = 22, refusals
-above 26 qubits and above 10000 sweep passes, runs under an address-space
-limit.
+above 26 qubits, above 10000 sweep passes and above 2^28 solve reads, runs
+under an address-space limit.
 
 One dense 2^26 complex128 state is 1 GiB; an enumeration state is its mask
 and two values, and a mask holds flags only for the blocks of 2^16 indices
@@ -13,15 +13,17 @@ syndrome, and each sum walks the state in one block of scratch.  At m = 22
 (k = 2) it must peak below 64 MiB, which one 2^22 complex128 array (64
 MiB) would pass on its own; so must a run with 40 events and one without
 events.  A sweep holds no amplitude buffer: every state of its pass chains
-is two-level and each mean comes in closed form, so it holds at most 4 MiB
-of flags (b0 mixes every block) and block scratch and must peak below 64
-MiB.  A register above 26 qubits is refused when it is built, and a sweep
+is two-level and each mean comes in closed form, so it holds its mask's
+distinct mixed blocks (b0 mixes every block alike: one 64 KiB array) and
+block scratch and must peak below 64 MiB.  A register above 26 qubits is refused when it is built, a sweep
 above 10000 passes in all (epsilon values times the largest pass count)
-before it runs: exit 1, nothing allocated.  Under a 400 MiB address-space
+before it runs, and a solve that could read more than 2^28 indices (b0 at
+m = 20: 2^19 + 1 runs) before its first run: exit 1, nothing allocated.  Under a 400 MiB address-space
 limit (set in that child only; one BLAS thread keeps numpy's import inside
-it) a solve of b0 (half of all indices valid, in every block, so its mask
-holds all 64 MiB of flags) and a sweep, both at m = 26, run to exit 0, and
-an ecc run at m = 26 runs to exit 0 below 64 MiB.  A run that does exceed
+it) a solve of b0 (half of all indices valid, in every block, all alike,
+so its mask holds one 64 KiB array of flags that every block shares) and a
+sweep, both at m = 26, run to exit 0 below 64 MiB, and so does an ecc run
+at m = 26.  A run that does exceed
 the limit ends with one "qic: out of memory" line, which tests/test_cli.py
 checks.
 
@@ -55,11 +57,13 @@ checks = [
     ("solve refused at m = 27", 64, 1, ["solve", "--qubits", "27", "--valid", "1"], None),
     ("ecc refused at m = 27", 64, 1, ["ecc", "--data-qubits", "26",
                                       "--parity", "global"], None),
+    ("solve refused above 2^28 reads", 64, 1, ["solve", "--qubits", "20",
+                                               "--expr", "b0"], None),
     ("sweep refused above 10000 passes", 64, 1, ["sweep", "--qubits", "22",
                                                  "--expr", "b0",
                                                  "--epsilon", "0:0.99:0.01",
                                                  "--passes", "1:101"], None),
-    ("solve b0 at m = 26", 160, 0, ["solve", "--qubits", "26", "--expr", "b0",
+    ("solve b0 at m = 26", 64, 0, ["solve", "--qubits", "26", "--expr", "b0",
                                     "--max-runs", "1"], 400),
     ("sweep at m = 26", 64, 0, ["sweep", "--qubits", "26", "--valid", "1,2",
                                 "--epsilon", "0.1", "--passes", "1"], 400),
@@ -77,6 +81,7 @@ for name, limit, code, args, address_mib in checks:
                             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
                             env=env, preexec_fn=preexec)
     err = proc.stderr.read().decode()
+    proc.stderr.close()
     _, status, usage = os.wait4(proc.pid, 0)
     # Negative when a signal ended the run.
     proc.returncode = os.waitstatus_to_exitcode(status)

@@ -17,9 +17,14 @@ from enum import Enum
 
 from .errors import NormCollapse, RegisterMismatch
 from .interference import InterferenceConfig, interfere_repeated
-from .predicate import Predicate, evaluate, with_exclusions
+from .predicate import Predicate, compile_mask, evaluate, with_exclusions
 from .state import (Register, _Stream, check_seed, sample,
                     uniform_superposition)
+
+
+# A solve reads its state per pass and to sample in each of at most (valid
+# count + 1) runs, with fixed costs of 2^11 reads per read and 2^16 per run.
+MAX_SOLVE_READS = 1 << 28
 
 
 class Termination(str, Enum):
@@ -85,6 +90,15 @@ def enumerate_solutions(pred: Predicate, register: Register,
             f"predicate bound to {pred.register}, enumeration over {register}"
         )
     max_runs = cfg.max_runs if cfg.max_runs is not None else register.dimension + 8
+    # A run finds a new solution or ends the loop: bound the work up front.
+    mask = compile_mask(pred, register)
+    runs = min(max_runs, mask._count() + 1)
+    reads = runs * ((cfg.interference.passes + 1) * (mask._reads() + 2**11)
+                    + 2**16)
+    if reads > MAX_SOLVE_READS:
+        raise ValueError(
+            f"solve could read {reads} indices over {runs} runs, above the "
+            f"limit of {MAX_SOLVE_READS}; lower --max-runs or --passes")
     rng = _Stream(cfg.seed)  # np.random.default_rng(cfg.seed)'s draws
 
     found: dict[int, None] = {}  # insertion-ordered, so repeats test in O(1)

@@ -563,9 +563,10 @@ def _source_flags(source, register: Register, step: int) -> PhaseMask:
 
     An explicit set is grouped by block.  An expression or CNF is
     evaluated bitsliced, and only a block whose words are neither all zero
-    nor all ones is unpacked into flags.  The single cache entry lets
-    every run of an enumeration, which only adds exclusions, and every
-    equal source compiled in a row share one compile.
+    nor all ones is unpacked into flags, once per distinct row of words,
+    so equal mixed blocks share one read-only array.  The single cache
+    entry lets every run of an enumeration, which only adds exclusions,
+    and every equal source compiled in a row share one compile.
     """
     if not isinstance(source, (BoolExpr, CnfFormula)):
         return PhaseMask.from_indices(register, source)
@@ -578,10 +579,10 @@ def _source_flags(source, register: Register, step: int) -> PhaseMask:
         -1, max(1, step >> _WORD_QUBITS))
     full = (rows == _ONES).all(axis=1)
     kinds, mixed = bytearray(full.astype(np.uint8).tobytes()), {}
+    unpack = functools.cache(lambda row: np.unpackbits(
+        np.frombuffer(row, np.uint8), bitorder="little")[:step].view(bool))
     for b in np.flatnonzero(rows.any(axis=1) & ~full).tolist():
-        flags = np.unpackbits(np.ascontiguousarray(rows[b]).view(np.uint8),
-                              bitorder="little")
-        _put(kinds, mixed, b, flags[:step].view(bool))
+        _put(kinds, mixed, b, unpack(rows[b].tobytes()))
     return PhaseMask._from_blocks(register, step, kinds, mixed)
 
 

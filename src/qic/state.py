@@ -6,36 +6,32 @@ significant qubit first, so index 1 on a 3-qubit register is ``"001"``.
 Checksum qubits, when present, occupy the high indices ``n .. m-1``.
 
 Every transform of a state, public or private, is pure: the input state
-is never mutated and a dense output owns a fresh amplitude array.
+is never mutated and the output owns a fresh table.
 
-A compiled ``PhaseMask`` is privately a *block form*: per aligned block of
-indices, whether its flags are all unset, all set or mixed, and the flags
-of the mixed blocks only, so a mask with a few valid indices holds a few
-blocks of flags.  A state is either a read-only dense array of complex128
-amplitudes or, privately, a *table form*: a float64 or complex128 table
-``_values`` read through ``_labels``, so amplitude i is
-``_values[_labels._label(i)]``.  A label source also gives, by
-``_block(b, step)``, block b's labels as an array XOR a constant.  A
-``PhaseMask`` labels an index by its flag: a table over a mask is an
-invalid and a valid value, the *two-level* form that interference from the
-uniform state keeps, so an enumeration or sweep state holds no 2^m array.
-``Classes(columns)``, one int per qubit, labels an index by its class, the
-XOR of the columns of its set bits.  ``qic.ecc.encode`` builds it for
-uniform data (a checksum qubit's column is its own bit, a data bit's the
-groups that hold it, so a class is a syndrome), and a partial flip maps
-class c onto c ^ column, so ecc's noise, correction, masses and overlaps
-run on the 2^k values.  None labels every index 0: the uniform state.  One
-gather (``_gather``) reads a block of any table form, and each operation
-takes the dense steps, in the same order, on the table, so the bits are
-those of the dense state.  Apart from ``qic.ecc.encode``, which builds
-classes, ``qic.predicate``, which compiles masks, and
-``qic.interference.remnant_sweep``, which reads a two-level state's values,
-this module alone knows the forms, so it owns the pass kernels
-``_interfere`` and ``_interfere_classes``, the closed-form mass of class 0,
-the one walk (``_masses``) under the squared norm, the kernel's surviving
-mass and ``sample``, and the blocked overlap under ``fidelity``, which
-calls no BLAS so that its bits do not depend on the CPU or the thread
-count.
+A state is a read-only float64 or complex128 table ``_values`` read
+through labels ``_labels``: amplitude i is ``_values[_labels._label(i)]``.
+A label source also gives, by ``_block(b, step)``, block b's labels as an
+array XOR a constant, or as the run of the table that the block reads.
+``Classes(columns)``, one int per qubit, labels an index by its class,
+the XOR of the columns of its set bits.  Over the identity columns
+(``_identity``: 1, 2, 4, ...) index i is its own class, so the table is
+the 2^m complex128 amplitudes: the *dense* state that
+``StateVector(register, amplitudes)`` builds.  ``qic.ecc.encode`` builds
+uniform data over the scheme's columns (a class is then a syndrome), so
+ecc's noise, correction, masses and overlaps run on 2^k values.  A
+compiled ``PhaseMask`` labels an index by its flag, so a table over it is
+the *two-level* form that interference from the uniform state keeps: an
+enumeration or sweep state holds no 2^m array.  Privately a mask is a
+*block form*: per aligned block, whether its flags are all unset, all set
+or mixed, and the flags of the mixed blocks only.  None labels every index
+0: the uniform state.  A partial flip maps class c onto c ^ column, so one
+routine (``_flips``) flips every class form, the dense one included.  One
+gather (``_gather``) reads a block of any table, and each operation takes
+the dense steps, in the same order, on the table, so the bits are those of
+the dense state.  Beside ``qic.ecc.encode``, ``qic.predicate`` (masks) and
+``qic.interference.remnant_sweep`` (two-level values), only this module
+reads the forms: its kernels, one walk (``_masses``) under the squared
+norm and ``sample``, and a blocked overlap that calls no BLAS.
 """
 
 from __future__ import annotations
@@ -51,7 +47,7 @@ import numpy as np
 from .errors import IndexOutOfRange, NormCollapse, RegisterMismatch
 
 # The one size limit: a dense state holds 2^m amplitudes, and a mask whose
-# every block is mixed (``solve --expr b0``) holds 2^m flags.
+# blocks all mix, each in its own pattern, holds 2^m flags.
 MAX_QUBITS = 26
 
 # Guards accumulated rounding only; perfect cancellation yields exact zeros.
@@ -103,7 +99,7 @@ class Register:
 class StateVector:
     """2^m complex128 amplitudes over a register, copied from the input."""
 
-    __slots__ = ("register", "_dense", "_labels", "_values")
+    __slots__ = ("register", "_labels", "_values")
 
     def __init__(self, register: Register, amplitudes):
         arr = np.array(amplitudes, dtype=np.complex128)
@@ -112,41 +108,40 @@ class StateVector:
                 f"expected {register.dimension} amplitudes, got {arr.shape}"
             )
         arr.flags.writeable = False
-        self.register, self._dense = register, arr
-        self._labels = self._values = None  # see _table
-
-    @classmethod
-    def _adopt(cls, register: Register, amps: np.ndarray) -> "StateVector":
-        """Wrap 2^m complex128 amplitudes that no caller writes through:
-        no copy, no checks."""
-        amps.flags.writeable = False
-        psi = cls.__new__(cls)
-        psi.register, psi._dense = register, amps
-        psi._labels = psi._values = None
-        return psi
+        self.register, self._labels, self._values = (
+            register, _identity(register.total_qubits), arr)
 
     @classmethod
     def _table(cls, register: Register, labels: PhaseMask | Classes | None,
                values: np.ndarray) -> "StateVector":
         """A state whose amplitude i is ``values[labels._label(i)]``, or
-        ``values[0]`` (of two) for None labels.  No checks."""
+        ``values[0]`` (of two) for None labels: no copy, no checks, and
+        ``values``, which no caller writes through, made read-only."""
+        values.flags.writeable = False
         psi = cls.__new__(cls)
-        psi.register, psi._dense = register, None
-        psi._labels, psi._values = labels, values
+        psi.register, psi._labels, psi._values = register, labels, values
         return psi
+
+    @classmethod
+    def _adopt(cls, register: Register, amps: np.ndarray) -> "StateVector":
+        """A dense state of 2^m complex128 amplitudes: ``_table`` over the
+        identity columns."""
+        return cls._table(register, _identity(register.total_qubits), amps)
 
     @property
     def amplitudes(self) -> np.ndarray:
-        """The 2^m complex128 amplitudes, read-only; a table form builds
-        them on first access, the uniform state as a zero-stride view."""
-        if self._dense is None:
-            if self._labels is None:
-                self._dense = np.broadcast_to(np.complex128(self._values[0]),
-                                              self.register.dimension)
-            else:
-                self._dense = _expand(self)
-                self._dense.flags.writeable = False
-        return self._dense
+        """The 2^m complex128 amplitudes, read-only: a dense state's own
+        table, not copied; the uniform state's as a zero-stride view; any
+        other table form's built afresh, block by block, on each read."""
+        dim, values = self.register.dimension, self._values
+        if self._labels is None:
+            return np.broadcast_to(np.complex128(values[0]), dim)
+        if (self._labels == _identity(self.register.total_qubits)
+                and values.shape == (dim,) and values.dtype == np.complex128):
+            return values
+        amps = _expand(self)
+        amps.flags.writeable = False
+        return amps
 
     def __repr__(self):
         return f"StateVector(m={self.register.total_qubits})"
@@ -228,6 +223,12 @@ class PhaseMask:
                    else kind * self._step
                    for b, kind in enumerate(self._kinds))
 
+    def _reads(self) -> int:
+        """The most indices a pass reads over this mask less exclusions: a
+        block with a valid flag in full, any other as one value."""
+        held = len(self._kinds) - self._kinds.count(0)
+        return held * self._step + len(self._kinds) - held
+
     def _label(self, index: int) -> int:
         """The flag of basis index ``index``, as 0 or 1."""
         b, offset = divmod(index, self._step)
@@ -251,9 +252,21 @@ class Classes:
         return functools.reduce(operator.xor, (
             c for q, c in enumerate(self.columns) if index >> q & 1), 0)
 
-    def _block(self, b: int, step: int) -> tuple[np.ndarray, int]:
-        """(the classes of block b's low bits, its first index's class)"""
-        return _base_labels(self.columns, step), self._label(b * step)
+    def _block(self, b: int, step: int) -> tuple[np.ndarray | None, object]:
+        """(the classes of block b's low bits, its first index's class), or
+        (None, the slice of classes the block holds) when those low bits
+        are the identity and the first class a multiple of ``step``."""
+        first, low = self._label(b * step), step.bit_length() - 1
+        if not first % step and self.columns[:low] == _identity(low).columns:
+            return None, slice(first, first + step)
+        return _base_labels(self.columns, step), first
+
+
+@functools.lru_cache
+def _identity(m: int) -> Classes:
+    """The identity columns on m qubits: index i is its own class, so a
+    table over them is the dense state."""
+    return Classes(tuple(1 << q for q in range(m)))
 
 
 def _put(kinds: bytearray, mixed: dict, b: int, flags: np.ndarray) -> None:
@@ -307,23 +320,11 @@ def _block_length(dim: int) -> int:
     return min(_BLOCK, dim)
 
 
-def _blocks(dim: int) -> list[slice]:
-    """The aligned blocks that cover ``dim`` (a power of two) amplitudes."""
-    step = _block_length(dim)
-    return [slice(start, start + step) for start in range(0, dim, step)]
-
-
 def _step(psi: StateVector) -> int:
     """psi's block length; a two-level state's is that of its mask."""
     if isinstance(psi._labels, PhaseMask):
         return psi._labels._step
     return _block_length(psi.register.dimension)
-
-
-def _scratch(psi: StateVector, step: int) -> np.ndarray | None:
-    """A block of scratch for ``_read`` of psi: None for a dense psi, else
-    of its values' dtype."""
-    return None if psi._values is None else np.empty(step, psi._values.dtype)
 
 
 @functools.lru_cache(maxsize=8)
@@ -353,61 +354,50 @@ def _select(flags: np.ndarray, pair: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def _gather(table: np.ndarray, labels: PhaseMask | Classes | None, b: int,
             out: np.ndarray):
-    """``table``'s entry per label of block b of ``len(out)`` indices: the
-    one entry of a block of one label, else written into ``out``.  The
-    labels are an array XOR a constant, so the table is permuted by the
-    constant and indexed by the array: bool flags (a float64 pair) through
-    ``_select``, intp labels through ``np.take``."""
+    """``table``'s entries for block b of ``len(out)`` indices: one entry
+    for a block of one label, a view for a run of labels, else written
+    into ``out``, the labels being an array XOR a constant: bool flags (a
+    float64 pair) through ``_select``, intp labels through ``np.take`` from
+    the table permuted by the constant, or for a table longer than a
+    block, with the constant XORed into the labels."""
     array, constant = labels._block(b, len(out)) if labels else (None, 0)
     if array is None:
         return table[constant]
-    if constant:
-        table = table[np.arange(len(table)) ^ constant]
     if array.dtype == bool:
         return _select(array, table, out)
+    if len(table) > len(out):
+        array = array ^ constant
+    elif constant:
+        table = table[np.arange(len(table)) ^ constant]
     return np.take(table, array, out=out, mode="clip")
-
-
-def _fill(table: np.ndarray, labels: PhaseMask | Classes | None, b: int,
-          out: np.ndarray) -> np.ndarray:
-    """``_gather`` of block b, always written into ``out``."""
-    got = _gather(table, labels, b, out)
-    if got is not out:
-        out[...] = got
-    return out
-
-
-def _read(psi: StateVector, block: slice, buf: np.ndarray | None
-          ) -> np.ndarray:
-    """psi's amplitudes on an aligned ``block``: a view of a dense psi,
-    else written into ``buf`` (see ``_scratch``), block-sized."""
-    if psi._values is None:
-        return psi._dense[block]
-    return _fill(psi._values, psi._labels, block.start // len(buf), buf)
 
 
 def _expand(psi: StateVector) -> np.ndarray:
     """A table form's amplitudes as a fresh 2^m complex128 array, written
     block by block (real values get imaginary parts of +0.0)."""
     out, step = np.empty(psi.register.dimension, np.complex128), _step(psi)
-    buf = _scratch(psi, step)
-    for lo in range(0, len(out), step):
-        out[lo:lo + step] = _read(psi, slice(lo, lo + step), buf)
+    buf = np.empty(step, psi._values.dtype)
+    for b, lo in enumerate(range(0, len(out), step)):
+        out[lo:lo + step] = _gather(psi._values, psi._labels, b, buf)
     return out
 
 
 def _masses(psi: StateVector, buf: np.ndarray, start: int = 0):
     """Yield |amp|^2 of psi's aligned blocks from block ``start`` on: a
-    float64 for a block of one value, else ``buf`` (block-sized float64,
-    owned by the caller) written with it."""
-    step = len(buf)
-    if psi._values is None:
-        for lo in range(start * step, len(psi._dense), step):
-            yield _mass(psi._dense[lo:lo + step], buf)
+    float64 for a block of one value, else an array of the block's length.
+    A table no longer than a block is squared once and gathered from; a
+    longer one is gathered a block at a time (a view for a run) and
+    squared into ``buf``, block-sized float64 owned by the caller."""
+    step, table = len(buf), psi._values
+    blocks = range(start, psi.register.dimension // step)
+    if len(table) <= step:
+        squares = _mass(table, np.empty(len(table)))
+        for b in blocks:
+            yield _gather(squares, psi._labels, b, buf)
         return
-    squares = _mass(psi._values, np.empty(len(psi._values)))
-    for b in range(start, psi.register.dimension // step):
-        yield _gather(squares, psi._labels, b, buf)
+    scratch = np.empty(step, table.dtype)
+    for b in blocks:
+        yield _mass(_gather(table, psi._labels, b, scratch), buf)
 
 
 def _pairwise(sums: list) -> float:
@@ -445,10 +435,11 @@ def _gather_abs(psi: StateVector, mask: PhaseMask) -> np.ndarray:
     """``np.abs(psi.amplitudes[mask.valid])`` as one float64 array,
     gathered block by block; a block with no valid flag is not read."""
     out, step = np.empty(mask._count()), mask._step
-    buf, start = _scratch(psi, step), 0
+    buf, start = np.empty(step, psi._values.dtype), 0
     for b, kind in enumerate(mask._kinds):
         if kind:
-            amps = _read(psi, slice(b * step, (b + 1) * step), buf)
+            amps = np.broadcast_to(_gather(psi._values, psi._labels, b, buf),
+                                   step)
             if kind == 2:
                 amps = amps[mask._mixed[b]]
             np.abs(amps, out=out[start:start + len(amps)])
@@ -488,27 +479,25 @@ def _interfere(psi: StateVector, mask: PhaseMask, leakage: float,
 
     From the uniform state, or a two-level state over this very mask, the
     passes run on the two values and return a two-level state over it.  Any
-    other input, never made dense, is passed block by block into one fresh
-    2^m complex128 buffer.  Pure: ``psi`` is not changed.
+    other input is read block by block (a view of a dense one) and passed
+    into one fresh dense table.  Pure: ``psi`` is not changed.
     """
     # Indexed by a flag: leakage for invalid, 2 - leakage for valid.
     levels = np.array([leakage, 2.0 - leakage])
-    if psi._values is not None and (psi._labels is None
-                                    or psi._labels is mask):
+    if psi._labels is None or psi._labels is mask:
         return _table_passes(psi, mask, levels, passes, tol)
     dim = psi.register.dimension
     step = _block_length(dim)
     out = np.empty(dim, np.complex128)
     weights, mass, buf, scale = (np.empty(step), np.empty(step),
-                                 _scratch(psi, step), None)
+                                 np.empty(step, psi._values.dtype), None)
     for _ in range(passes):
         sums = []
-        for block in _blocks(dim):
-            row = out[block]
-            src = (_read(psi, block, buf) if scale is None
-                   else np.multiply(row, scale, out=row))
-            np.multiply(src, _fill(levels, mask, block.start // step, weights),
-                        out=row)
+        for b, lo in enumerate(range(0, dim, step)):
+            row = out[lo:lo + step]
+            src = (_gather(psi._values, psi._labels, b, buf)
+                   if scale is None else np.multiply(row, scale, out=row))
+            np.multiply(src, _gather(levels, mask, b, weights), out=row)
             sums.append(np.sum(_mass(row, mass)))
         scale = _scale(_pairwise(sums), tol)
     out *= scale
@@ -539,8 +528,7 @@ def _class_mass(psi: StateVector, count: int) -> float:
 def _constant_value(psi: StateVector) -> float | None:
     """The one value of a state built constant (the uniform state), or
     None for any other state."""
-    return (None if psi._values is None or psi._labels is not None
-            else psi._values[0])
+    return None if psi._labels is not None else psi._values[0]
 
 
 def check_tolerance(tol: float, name: str = "tol") -> None:
@@ -641,8 +629,6 @@ class _Stream:
 
 def probability(psi: StateVector, index: int) -> float:
     index = psi.register.index(index)
-    if psi._values is None:
-        return float(abs(psi._dense[index]) ** 2)
     label = 0 if psi._labels is None else psi._labels._label(index)
     return float(abs(psi._values[label]) ** 2)
 
@@ -716,13 +702,14 @@ def sample(psi: StateVector, rng: _Stream | np.random.Generator,
 def _block_end(scan: np.ndarray, mass, carry: float,
                closed: bool = True) -> float:
     """The running sum from ``carry`` to the end of a block whose |amp|^2
-    is ``mass``: ``scan[1:]`` itself, or a value the whole block holds,
-    whose end comes in closed form unless it ties or ``closed`` is false.
-    Else ``scan`` is left holding the run."""
+    is ``mass``: ``scan[1:]`` itself, another array, or a value the whole
+    block holds, whose end comes in closed form unless it ties or
+    ``closed`` is false.  Else ``scan`` is left holding the run."""
     if not isinstance(mass, np.ndarray):
         end = _constant_run_end(carry, mass, len(scan) - 1) if closed else None
         if end is not None:
             return end
+    if mass.base is not scan:  # a value, or a view of a table's squares
         scan[1:] = mass
     # Slot 0 carries the running sum into the block, so np.cumsum, which
     # adds strictly in order, continues the whole state's running sum.
@@ -777,35 +764,35 @@ def fidelity(psi: StateVector, phi: StateVector) -> float:
     sum(x_r y_i - x_i y_r), for psi's x and phi's y, are np.sums of float64
     products over aligned blocks, combined as np.sum's tree does: the bits
     of whole-array np.sums on any CPU and BLAS.  No complex multiply, which
-    numpy may fuse into multiply-adds.  A table form is read one block at
-    a time and never made dense; the zero imaginary terms of real values
-    are skipped, which leaves the result's bits unchanged.  Two table forms
-    read through the same labels take each product once per label, and
-    each block sums them gathered into one block of scratch (or, for a
-    block of one label, in closed form): the same products, without
-    reading either state into scratch.
+    numpy may fuse into multiply-adds.  A state is read a block at a time
+    (a dense one as views) and never made dense; the zero imaginary terms
+    of real values are skipped, which leaves the result's bits unchanged.
+    Two states over the same labels and tables of one length, at most a
+    block, take each product once per label and sum each block of them
+    gathered (or, for a block of one label, in closed form).
     """
     if psi.register != phi.register:
         raise RegisterMismatch(
             f"registers differ: {psi.register} vs {phi.register}"
         )
-    if (psi._values is not None and phi._values is not None
-            and psi._labels == phi._labels):
-        size, buf = len(psi._values), np.empty(_step(psi))
-        blocks = range(psi.register.dimension // len(buf))
+    step = _step(psi)
+    blocks = range(psi.register.dimension // step)
+    if (psi._labels == phi._labels
+            and len(psi._values) == len(phi._values) <= step):
+        size, buf = len(psi._values), np.empty(step)
 
         def total(products):
             return _total((_gather(products, psi._labels, b, buf)
-                           for b in blocks), len(buf))
+                           for b in blocks), step)
         real, imag = _overlap(psi._values, phi._values, np.empty(size),
                               np.empty(size), total)
     else:
-        blocks = _blocks(psi.register.dimension)
-        step = blocks[0].stop
-        xbuf, ybuf, out, tmp = (_scratch(psi, step), _scratch(phi, step),
+        xbuf, ybuf, out, tmp = (np.empty(step, psi._values.dtype),
+                                np.empty(step, phi._values.dtype),
                                 np.empty(step), np.empty(step))
-        parts = [_overlap(_read(psi, block, xbuf), _read(phi, block, ybuf),
-                          out, tmp) for block in blocks]
+        parts = [_overlap(_gather(psi._values, psi._labels, b, xbuf),
+                          _gather(phi._values, phi._labels, b, ybuf), out, tmp)
+                 for b in blocks]
         real, imag = (_pairwise(list(sums)) for sums in zip(*parts))
     return float(abs(complex(real, imag)) ** 2)
 
@@ -816,39 +803,45 @@ def apply_phase_mask(psi: StateVector, mask: PhaseMask) -> StateVector:
         raise RegisterMismatch(
             f"registers differ: {psi.register} vs {mask.register}"
         )
-    amps = np.where(mask.valid, psi.amplitudes, -psi.amplitudes)
-    return StateVector._adopt(psi.register, amps)
+    amps = psi.amplitudes
+    return StateVector._adopt(psi.register, np.where(mask.valid, amps, -amps))
 
 
-def _flips(src: np.ndarray, out: np.ndarray, qubits, theta: float) -> None:
-    """Partial flips on ``qubits``, in order, of 2^m complex128 ``src`` into
-    complex128 ``out``, which may be ``src``.
+def _flips(src: np.ndarray, out: np.ndarray, columns, theta: float) -> None:
+    """Partial flips of the complex128 table ``src`` into complex128
+    ``out``, which may be ``src``: per column, in order, entry x maps to
+    cos(theta) x + i sin(theta) (entry x ^ column).
 
-    Each flip maps x_i to cos(theta) x_i + i sin(theta) x_{i xor 2^qubit}
-    by the whole-array expression's three ufunc steps (i sin times the
-    partner, times cos, add), so the bits are those of chained single
-    flips.  A flip on qubit q walks the state as rows of two halves of 2^q
-    amplitudes, in pieces of a quarter block that each hold both halves of
-    every pair they touch; the partner products go through one
-    quarter-block scratch.  With no qubits ``src`` is copied into ``out``.
+    Each flip takes the whole-array expression's three ufunc steps (i sin
+    times the partner, times cos, add), so the bits are those of chained
+    single flips.  A column with top bit 2^t views the table as rows of two
+    halves of 2^t entries: entry j of a first half pairs with entry j ^ low
+    of the second, low being the column's lower bits (none for a dense
+    qubit).  Each piece of the walk holds both halves of every pair it
+    touches, a whole number of rows or one column range, of a quarter block
+    (wider if low is), so it permutes partners only inside itself.  A zero
+    column pairs each entry with itself.  No columns copy ``src``.
     """
-    if not qubits:
+    if not columns:
         np.copyto(out, src)
         return
     c, s = np.cos(theta), 1j * np.sin(theta)
     size = min(_BLOCK // 4, len(src))
-    scratch = np.empty(size, np.complex128)
-    for q in qubits:
-        half = 1 << q
-        width = min(half, size // 2)
-        b = scratch.reshape(-1, 2, width)
+    for column in columns:
+        top = 1 << column.bit_length() >> 1  # 0 for a zero column
+        half, low = max(top, 1), column ^ top
+        width = min(half, max(size // 2, 1 << low.bit_length()))
+        b = np.empty(max(size, 2 * width), np.complex128).reshape(-1, 2, width)
         x, y = src.reshape(-1, 2, half), out.reshape(-1, 2, half)
         for row in range(0, len(x), len(b)):
             for col in range(0, half, width):
                 piece = np.s_[row:row + len(b), :, col:col + width]
                 xp, yp = x[piece], y[piece]
-                np.multiply(s, xp[:, 1], out=b[:, 0])
-                np.multiply(s, xp[:, 0], out=b[:, 1])
+                partners = xp[:, ::-1] if top else xp
+                if low:
+                    partners = partners[:, :, np.arange(width) ^ low]
+                np.multiply(s, partners[:, 0], out=b[:, 0])
+                np.multiply(s, partners[:, 1], out=b[:, 1])
                 np.multiply(c, xp, out=yp)
                 np.add(yp, b, out=yp)
         src = out  # a later flip continues from this one's result
@@ -864,12 +857,10 @@ def apply_partial_bit_flip(psi: StateVector, qubit,
     that order by one ``_flips`` call, with the bits of chained single
     calls; an empty sequence gives a copy.  Every qubit must be an integer
     in range and theta finite; both are checked before anything is
-    allocated.  A class form stays one: a flip on qubit q maps class c
-    onto c ^ columns[q], so each flip takes ``_flips``' three steps (times
-    i sin against the partner class, times cos, add) on the table, which
-    costs O(2^k) and gives the bits of the dense flips.  Any other table
-    form is written into the fresh output block by block and flipped
-    there, so it is never made dense itself.
+    allocated.  A class form, dense or not, stays one: a flip on qubit q
+    maps class c onto c ^ columns[q], so ``_flips`` runs on its table, at
+    O(2^k) for 2^k classes.  The uniform state and a two-level form are
+    written block by block into the fresh dense output and flipped there.
     """
     m = psi.register.total_qubits
     qubits = list(map(operator.index, qubit if np.ndim(qubit) else [qubit]))
@@ -878,18 +869,11 @@ def apply_partial_bit_flip(psi: StateVector, qubit,
             raise IndexOutOfRange(f"qubit {q} outside [0, {m})")
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
-    if isinstance(psi._labels, Classes):
-        c, s = np.cos(theta), 1j * np.sin(theta)
-        values = psi._values.astype(np.complex128)
-        classes = np.arange(len(values))
-        for q in qubits:
-            partners = s * values[classes ^ psi._labels.columns[q]]
-            values = c * values + partners
-        return StateVector._table(psi.register, psi._labels, values)
-    if psi._values is None:
-        amps = np.empty(psi.register.dimension, dtype=np.complex128)
-        _flips(psi._dense, amps, qubits, theta)
-    else:
-        amps = _expand(psi)
-        _flips(amps, amps, qubits, theta)
-    return StateVector._adopt(psi.register, amps)
+    labels = (psi._labels if isinstance(psi._labels, Classes)
+              else _identity(m))
+    src = (psi._values.astype(np.complex128, copy=False)
+           if labels is psi._labels else _expand(psi))
+    # A table of psi's is read-only; a fresh one is flipped in place.
+    out = src if src.flags.writeable else np.empty_like(src)
+    _flips(src, out, [labels.columns[q] for q in qubits], theta)
+    return StateVector._table(psi.register, labels, out)

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -515,6 +516,18 @@ class TestInputErrors:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "qic: register of 27 qubits exceeds the 26-qubit cap\n"
+
+    def test_solve_with_too_many_runs_exits_1_at_once(self, capsys):
+        # b0 at m = 20: 2^19 solutions, so up to 2^19 + 1 runs of 16 mixed
+        # blocks each, hours of work; refused after compile.
+        start = time.perf_counter()
+        assert main(["solve", "--qubits", "20", "--expr", "b0"]) == 1
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("qic: solve could read ")
+        assert err.endswith(" over 524289 runs, above the limit of "
+                            "268435456; lower --max-runs or --passes\n")
 
     @pytest.mark.parametrize("seed", ["18446744073709551616", "-1"])
     def test_ecc_seed_outside_64_bits_exits_1(self, seed, capsys):

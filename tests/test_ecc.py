@@ -454,12 +454,12 @@ class TestStreamedEcc:
             # dense scatter's amplitudes.
             uniform = uniform_superposition(Register(n))
             ideal = encode(uniform, scheme)
-            assert ideal._labels == Classes(scheme.qubit_columns())
-            assert ideal._dense is None
-            assert len(ideal._values) == 1 << scheme.checksum_bits
             assert np.array_equal(
                 reference.bits(ideal.amplitudes),
                 reference.bits(reference.encode(uniform.amplitudes, scheme)))
+            # Reading the amplitudes leaves the class form as it was.
+            assert ideal._labels == Classes(scheme.qubit_columns())
+            assert len(ideal._values) == 1 << scheme.checksum_bits
         assert overlapping > 10
 
     def test_encode_with_many_checksum_bits(self):
@@ -505,8 +505,10 @@ class TestStreamedEcc:
                                theta=float(rng.uniform(0.01, math.pi / 2)))
             seed = int(rng.integers(2**32))
             noisy, log = inject_noise(ideal, model, np.random.default_rng(seed))
-            assert ideal._dense is None
-            assert noisy._dense is None and noisy._labels == ideal._labels
+            assert ideal._labels == Classes(scheme.qubit_columns())
+            assert noisy._labels == ideal._labels
+            assert len(noisy._values) == len(ideal._values) == (
+                1 << scheme.checksum_bits)
             expected, qubits = reference.noise(
                 reference.encode(np.full(1 << n, 1 / np.sqrt(1 << n), complex),
                                  scheme), model, seed)
@@ -542,10 +544,11 @@ class TestStreamedEcc:
         for qubit in qubits:
             expected = reference.flip(expected, qubit, theta)
 
+        columns = [1 << qubit for qubit in qubits]
         out = np.empty_like(amps)
-        qic.state._flips(amps, out, qubits, theta)
+        qic.state._flips(amps, out, columns, theta)
         in_place = amps.copy()
-        qic.state._flips(in_place, in_place, qubits, theta)
+        qic.state._flips(in_place, in_place, columns, theta)
         chained = StateVector(Register(m), amps)
         for qubit in qubits:
             chained = apply_partial_bit_flip(chained, qubit, theta)
@@ -612,7 +615,7 @@ def test_ecc_experiment_without_events_keeps_report_and_ideal_state(
     # values.
     assert calls == [(scheme.qubit_columns(), [True, False, False, False])]
     [(psi_ideal, before)] = encoded
-    assert psi_ideal._dense is None
+    assert psi_ideal._labels == Classes(scheme.qubit_columns())
     assert np.array_equal(reference.bits(psi_ideal._values),
                           reference.bits(before))
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qic.enumeration
 import qic.state
 from qic.enumeration import (
     RunConfig,
@@ -110,6 +111,40 @@ class TestEnumerateSolutions:
         pred = Predicate(frozenset({1}), Register(2))
         with pytest.raises(RegisterMismatch):
             enumerate_solutions(pred, Register(3), RunConfig(seed=0))
+
+    def test_work_above_the_limit_is_refused_before_the_first_run(
+            self, monkeypatch):
+        # Three valid indices in one 16-index block: at most four runs, each
+        # reading the block twice (one pass and the sample) plus the fixed
+        # costs, 2 * (16 + 2^11) + 2^16 reads.
+        reg = Register(4)
+        pred = Predicate(frozenset({1, 5, 9}), reg)
+        per_run = 2 * (16 + 2**11) + 2**16
+        runs, run = [], qic.enumeration.interfere_repeated
+
+        def interfere(*args):
+            runs.append(args)
+            return run(*args)
+
+        monkeypatch.setattr(qic.enumeration, "interfere_repeated", interfere)
+        monkeypatch.setattr(qic.enumeration, "MAX_SOLVE_READS", 4 * per_run)
+        report = enumerate_solutions(pred, reg, RunConfig(seed=3))
+        assert report.termination is Termination.EXHAUSTED
+        assert len(runs) == 4
+        runs.clear()
+        monkeypatch.setattr(qic.enumeration, "MAX_SOLVE_READS",
+                            4 * per_run - 1)
+        with pytest.raises(ValueError, match=(
+                f"solve could read {4 * per_run} indices over 4 runs, above "
+                f"the limit of {4 * per_run - 1}; lower --max-runs")):
+            enumerate_solutions(pred, reg, RunConfig(seed=3))
+        assert runs == []
+        # A lower run cap, or fewer passes, bounds the work below the limit.
+        report = enumerate_solutions(pred, reg, RunConfig(seed=3, max_runs=3))
+        assert len(report.runs) == len(runs) == 3
+        with pytest.raises(ValueError, match="over 4 runs"):
+            enumerate_solutions(pred, reg, RunConfig(
+                seed=3, interference=InterferenceConfig(passes=2)))
 
     def test_reports_are_deterministic(self):
         reg = Register(4)

@@ -659,3 +659,26 @@ def test_exclusion_that_empties_a_mixed_block(monkeypatch):
     mask = compile_mask(Predicate(source, reg, frozenset({200, 201, 7})), reg)
     assert mask._kinds == bytes([2, 0, 0, 2]) and set(mask._mixed) == {0, 3}
     _assert_block_form(mask, reference.flags({5, 400}, 512))
+
+
+def test_equal_mixed_blocks_share_one_array(monkeypatch):
+    # 128-index blocks over ten qubits: b0 mixes all eight blocks alike;
+    # b0 ^ b8 in two patterns, by bit 1 of the block.
+    monkeypatch.setattr(qic.state, "_BLOCK", 128)
+    reg = Register(10)
+    for text, patterns in (("b0", 1), ("b0 ^ b8", 2)):
+        mask = compile_mask(Predicate(parse_expr(text), reg), reg)
+        assert mask._kinds == bytes([2] * 8)
+        assert len({id(flags) for flags in mask._mixed.values()}) == patterns
+        assert not any(flags.flags.writeable for flags in mask._mixed.values())
+        valid = brute_force_valid(
+            lambda bits: expr_truth_brute(parse_expr(text), bits), 10)
+        _assert_block_form(mask, reference.flags(valid, reg.dimension))
+    # Clearing copies the one block it writes; the shared array is unchanged.
+    base = compile_mask(Predicate(parse_expr("b0"), reg), reg)
+    shared = base._mixed[0]
+    cleared = compile_mask(Predicate(parse_expr("b0"), reg, frozenset({1})),
+                           reg)
+    assert cleared._mixed[0] is not shared and not cleared._mixed[0][1]
+    assert all(cleared._mixed[b] is shared for b in range(1, 8))
+    assert shared[1] and base._mixed[0] is shared

@@ -28,8 +28,9 @@ from qic.state import (
     sample,
     uniform_superposition,
 )
-from qic.state import (_constant_run_end, _constant_sum, _interfere,
-                       _interfere_classes, _select, _Stream)
+from qic.state import (_constant_run_end, _constant_sum, _gather,
+                       _identity, _interfere, _interfere_classes, _select,
+                       _Stream)
 
 import reference
 from conftest import bits_of, random_state
@@ -456,7 +457,7 @@ class TestPartialBitFlip:
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
-                assert psi._dense is None
+                assert len(psi._values) == 2  # still its two values
                 if m == 18:
                     # The output and block scratch: well below two states.
                     assert peak < 1.5 * got.nbytes
@@ -555,7 +556,7 @@ def test_blocked_flip_matches_dense_reference_bitwise(seed, m, complex_state,
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(qic.state, "_BLOCK", 128)
         got = apply_partial_bit_flip(psi, qubit, theta).amplitudes
-        qic.state._flips(in_place, in_place, [qubit], theta)
+        qic.state._flips(in_place, in_place, [1 << qubit], theta)
     assert np.array_equal(reference.bits(got), reference.bits(expected))
     assert np.array_equal(reference.bits(in_place), reference.bits(expected_in_place))
     assert np.array_equal(reference.bits(psi.amplitudes), reference.bits(before))
@@ -634,6 +635,132 @@ def test_class_form_matches_its_dense_copy_bitwise(form, block, theta, eps,
     if passed is not None:
         assert np.array_equal(reference.bits(passed.amplitudes),
                               reference.bits(want))
+
+
+def test_dense_amplitudes_are_the_table_itself():
+    # A dense state is a table over the identity columns: its amplitudes
+    # are that table, read-only, never copied, from any transform.
+    rng = np.random.default_rng(17)
+    psi = random_state(rng, 6)
+    mask = PhaseMask.from_indices(psi.register, [3, 40])
+    states = [psi, apply_partial_bit_flip(psi, [0, 5], 0.3),
+              apply_phase_mask(psi, mask), basis_state(psi.register, 9),
+              _interfere(psi, mask, 0.1, 2, 1e-9),
+              apply_partial_bit_flip(uniform_superposition(psi.register), 2,
+                                     0.4)]
+    for state in states:
+        assert state._labels == _identity(6)
+        amps = state.amplitudes
+        assert amps is state._values and state.amplitudes is amps
+        assert amps.dtype == np.complex128 and not amps.flags.writeable
+
+
+def _classes_of(columns, m):
+    """The class of every index on m qubits, by doubling."""
+    classes = np.zeros(1 << m, np.int64)
+    for q in range(m):
+        np.bitwise_xor(classes[:1 << q], columns[q],
+                       out=classes[1 << q:2 << q])
+    return classes
+
+
+def test_gather_slices_a_run_of_labels(monkeypatch):
+    # 128-index blocks: a dense block is a view of its table.  Over the
+    # identity's low columns, a high column with low bits of its own
+    # (3, 261) moves the block off a run, and its labels are taken.
+    monkeypatch.setattr(qic.state, "_BLOCK", 128)
+    psi = random_state(np.random.default_rng(5), 10)
+    out = np.empty(128, np.complex128)
+    for b in range(8):
+        got = _gather(psi._values, psi._labels, b, out)
+        assert got.base is psi._values
+        assert np.array_equal(got, psi._values[128 * b:128 * (b + 1)])
+    labels = Classes(_identity(7).columns + (128, 3, 261))
+    classes = _classes_of(labels.columns, 10)
+    table = np.random.default_rng(6).normal(size=512)
+    runs = 0
+    for b in range(8):
+        got = _gather(table, labels, b, np.empty(128))
+        assert np.array_equal(reference.bits(got),
+                              reference.bits(table[classes[128 * b:][:128]]))
+        run = classes[128 * b] % 128 == 0
+        assert (got.base is table) == run
+        runs += run
+    assert runs == 2
+    # A table longer than a block is read through the block's labels, XOR
+    # the constant, never permuted whole.
+    out = np.empty(128)
+    tracemalloc.start()
+    try:
+        _gather(table, labels, 2, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table.nbytes, peak
+
+
+@pytest.mark.parametrize("block", [128, None])
+def test_dense_flips_longer_than_a_block_match_the_reference(block,
+                                                             monkeypatch):
+    # A low qubit's pieces are whole rows, a high one's a column range of
+    # one row; the identity table spans 8 blocks at m = 10 with 128-index
+    # blocks, 4 at m = 18 with the default 2^16.
+    if block:
+        monkeypatch.setattr(qic.state, "_BLOCK", block)
+    m = 10 if block else 18
+    rng = np.random.default_rng(m)
+    amps = rng.normal(size=1 << m) + 1j * rng.normal(size=1 << m)
+    amps.view(np.float64)[rng.random(2 << m) < 0.1] = -0.0
+    psi = StateVector(Register(m), amps)
+    qubits = [0, m - 1, 5, 1, m - 2, 6, 0, m - 1]
+    got = apply_partial_bit_flip(psi, qubits, 0.6)
+    assert got._labels == _identity(m)
+    expected = psi.amplitudes
+    for qubit in qubits:
+        expected = reference.flip(expected, qubit, 0.6)
+    assert np.array_equal(reference.bits(got.amplitudes),
+                          reference.bits(expected))
+    assert np.array_equal(reference.bits(psi.amplitudes), reference.bits(amps))
+
+
+@pytest.mark.parametrize("block", [128, None])
+def test_wide_class_tables_match_their_dense_copy_bitwise(block, monkeypatch):
+    # Tables longer than a block (2^8 classes over 128-index blocks, 2^17
+    # over the default 2^16), on random columns with lower bits set, as
+    # grouped parity gives, and on the identity's low columns followed by
+    # random ones.  Flips, norms, probabilities, samples and overlaps hold
+    # the dense copy's bits.
+    if block:
+        monkeypatch.setattr(qic.state, "_BLOCK", block)
+    k, m = (8, 10) if block else (17, 18)
+    low = (qic.state._BLOCK).bit_length() - 1
+    rng = np.random.default_rng(k)
+    draws = rng.integers(1, 1 << k, m).tolist()
+    for columns in (tuple(draws),
+                    _identity(low).columns + tuple(draws[low:])):
+        values = rng.normal(size=1 << k) + 1j * rng.normal(size=1 << k)
+        psi = StateVector._table(Register(m), Classes(columns), values)
+        expected = values[_classes_of(columns, m)]
+        assert np.array_equal(reference.bits(psi.amplitudes),
+                              reference.bits(expected))
+        qubits = [*rng.integers(0, m, 5).tolist(), m - 1, 0]
+        flipped = apply_partial_bit_flip(psi, qubits, 0.9)
+        assert flipped._labels == psi._labels
+        for qubit in qubits:
+            expected = reference.flip(expected, qubit, 0.9)
+        assert np.array_equal(reference.bits(flipped.amplitudes),
+                              reference.bits(expected))
+        other = random_state(rng, m)
+        for x in (psi, flipped):
+            copy = StateVector(x.register, x.amplitudes)
+            assert norm_squared(x).hex() == norm_squared(copy).hex()
+            for index in rng.integers(0, 1 << m, 4):
+                assert probability(x, index) == probability(copy, index)
+            for u in rng.random(3):
+                assert sample(x, _FixedDraw(u)) == sample(copy, _FixedDraw(u))
+            for y in (other, psi, flipped):
+                y_copy = StateVector(y.register, y.amplitudes)
+                assert fidelity(x, y).hex() == fidelity(copy, y_copy).hex()
 
 
 def test_sampling_matches_distribution_within_tv_bound():
@@ -797,7 +924,9 @@ class TestBlockedReductions:
         amps = psi.amplitudes
         assert amps.strides == (0,) and not amps.flags.writeable
         assert np.array_equal(amps, np.full(1 << 12, 2.0**-6))
-        assert psi.amplitudes is amps
+        # Each read is a fresh zero-stride view: nothing is kept.
+        again = psi.amplitudes
+        assert again.strides == (0,) and np.array_equal(again, amps)
 
 
 # Float64 words that a select must copy untouched: +-0.0, the smallest and
