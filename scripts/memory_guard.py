@@ -15,17 +15,17 @@ MiB) would pass on its own; so must a run with 40 events and one without
 events.  A sweep holds no amplitude buffer: every state of its pass chains
 is two-level and each mean comes in closed form, so it holds its mask's
 distinct mixed blocks (b0 mixes every block alike: one 64 KiB array) and
-block scratch and must peak below 64 MiB.  A register above 26 qubits is refused when it is built, a sweep
-above 10000 passes in all (epsilon values times the largest pass count)
-before it runs, and a solve that could read more than 2^28 indices (b0 at
-m = 20: 2^19 + 1 runs) before its first run: exit 1, nothing allocated.  Under a 400 MiB address-space
-limit (set in that child only; one BLAS thread keeps numpy's import inside
-it) a solve of b0 (half of all indices valid, in every block, all alike,
-so its mask holds one 64 KiB array of flags that every block shares) and a
-sweep, both at m = 26, run to exit 0 below 64 MiB, and so does an ecc run
-at m = 26.  A run that does exceed
-the limit ends with one "qic: out of memory" line, which tests/test_cli.py
-checks.
+block scratch and must peak below 64 MiB.  A register above 26 qubits is
+refused when it is built, a sweep above 10000 passes in all (epsilon
+values times the largest pass count) before it runs, and a solve that
+could read more than 2^28 indices (b0 at m = 20: 2^19 + 1 runs) before its
+first run: exit 1, nothing allocated.  Under a 400 MiB address-space limit
+(set in that child only; one BLAS thread keeps numpy's import inside it) a
+solve of b0 (half of all indices valid, in every block, all alike, so its
+mask holds one 64 KiB array of flags that every block shares) and a sweep,
+both at m = 26, run to exit 0 below 64 MiB, and so does an ecc run at
+m = 26.  A run that does exceed the limit ends with one "qic: out of
+memory" line, which tests/test_cli.py checks.
 
 Each check runs ``python -m qic`` in a child process and prints its exit
 and peak RSS; the script exits 1 if any check fails.  Run it from the repo
