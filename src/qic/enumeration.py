@@ -1,10 +1,11 @@
 """Iterative solution enumeration with exclusion of found solutions.
 
-Each run interferes the uniform superposition, prepared once per
-enumeration, against the predicate extended with all solutions found so
-far, and measures once; ``qic.state`` keeps such a run's state as its mask
-and two values, free of 2^m arrays.
-A verified new solution is recorded and excluded from later runs; the
+The predicate is compiled once per enumeration.  Each run interferes the
+uniform superposition, prepared once too, against that mask less every
+solution found so far, and measures once; ``qic.state`` keeps such a run's
+state as its mask and two values, free of 2^m arrays.
+A verified new solution is recorded and excluded from later runs by
+clearing its flag on a copy of the mask, which copies only its block; the
 loop ends when the state cancels completely (Exhausted), when a remnant
 or an already-found solution is measured, or at the run cap.
 """
@@ -17,7 +18,10 @@ from enum import Enum
 
 from .errors import NormCollapse, RegisterMismatch
 from .interference import InterferenceConfig, interfere_repeated
-from .predicate import Predicate, compile_mask, evaluate, with_exclusions
+from .predicate import Predicate, compile_mask, evaluate
+# Not called here since runs clear found solutions on the compiled mask, but
+# perfbench's ``predicate.exclude`` span wraps this name on this module.
+from .predicate import with_exclusions  # noqa: F401
 from .state import (Register, _Stream, check_seed, sample,
                     uniform_superposition)
 
@@ -78,7 +82,8 @@ class EnumerationReport:
 
 
 def verify(pred: Predicate, index: int) -> bool:
-    """Classical check of the predicate, exclusions included."""
+    """Classical check of the predicate, its own exclusions included: the
+    caller's predicate, not one less the solutions an enumeration found."""
     return evaluate(pred, index)
 
 
@@ -106,9 +111,8 @@ def enumerate_solutions(pred: Predicate, register: Register,
     termination = Termination.MAX_RUNS_REACHED
     uniform = uniform_superposition(register)  # states are immutable
     for run in range(1, max_runs + 1):
-        working = with_exclusions(pred, found)
         try:
-            psi = interfere_repeated(uniform, working, cfg.interference)
+            psi = interfere_repeated(uniform, mask, cfg.interference)
         except NormCollapse:
             records.append(RunRecord(run, None, False, False))
             termination = Termination.EXHAUSTED
@@ -122,6 +126,7 @@ def enumerate_solutions(pred: Predicate, register: Register,
         )
         if is_new:
             found[index] = None
+            mask = mask._cleared((index,))  # copies index's block only
             continue
         termination = (Termination.REPEAT_MEASURED if is_solution
                        else Termination.REMNANT_MEASURED)

@@ -15,10 +15,11 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .errors import QicError
+from .errors import QicError, RegisterMismatch
 from .predicate import Predicate, compile_mask
 from .state import (
     DEFAULT_COLLAPSE_TOL,
+    PhaseMask,
     StateVector,
     _constant_sum,
     _interfere,
@@ -46,13 +47,21 @@ class InterferenceConfig:
         check_tolerance(self.collapse_tol, "collapse_tol")
 
 
-def interfere_repeated(psi: StateVector, pred: Predicate,
+def interfere_repeated(psi: StateVector, pred: Predicate | PhaseMask,
                        cfg: InterferenceConfig = InterferenceConfig()
                        ) -> StateVector:
     """Apply ``cfg.passes`` interference passes, renormalizing after each;
-    NormCollapse if a surviving squared mass is below ``cfg.collapse_tol``."""
-    mask = compile_mask(pred, psi.register)
-    return _interfere(psi, mask, cfg.leakage, cfg.passes, cfg.collapse_tol)
+    NormCollapse if a surviving squared mass is below ``cfg.collapse_tol``.
+
+    ``pred`` is a predicate, compiled here, or a mask already compiled over
+    psi's register (RegisterMismatch over any other), which a caller that
+    interferes against one mask many times compiles once."""
+    if not isinstance(pred, PhaseMask):
+        pred = compile_mask(pred, psi.register)
+    elif pred.register != psi.register:
+        raise RegisterMismatch(
+            f"mask over {pred.register}, state over {psi.register}")
+    return _interfere(psi, pred, cfg.leakage, cfg.passes, cfg.collapse_tol)
 
 
 SWEEP_COLUMNS = ("epsilon", "passes", "predicted_ratio", "measured_ratio",

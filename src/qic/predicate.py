@@ -578,12 +578,12 @@ def _source_flags(source, register: Register, step: int) -> PhaseMask:
     rows = np.broadcast_to(words, (word_count,)).reshape(
         -1, max(1, step >> _WORD_QUBITS))
     full = (rows == _ONES).all(axis=1)
-    kinds, mixed = bytearray(full.astype(np.uint8).tobytes()), {}
+    kinds, mixed, counts = bytearray(full.astype(np.uint8).tobytes()), {}, {}
     unpack = functools.cache(lambda row: np.unpackbits(
         np.frombuffer(row, np.uint8), bitorder="little")[:step].view(bool))
     for b in np.flatnonzero(rows.any(axis=1) & ~full).tolist():
-        _put(kinds, mixed, b, unpack(rows[b].tobytes()))
-    return PhaseMask._from_blocks(register, step, kinds, mixed)
+        _put(kinds, mixed, counts, b, unpack(rows[b].tobytes()))
+    return PhaseMask._from_blocks(register, step, kinds, mixed, counts)
 
 
 def compile_mask(pred: Predicate, register: Register) -> PhaseMask:

@@ -153,11 +153,12 @@ class PhaseMask:
     ``valid`` is a dense read-only boolean array of 2^m flags, built on its
     first read.  Privately a mask is its block form: per aligned block of
     ``_step`` indices, ``_kinds`` holds 0 if none of its flags is set, 1 if
-    all are, else 2, and ``_mixed`` maps each block of kind 2 to its
-    read-only flags.  A mask is never changed once built.
+    all are, else 2, ``_mixed`` maps each block of kind 2 to its read-only
+    flags and ``_counts`` to its number of set flags.  A mask is never
+    changed once built.
     """
 
-    __slots__ = ("register", "_step", "_kinds", "_mixed", "_valid")
+    __slots__ = ("register", "_step", "_kinds", "_mixed", "_counts", "_valid")
 
     def __init__(self, register: Register, valid):
         flags = np.array(valid, dtype=bool)
@@ -167,31 +168,32 @@ class PhaseMask:
             )
         flags.flags.writeable = False
         step = _block_length(register.dimension)
-        kinds, mixed = bytearray(register.dimension // step), {}
+        kinds, mixed, counts = bytearray(register.dimension // step), {}, {}
         for b, row in enumerate(flags.reshape(-1, step)):
-            _put(kinds, mixed, b, row)
-        self.register, self._step, self._kinds, self._mixed, self._valid = (
-            register, step, bytes(kinds), mixed, flags)
+            _put(kinds, mixed, counts, b, row)
+        self.register, self._step, self._kinds, self._mixed = (
+            register, step, bytes(kinds), mixed)
+        self._counts, self._valid = counts, flags
 
     @classmethod
     def _from_blocks(cls, register: Register, step: int, kinds: bytearray,
-                     mixed: dict) -> "PhaseMask":
+                     mixed: dict, counts: dict) -> "PhaseMask":
         """Wrap a block form that ``_put`` filled: no copy, no checks."""
         mask = cls.__new__(cls)
         mask.register, mask._step, mask._kinds, mask._mixed = (
             register, step, bytes(kinds), mixed)
-        mask._valid = None
+        mask._counts, mask._valid = counts, None
         return mask
 
     @classmethod
     def from_indices(cls, register: Register, indices) -> "PhaseMask":
         step = _block_length(register.dimension)
-        kinds, mixed = bytearray(register.dimension // step), {}
+        kinds, mixed, counts = bytearray(register.dimension // step), {}, {}
         for b, offsets in _by_block(register.indices(indices), step):
             flags = np.zeros(step, dtype=bool)
             flags[offsets] = True
-            _put(kinds, mixed, b, flags)
-        return cls._from_blocks(register, step, kinds, mixed)
+            _put(kinds, mixed, counts, b, flags)
+        return cls._from_blocks(register, step, kinds, mixed, counts)
 
     @property
     def valid(self) -> np.ndarray:
@@ -208,20 +210,20 @@ class PhaseMask:
     def _cleared(self, indices) -> "PhaseMask":
         """This mask with the flags at the distinct ``indices`` unset; only
         the blocks that hold a set one are copied, the rest are shared."""
-        kinds, mixed = bytearray(self._kinds), dict(self._mixed)
+        kinds, mixed, counts = (bytearray(self._kinds), dict(self._mixed),
+                                dict(self._counts))
         for b, offsets in _by_block(indices, self._step):
             if kinds[b]:
                 flags = (mixed[b].copy() if kinds[b] == 2
                          else np.ones(self._step, dtype=bool))
                 flags[offsets] = False
-                _put(kinds, mixed, b, flags)
-        return PhaseMask._from_blocks(self.register, self._step, kinds, mixed)
+                _put(kinds, mixed, counts, b, flags)
+        return PhaseMask._from_blocks(self.register, self._step, kinds, mixed,
+                                      counts)
 
     def _count(self) -> int:
         """The number of valid flags."""
-        return sum(int(np.count_nonzero(self._mixed[b])) if kind == 2
-                   else kind * self._step
-                   for b, kind in enumerate(self._kinds))
+        return self._kinds.count(1) * self._step + sum(self._counts.values())
 
     def _reads(self) -> int:
         """The most indices a pass reads over this mask less exclusions: a
@@ -269,14 +271,17 @@ def _identity(m: int) -> Classes:
     return Classes(tuple(1 << q for q in range(m)))
 
 
-def _put(kinds: bytearray, mixed: dict, b: int, flags: np.ndarray) -> None:
+def _put(kinds: bytearray, mixed: dict, counts: dict, b: int,
+         flags: np.ndarray) -> None:
     """Record bool ``flags`` as block b of a block form: its kind, and the
-    flags themselves, made read-only, only if the block is mixed."""
-    count = np.count_nonzero(flags)
+    flags themselves, made read-only, and their count of set flags only if
+    the block is mixed."""
+    count = int(np.count_nonzero(flags))
     mixed.pop(b, None)
+    counts.pop(b, None)
     if 0 < count < len(flags):
         flags.flags.writeable = False
-        kinds[b], mixed[b] = 2, flags
+        kinds[b], mixed[b], counts[b] = 2, flags, count
     else:
         kinds[b] = int(count > 0)
 
@@ -382,18 +387,24 @@ def _expand(psi: StateVector) -> np.ndarray:
     return out
 
 
-def _masses(psi: StateVector, buf: np.ndarray, start: int = 0):
+def _masses(psi: StateVector, buf: np.ndarray, start: int = 0,
+            runs: bool = False):
     """Yield |amp|^2 of psi's aligned blocks from block ``start`` on: a
     float64 for a block of one value, else an array of the block's length.
     A table no longer than a block is squared once and gathered from; a
     longer one is gathered a block at a time (a view for a run) and
-    squared into ``buf``, block-sized float64 owned by the caller."""
+    squared into ``buf``, block-sized float64 owned by the caller.  With
+    ``runs``, a mixed block of a two-level state whose invalid square is
+    +0.0 (leakage 0) comes as (its valid square, its valid count)."""
     step, table = len(buf), psi._values
     blocks = range(start, psi.register.dimension // step)
     if len(table) <= step:
         squares = _mass(table, np.empty(len(table)))
+        counts = (psi._labels._counts if runs and not squares[0]
+                  and isinstance(psi._labels, PhaseMask) else {})
         for b in blocks:
-            yield _gather(squares, psi._labels, b, buf)
+            yield ((squares[1], counts[b]) if b in counts
+                   else _gather(squares, psi._labels, b, buf))
         return
     scratch = np.empty(step, table.dtype)
     for b in blocks:
@@ -680,13 +691,19 @@ def sample(psi: StateVector, rng: _Stream | np.random.Generator,
     not be normalized: the draw scales by the total of the running sums,
     and NormCollapse is raised when that total is below ``tol``.  The
     returned index always has nonzero probability.
+
+    A block whose running sum ends in closed form, with no add a tie, is
+    not scanned: a block of one value, and at leakage 0 a two-level
+    state's mixed block, whose invalid squares are +0.0 and leave a
+    running sum unchanged, so that it ends as its valid count of adds of
+    the valid square.  The block the draw lands in is scanned in full.
     """
     check_tolerance(tol)
     # Only the running sum into each block and at the end is kept.
     scan = np.empty(_step(psi) + 1)
     masses = scan[1:]
     ends = [0.0]
-    for mass in _masses(psi, masses):
+    for mass in _masses(psi, masses, runs=True):
         ends.append(_block_end(scan, mass, ends[-1]))
     if not ends[-1] >= tol:
         raise NormCollapse(ends[-1], tol)
@@ -702,13 +719,18 @@ def sample(psi: StateVector, rng: _Stream | np.random.Generator,
 def _block_end(scan: np.ndarray, mass, carry: float,
                closed: bool = True) -> float:
     """The running sum from ``carry`` to the end of a block whose |amp|^2
-    is ``mass``: ``scan[1:]`` itself, another array, or a value the whole
-    block holds, whose end comes in closed form unless it ties or
-    ``closed`` is false.  Else ``scan`` is left holding the run."""
+    is ``mass``: ``scan[1:]`` itself, another array, a value the whole
+    block holds, or (v, count) for a block whose other squares are +0.0,
+    which add nothing.  A value's or a pair's end comes in closed form
+    unless it ties or ``closed`` is false.  Else ``scan`` is left holding
+    the run: the block's, or for a pair that of its count + 1 values."""
     if not isinstance(mass, np.ndarray):
-        end = _constant_run_end(carry, mass, len(scan) - 1) if closed else None
+        mass, count = (mass if isinstance(mass, tuple)
+                       else (mass, len(scan) - 1))
+        end = _constant_run_end(carry, mass, count) if closed else None
         if end is not None:
             return end
+        scan = scan[:count + 1]
     if mass.base is not scan:  # a value, or a view of a table's squares
         scan[1:] = mass
     # Slot 0 carries the running sum into the block, so np.cumsum, which

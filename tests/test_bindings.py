@@ -78,13 +78,16 @@ def test_each_phase_reaches_its_binding_once_per_step(monkeypatch, capsys):
     runs = len(results["runs"])
     measured = sum(run["measured"] is not None for run in results["runs"])
     assert (runs, measured) == (4, 3)
+    # A solve compiles once, outside the runs, and clears each solution on
+    # its mask: no run builds a predicate or compiles one.
     assert {key: counts[key] for key in (
         "qic.cli.main", "qic.enumeration.interfere_repeated",
-        "qic.enumeration.with_exclusions",
+        "qic.enumeration.with_exclusions", "qic.interference.compile_mask",
         "qic.enumeration.uniform_superposition", "qic.enumeration.sample",
         "qic.enumeration.verify")} == {
         "qic.cli.main": 1, "qic.enumeration.interfere_repeated": runs,
-        "qic.enumeration.with_exclusions": runs,
+        "qic.enumeration.with_exclusions": 0,
+        "qic.interference.compile_mask": 0,
         "qic.enumeration.uniform_superposition": 1,
         "qic.enumeration.sample": measured,
         "qic.enumeration.verify": measured}

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qic.enumeration
+import qic.interference
 import qic.state
 from qic.enumeration import (
     RunConfig,
@@ -17,12 +18,13 @@ from qic.enumeration import (
 )
 from qic.errors import RegisterMismatch
 from qic.interference import InterferenceConfig
-from qic.predicate import CnfFormula, Predicate, parse_expr
+from qic.predicate import CnfFormula, Predicate, compile_mask, parse_expr
 from qic.reports import render_json
-from qic.state import Register
+from qic.state import PhaseMask, Register
 
 import reference
-from conftest import bits_of, cnf_truth_brute, expr_truth_brute, random_cnf, random_expr
+from conftest import (bits_of, brute_force_valid, cnf_truth_brute,
+                      expr_truth_brute, random_cnf, random_expr)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -345,3 +347,61 @@ def test_enumeration_reports_match_dense_reference(seed, m, kind, eps, passes):
     assert list(report.found) == found
     assert [(r.run, r.measured, r.verified, r.new) for r in report.runs] == runs
     assert report.termination is termination
+
+
+@pytest.mark.parametrize("text,seed", [
+    ("b0", 1), ("b0 | b5", 2), ("b2 ^ b8", 3), ("~b1 & ~b7", 4), ("1", 5)])
+def test_many_solution_enumeration_matches_dense_reference(text, seed,
+                                                           monkeypatch):
+    # Leakage 0 over four 128-index blocks, mixed, full or empty, each
+    # losing one flag per solution found on the mask carried from run to
+    # run, until the state cancels: b0 takes 257 runs.
+    monkeypatch.setattr(qic.state, "_BLOCK", 128)
+    reg, source = Register(9), parse_expr(text)
+    valid = brute_force_valid(lambda bits: expr_truth_brute(source, bits), 9)
+    cfg = RunConfig(seed=seed, max_runs=600)
+    report = enumerate_solutions(Predicate(source, reg), reg, cfg)
+    found, runs, termination = reference.enumerate(valid, reg, cfg)
+    assert termination is Termination.EXHAUSTED
+    assert len(runs) == len(valid) + 1
+    assert list(report.found) == found
+    assert [(r.run, r.measured, r.verified, r.new) for r in report.runs] == runs
+    assert report.termination is termination
+
+
+@pytest.mark.parametrize("leakage,passes", [(0.0, 1), (0.05, 2)])
+def test_a_solve_compiles_once_and_clears_each_solution(leakage, passes,
+                                                        monkeypatch):
+    # The solve compiles the predicate once, through the one-entry cache,
+    # and clears each new solution on a copy of its mask: no run compiles,
+    # and the cached mask and its shared blocks are never written.
+    monkeypatch.setattr(qic.state, "_BLOCK", 128)
+    reg = Register(9)
+    pred = Predicate(parse_expr("b2 ^ b8 | b5 & b6"), reg)
+    base = compile_mask(pred, reg)
+    kinds, counts = base._kinds, dict(base._counts)
+    arrays = {b: id(flags) for b, flags in base._mixed.items()}
+    copies = {b: flags.copy() for b, flags in base._mixed.items()}
+    compiles, clears = [], []
+    real_compile, real_clear = (qic.interference.compile_mask,
+                                PhaseMask._cleared)
+
+    def counted_compile(*args):
+        compiles.append(args)
+        return real_compile(*args)
+
+    def counted_clear(mask, indices):
+        clears.append(tuple(indices))
+        return real_clear(mask, indices)
+    monkeypatch.setattr(qic.interference, "compile_mask", counted_compile)
+    monkeypatch.setattr(PhaseMask, "_cleared", counted_clear)
+    cfg = RunConfig(seed=8, max_runs=600,
+                    interference=InterferenceConfig(leakage, passes))
+    report = enumerate_solutions(pred, reg, cfg)
+    assert len(report.found) > 50
+    assert compiles == []
+    assert clears == [(int(s, 2),) for s in report.found]
+    assert compile_mask(pred, reg) is base
+    assert (base._kinds, base._counts) == (kinds, counts)
+    assert {b: id(flags) for b, flags in base._mixed.items()} == arrays
+    assert all(np.array_equal(base._mixed[b], copies[b]) for b in copies)

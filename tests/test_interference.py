@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qic.state
-from qic.errors import NormCollapse, QicError
+from qic.errors import NormCollapse, QicError, RegisterMismatch
 from qic.interference import (
     InterferenceConfig,
     interfere_repeated,
@@ -126,6 +126,25 @@ class TestInterfereRepeated:
         with pytest.raises(NormCollapse):
             interfere_repeated(uniform_superposition(reg), pred,
                                InterferenceConfig(passes=3))
+
+    def test_compiled_mask_reads_as_its_predicate(self):
+        # A mask compiled once gives the predicate's bits and its form; one
+        # over another register is refused, as a predicate's is.
+        reg, pred = uniform_pred(4, {1, 6, 7})
+        cfg = InterferenceConfig(leakage=0.1, passes=2)
+        psi = uniform_superposition(reg)
+        mask = compile_mask(pred, reg)
+        by_mask = interfere_repeated(psi, mask, cfg)
+        assert by_mask._labels is mask
+        assert np.array_equal(
+            reference.bits(by_mask._values),
+            reference.bits(interfere_repeated(psi, pred, cfg)._values))
+        other = PhaseMask.from_indices(Register(5), {1})
+        with pytest.raises(RegisterMismatch):
+            interfere_repeated(psi, other, cfg)
+        with pytest.raises(RegisterMismatch):
+            interfere_repeated(psi, Predicate(frozenset({1}), Register(5)),
+                               cfg)
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.2, 0.3])

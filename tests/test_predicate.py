@@ -553,8 +553,8 @@ def test_boolean_identities(left, right):
 
 def _assert_block_form(mask, flags):
     """``mask``'s block form (128-index blocks) is that of dense ``flags``:
-    each block's kind and each mixed block's flags; no constant block is
-    stored as mixed."""
+    each block's kind and each mixed block's flags and count; no constant
+    block is stored as mixed."""
     step = min(128, len(flags))
     rows = flags.reshape(-1, step)
     assert mask._step == step and len(mask._kinds) == len(rows)
@@ -566,6 +566,8 @@ def _assert_block_form(mask, flags):
     for b, stored in mask._mixed.items():
         assert stored.dtype == bool and not stored.flags.writeable
         assert np.array_equal(stored, rows[b])
+    assert mask._counts == {b: np.count_nonzero(rows[b]) for b in mask._mixed}
+    assert mask._count() == np.count_nonzero(flags)
     assert np.array_equal(mask.valid, flags)
 
 
@@ -682,3 +684,30 @@ def test_equal_mixed_blocks_share_one_array(monkeypatch):
     assert cleared._mixed[0] is not shared and not cleared._mixed[0][1]
     assert all(cleared._mixed[b] is shared for b in range(1, 8))
     assert shared[1] and base._mixed[0] is shared
+
+
+@pytest.mark.parametrize("build", ["indices", "expr", "dense"])
+def test_recorded_counts_follow_every_clear(build, monkeypatch):
+    # A mixed block's count is recorded when the block is built and when a
+    # clear copies it, so _count sums records and never rereads flags.
+    monkeypatch.setattr(qic.state, "_BLOCK", 128)
+    rng = np.random.default_rng(11)
+    reg = Register(10)
+    mask = {
+        "indices": lambda: PhaseMask.from_indices(
+            reg, rng.integers(0, 1 << 10, 300).tolist()),
+        "expr": lambda: compile_mask(
+            Predicate(parse_expr("b0 ^ b8 | b3 & ~b9"), reg), reg),
+        "dense": lambda: PhaseMask(reg, rng.random(1 << 10) < 0.4),
+    }[build]()
+    while True:
+        flags = mask.valid
+        assert mask._count() == np.count_nonzero(flags)
+        _assert_block_form(mask, flags)
+        valid = np.flatnonzero(flags)
+        if not len(valid):
+            break
+        # One index, as an enumeration clears, or several at once.
+        count = 1 if rng.random() < 0.5 else int(rng.integers(2, 40))
+        picked = rng.choice(valid, min(len(valid), count), replace=False)
+        mask = mask._cleared(picked.tolist())

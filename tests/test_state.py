@@ -928,6 +928,68 @@ class TestBlockedReductions:
         again = psi.amplitudes
         assert again.strides == (0,) and np.array_equal(again, amps)
 
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_leakage_zero_draws_match_the_full_scan(self, ties, monkeypatch):
+        # At leakage 0 a mixed block the draw does not land in ends in closed
+        # form over its valid count.  With ``ties`` every closed form reports
+        # a tie, so such a block takes its count + 1 cumsum instead.
+        if ties:
+            monkeypatch.setattr(qic.state, "_constant_run_end",
+                                lambda *args: None)
+        draws = last = 0
+        for seed in range(120):
+            rng = np.random.default_rng(seed)
+            m = int(rng.integers(8, 13))
+            # Flag-free, all-valid and mixed blocks, and blocks of one
+            # valid flag, the last block among them on every other seed.
+            flags = _block_flags(rng, m).copy()
+            starts = list(rng.choice(range(0, 1 << m, 128), 2))
+            for start in starts + [(1 << m) - 128] * (seed % 2):
+                flags[start:start + 128] = False
+                flags[start + int(rng.integers(128))] = True
+            if not flags.any():
+                continue
+            mask = PhaseMask(Register(m), flags)
+            psi = _interfere(uniform_superposition(Register(m)), mask, 0.0,
+                             int(rng.integers(1, 4)),
+                             qic.state.DEFAULT_COLLAPSE_TOL)
+            assert psi._labels is mask and not psi._values[0]
+            cumulative = reference.sample(psi.amplitudes, 0.5)[1]
+            valid = np.flatnonzero(flags)
+            at = np.concatenate([valid[-3:], rng.choice(valid, 5)])
+            for u in [float(rng.random()) for _ in range(4)] + list(
+                    _draws_on_running_sums(cumulative, at)):
+                index = sample(psi, _FixedDraw(u))
+                assert index == reference.sample(psi.amplitudes, u)[0], (
+                    seed, u)
+                draws += 1
+                last += index >= (1 << m) - 128
+        assert draws > 1000 and last > 100
+
+    def test_leakage_zero_draws_select_only_the_landing_block(
+            self, monkeypatch):
+        # Eight mixed blocks: at leakage 0 a draw bit-selects the one it
+        # lands in; with leakage every block is selected before the draw.
+        reg = Register(10)
+        mask = PhaseMask(reg, np.arange(1 << 10) % 3 == 0)
+        selected = []
+
+        def counted(flags, pair, out):
+            selected.append(len(flags))
+            return _select(flags, pair, out)
+        monkeypatch.setattr(qic.state, "_select", counted)
+        for leakage in (0.0, 0.05):
+            psi = _interfere(uniform_superposition(reg), mask, leakage, 1,
+                             qic.state.DEFAULT_COLLAPSE_TOL)
+            selected.clear()
+            for u in (0.0, 0.3, 0.99):
+                sample(psi, _FixedDraw(u))
+            assert set(selected) == {128}
+            if leakage:
+                assert len(selected) > 3 * 8
+            else:
+                assert len(selected) == 3
+
 
 # Float64 words that a select must copy untouched: +-0.0, the smallest and
 # largest subnormals (and a negative one), +-inf, and NaNs with payloads.
